@@ -4,9 +4,9 @@ Workers own strided cursors over the weight order and are scheduled
 cooperatively in worker-id order, so results are deterministic for a
 given plan.  A single aggregator owns the accumulators, minterm stores,
 visited set, and trace.  Bounds refresh at geometric shot checkpoints
-(1, 2, 4, ...) plus a final checkpoint; each record carries the declared
-floating-point soundness margin except the exact final record of an
-exhausted run.
+(1, 2, 4, ...) plus a final checkpoint when enumeration advanced past the
+last one; each record carries the declared floating-point soundness
+margin except the exact final record of an exhausted run.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .polynomial import (
     BoundAccumulators,
     Hyperrectangle,
     MintermEvaluator,
+    MintermStore,
     accuracy_bounds,
     robustness_bounds,
-    terms_from_bitstrings,
 )
 from .sampling import (
     RejectionGuardExceeded,
@@ -201,12 +201,14 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
 
     shots = 0
     enum_shots = 0
+    cp_enum_shots = None  # enumeration count at the last checkpoint
     next_cp = 1
     exhausted = False
     best_lower, best_upper = 0.0, 1.0
 
     def checkpoint() -> None:
-        nonlocal shots, best_lower, best_upper
+        nonlocal shots, cp_enum_shots, best_lower, best_upper
+        cp_enum_shots = enum_shots
         lo, hi = accuracy_bounds(acc)
         rec = _sound_record(shots, lo, hi, t0)
         best_lower = max(best_lower, rec.lower)
@@ -252,7 +254,8 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
             checkpoint()
             next_cp *= 2
 
-    checkpoint()
+    if enum_shots != cp_enum_shots:
+        checkpoint()
     # The summary carries raw accumulator values: at exhaustion these are
     # the exact rate (no soundness margin applied).
     lo, hi = accuracy_bounds(acc)
@@ -295,21 +298,25 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
         "box": {"lower": list(box.lower), "upper": list(box.upper)},
     })
 
-    l_masks: list[int] = []
-    s_not_l_masks: list[int] = []
+    l_store = MintermStore(n)
+    s_not_l_store = MintermStore(n)
     upper_frozen = False
     shots = 0
+    rb = None  # optimizer result of the last checkpoint
+    cp_shots = None  # shots at the last checkpoint
     next_cp = 1
     exhausted = False
     best_lower, best_upper = 0.0, 1.0
     witness: tuple[float, ...] | None = None
     lower_exact = upper_exact = True
 
-    def checkpoint():
-        nonlocal best_lower, best_upper, witness, lower_exact, upper_exact
+    def checkpoint() -> None:
+        nonlocal rb, cp_shots, best_lower, best_upper, witness, lower_exact, upper_exact
+        cp_shots = shots
+        # A frozen upper side keeps its last sound value: skip its optimization.
         rb = robustness_bounds(
-            terms_from_bitstrings(l_masks, n),
-            terms_from_bitstrings(s_not_l_masks, n),
+            l_store,
+            None if upper_frozen else s_not_l_store,
             box,
             f_max=config.f_max,
         )
@@ -325,7 +332,6 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
             TraceRecord(shots, best_lower, best_upper, True, time.monotonic() - t0,
                         lower_exact=lower_exact, upper_exact=upper_exact)
         )
-        return rb
 
     while True:
         if config.max_shots is not None and shots >= config.max_shots:
@@ -341,12 +347,12 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
         pred = decoder.decode(syndrome_of(model, e))
         is_log = pred != observable_of(model, e)
         if is_log:
-            l_masks.append(e)
+            l_store.append(e)
             if planned:
                 enum.push_neighbors(e)
         else:
-            if len(s_not_l_masks) < config.term_cap:
-                s_not_l_masks.append(e)
+            if len(s_not_l_store) < config.term_cap:
+                s_not_l_store.append(e)
             else:
                 upper_frozen = True
         shots += 1
@@ -354,7 +360,8 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
             checkpoint()
             next_cp *= 2
 
-    rb = checkpoint()
+    if shots != cp_shots:
+        checkpoint()
     # The summary carries the raw optimizer values: on exhaustion with
     # exact optimization these equal the true worst-case rate.
     if exhausted and rb.lower_exact and rb.upper_exact and not upper_frozen:

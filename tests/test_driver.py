@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qecbound.compiler import compile_to_dem
+from qecbound.compiler import compile_to_dem, parse_dem
 from qecbound.decoders import Decoder, build_greedy_decoder, build_ml_decoder
 from qecbound.driver import (
     BoundsTrace,
@@ -229,6 +229,107 @@ def test_robustness_term_cap_freezes_upper(repetition_model):
     # lower still converges; upper stays a sound over-estimate
     assert abs(trace.final["lower"] - expect) < 1e-9
     assert trace.final["upper"] >= expect
+
+
+def test_final_checkpoint_not_repeated(repetition_model):
+    """A run that stops right after a geometric checkpoint (max_shots a
+    power of two, or exhaustion at 8 = 2^3 shots) records it once."""
+    v = repetition_model.concrete_probabilities()
+    dec = build_ml_decoder(repetition_model, v)
+    box = Hyperrectangle((0.009,) * 3, (0.011,) * 3)
+    traces = [
+        run_accuracy(repetition_model, dec, v, RunConfig()),
+        run_accuracy(repetition_model, dec, v, RunConfig(max_shots=4)),
+        run_robustness(repetition_model, dec, box, RunConfig(mode="robustness")),
+        run_robustness(repetition_model, dec, box, RunConfig(mode="robustness", max_shots=4)),
+    ]
+    for trace in traces:
+        shots = [r.shots for r in trace.sound_records]
+        assert all(a < b for a, b in zip(shots, shots[1:])), shots
+        assert shots[-1] == trace.final["shots"]
+
+    # Hybrid: each enumeration checkpoint yields at most one probabilistic
+    # record, so the enumerated count strictly increases across sound records.
+    trace = run_accuracy(
+        repetition_model, dec, v, RunConfig(sample_count=200, max_shots=4, seed=7)
+    )
+    enumerated = []
+    sampled = 0
+    for i, rec in enumerate(trace.records):
+        if rec.sound:
+            enumerated.append(rec.shots - sampled)
+        else:
+            assert trace.records[i - 1].sound
+            sampled = rec.shots - enumerated[-1]
+    assert enumerated == [1, 2, 4]
+    assert all(a < b for a, b in zip(enumerated, enumerated[1:]))
+
+
+def test_truncated_vertex_search_upper_is_sound():
+    """Two channels with footprint D0 L0, a decoder that always predicts 0,
+    box [0,1]^2 and no vertex search: the worst case is 1.0 at x = (1, 0)."""
+    model = parse_dem("dem 1 1\nerror(0.1) D0 L0\nerror(0.1) D0 L0\n")
+    dec = ZeroDecoder(model.n_detectors, model.n_observables)
+    box = Hyperrectangle((0.0, 0.0), (1.0, 1.0))
+    trace = run_robustness(model, dec, box, RunConfig(mode="robustness", f_max=0))
+    assert trace.final["exhausted"]
+    for rec in trace.sound_records:
+        assert rec.lower <= 1.0 <= rec.upper
+    assert trace.final["upper"] >= 1.0
+    assert trace.final["exact"] == [False, False]
+
+
+def _chain_dem(rates) -> str:
+    """Repetition chains of 3 sharing observable L0: D_a L0, D_a D_b, D_b."""
+    lines = [f"dem {2 * len(rates) // 3} 1"]
+    for c in range(len(rates) // 3):
+        a, b = 2 * c, 2 * c + 1
+        for row, p in zip((f"D{a} L0", f"D{a} D{b}", f"D{b}"), rates[3 * c:3 * c + 3]):
+            lines.append(f"error({p!r}) {row}")
+    return "\n".join(lines) + "\n"
+
+
+def _block_rate(model, decoder, rates) -> float:
+    """Exact rate of a decoder that factors over independent 3-channel
+    blocks: each block fails with q_b (its syndrome decoded alone), and the
+    model fails when an odd number of blocks fail."""
+    prod = 1.0
+    for c in range(model.n_channels // 3):
+        q = 0.0
+        for m in range(8):
+            p, syn, obs = 1.0, 0, 0
+            for j in range(3):
+                ch = 3 * c + j
+                if m >> j & 1:
+                    p *= rates[ch]
+                    syn ^= model.det_footprints[ch]
+                    obs ^= model.obs_footprints[ch]
+                else:
+                    p *= 1.0 - rates[ch]
+            if decoder.decode(syn) != obs:
+                q += p
+        prod *= 1.0 - 2.0 * q
+    return (1.0 - prod) / 2.0
+
+
+def test_robustness_beyond_64_channels():
+    """66 channels need two words per term; every sound record brackets the
+    worst case between P_L(witness) and P_L(all-upper)."""
+    rng = np.random.default_rng(17)
+    rates = [float(p) for p in 0.01 * np.exp(rng.uniform(-0.2, 0.2, size=66))]
+    model = parse_dem(_chain_dem(rates))
+    assert model.n_channels == 66
+    box = Hyperrectangle.scaled(rates, 0.9, 1.1)
+    mid = tuple(0.5 * (lo + hi) for lo, hi in zip(box.lower, box.upper))
+    dec = build_greedy_decoder(model, mid)
+    trace = run_robustness(model, dec, box, RunConfig(mode="robustness", max_shots=1024))
+    witness = trace.final["witness_vertex"]
+    p_witness = _block_rate(model, dec, witness)
+    p_upper = _block_rate(model, dec, box.upper)
+    assert trace.sound_records[-1].lower > 0.0
+    for rec in trace.sound_records:
+        assert rec.lower <= p_witness
+        assert rec.upper >= p_upper
 
 
 def test_config_validation():
