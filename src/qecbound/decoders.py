@@ -11,6 +11,13 @@ line-oriented subprocess protocol:
     analyzer -> DECODE <k>, then k lines of n_det chars from {0,1}
     decoder  -> k lines of n_obs chars from {0,1}
     analyzer -> QUIT
+
+Batched decoding.  The enumeration core and the samplers classify whole
+blocks of bitstrings with `LogicalErrorClassifier`: the block's unique
+syndromes that are not yet in its syndrome -> prediction cache go to one
+`decode_batch` call.  The cache belongs to the classifier, which lives
+for one run, so repeated runs make the same decoder calls.
+`GreedyDecoder.decode_batch` peels a whole batch at once.
 """
 
 from __future__ import annotations
@@ -19,12 +26,34 @@ import shlex
 import subprocess
 from dataclasses import dataclass, field
 
+# Package modules before numpy: compiled first, their source's compile
+# memory is reused by numpy's import, which keeps peak RSS down when no
+# bytecode cache is written.
 from .compiler import DetectorErrorModel
-from .errorspace import bits_to_str, observable_of, str_to_bits, syndrome_of
 from .polynomial import MintermEvaluator
+from .errorspace import (
+    Footprints,
+    bit_columns,
+    bits_of,
+    bits_to_str,
+    ints_of,
+    n_words,
+    str_to_bits,
+    words_of,
+)
+
+import numpy as np
 
 ML_CHANNEL_CAP = 24
 EXTERNAL_BATCH = 1024
+# The ML table is built from at most this many bitstrings at a time.
+ML_CHUNK = 1 << 16
+# Syndromes a LogicalErrorClassifier caches at most: its inserts copy the
+# cache, and a long run can see a new syndrome in nearly every string.
+CACHE_CAP = 1 << 18
+# Seconds `ExternalDecoder.close` waits for the child to exit after QUIT
+# before killing it.
+CLOSE_TIMEOUT = 10.0
 
 
 class ProtocolError(RuntimeError):
@@ -71,24 +100,47 @@ class MlDecoder(Decoder):
         return self.table.get(syndrome, 0)
 
 
+def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(words, axis=0, return_inverse=True), by a lexsort of the
+    columns (several times faster than sorting rows as opaque bytes)."""
+    order = np.lexsort(words.T[::-1])
+    rows = words[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inv = np.empty(len(rows), dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return rows[first], inv
+
+
 def build_ml_decoder(model: DetectorErrorModel, v, cap: int = ML_CHANNEL_CAP) -> MlDecoder:
+    """Sum each (syndrome, observable) class's mass over all 2^n bitstrings,
+    in ascending bitstring order, and keep each syndrome's heaviest class."""
     n = model.n_channels
     if n > cap:
         raise ValueError(f"{n} channels exceeds the ML enumeration cap {cap}")
     evaluator = MintermEvaluator(v)
-    mass: dict[int, dict[int, float]] = {}
-    for e in range(1 << n):
-        s = syndrome_of(model, e)
-        o = observable_of(model, e)
-        mass.setdefault(s, {})
-        mass[s][o] = mass[s].get(o, 0.0) + evaluator(e)
+    fp = Footprints(model)
+    wd = fp.det.shape[1]
+    slots: dict[tuple[int, int], int] = {}  # (syndrome, observable) -> slot in mass
+    mass = np.zeros(0)
+    chunk = min(1 << n, ML_CHUNK)
+    for e0 in range(0, 1 << n, chunk):
+        e = np.arange(e0, e0 + chunk, dtype=np.uint64)
+        cols = bit_columns(bits_of(e[:, None], n))
+        uniq, inv = _unique_rows(np.hstack((fp.xor(fp.det, cols), fp.xor(fp.obs, cols))))
+        ids = np.array([slots.setdefault(key, len(slots))
+                        for key in zip(ints_of(uniq[:, :wd]), ints_of(uniq[:, wd:]))])
+        mass = np.concatenate((mass, np.zeros(len(slots) - mass.size)))
+        # unbuffered and in index order: each class adds its masses in
+        # ascending bitstring order, as a sequential loop would
+        np.add.at(mass, ids[inv], evaluator.block(cols))
+    best: dict[int, tuple] = {}
     table = {}
-    for s, classes in mass.items():
-        best = min(
-            classes.items(),
-            key=lambda kv: (-kv[1], kv[0] != 0, _obs_sort_key(kv[0], model.n_observables)),
-        )
-        table[s] = best[0]
+    for (s, o), m in zip(slots, mass.tolist()):
+        key = (-m, o != 0, _obs_sort_key(o, model.n_observables))
+        if s not in best or key < best[s]:
+            best[s] = key
+            table[s] = o
     return MlDecoder(model.n_detectors, model.n_observables, table)
 
 
@@ -106,6 +158,9 @@ class GreedyDecoder(Decoder):
         probs = self.model.concrete_probabilities()
         # static tie-break order: higher probability, then lower index
         self._order = sorted(range(self.model.n_channels), key=lambda i: (-probs[i], i))
+        self._det = words_of(self.model.det_footprints, n_words(self.n_det))
+        self._obs = words_of(self.model.obs_footprints, n_words(self.n_obs))
+        self._weight = [fp.bit_count() for fp in self.model.det_footprints]
 
     def decode(self, syndrome: int) -> int:
         residual = syndrome
@@ -124,6 +179,36 @@ class GreedyDecoder(Decoder):
             residual ^= self.model.det_footprints[best_i]
             answer ^= self.model.obs_footprints[best_i]
         return answer
+
+    def decode_batch(self, syndromes) -> list[int]:
+        """decode() for every syndrome, peeling the whole batch at once: each
+        round scores every channel in `_order` against all active residuals
+        ([batch] vectors, no [batch, channels] array) and keeps the first
+        strictly best one, as decode() does."""
+        residual = words_of(list(syndromes), self._det.shape[1])
+        answer = np.zeros((len(residual), self._obs.shape[1]), dtype=np.uint64)
+        active = np.flatnonzero(residual.any(axis=1))
+        while active.size:
+            words = [np.ascontiguousarray(c) for c in residual[active].T]
+            best = np.full(active.size, -1, dtype=np.intp)
+            best_score = np.zeros(active.size, dtype=np.int32)
+            for i in self._order:
+                if not self._weight[i]:
+                    continue  # an empty footprint never scores above 0
+                # |fp & r| - |fp & ~r| = 2 |fp & r| - |fp|
+                hit = np.zeros(active.size, dtype=np.int32)
+                for r, f in zip(words, self._det[i]):
+                    hit += np.bitwise_count(r & f)
+                score = 2 * hit - self._weight[i]
+                better = score > best_score
+                best_score = np.where(better, score, best_score)
+                best = np.where(better, i, best)
+            found = best >= 0  # rows without a scoring channel give up
+            active, best = active[found], best[found]
+            residual[active] ^= self._det[best]
+            answer[active] ^= self._obs[best]
+            active = active[residual[active].any(axis=1)]
+        return ints_of(answer)
 
 
 def build_greedy_decoder(model: DetectorErrorModel, v=None) -> GreedyDecoder:
@@ -179,9 +264,8 @@ class ExternalDecoder(Decoder):
         syndromes = list(syndromes)
         for start in range(0, len(syndromes), self.batch_size):
             chunk = syndromes[start : start + self.batch_size]
-            self._send(f"DECODE {len(chunk)}")
-            for s in chunk:
-                self._send(bits_to_str(s, self.n_det))
+            self._send("\n".join([f"DECODE {len(chunk)}",
+                                   *(bits_to_str(s, self.n_det) for s in chunk)]))
             for _ in chunk:
                 line = self._recv()
                 if len(line) != self.n_obs or set(line) - {"0", "1"}:
@@ -194,7 +278,54 @@ class ExternalDecoder(Decoder):
             self._send("QUIT")
         except ProtocolError:
             pass
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=CLOSE_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+
+
+class LogicalErrorClassifier:
+    """Decoder verdicts for blocks of bitstrings, given as support columns
+    (see `errorspace.Footprints`): True where the decoder's prediction for
+    the syndrome differs from the observables.
+
+    The cache holds the syndromes decoded so far as one sorted array of
+    keys (a syndrome's detector words, as one scalar) with their predicted
+    observable words alongside.  A block's unique syndromes that are not
+    in it go to one `decode_batch` call, and join it while it holds fewer
+    than `CACHE_CAP` entries."""
+
+    def __init__(self, model: DetectorErrorModel, decoder: Decoder) -> None:
+        self.footprints = Footprints(model)
+        self.decoder = decoder
+        self._keys = self._key(self.footprints.det[:0])
+        self._pred = self.footprints.obs[:0]
+
+    @staticmethod
+    def _key(words: np.ndarray) -> np.ndarray:
+        """One sortable scalar per row of detector words."""
+        if words.shape[1] == 1:
+            return words[:, 0]
+        return np.ascontiguousarray(words).view(f"V{8 * words.shape[1]}")[:, 0]
+
+    def __call__(self, cols: np.ndarray) -> np.ndarray:
+        fp = self.footprints
+        syn = fp.xor(fp.det, cols)
+        keys, inv = np.unique(self._key(syn), return_inverse=True)
+        at = np.searchsorted(self._keys, keys)
+        known = at < len(self._keys)
+        known[known] = self._keys[at[known]] == keys[known]
+        pred = np.empty((len(keys), fp.obs.shape[1]), dtype=np.uint64)
+        pred[known] = self._pred[at[known]]
+        if not known.all():
+            new = ~known
+            words = np.ascontiguousarray(keys[new]).view(np.uint64).reshape(-1, syn.shape[1])
+            pred[new] = words_of(self.decoder.decode_batch(ints_of(words)), pred.shape[1])
+            if len(self._keys) < CACHE_CAP:
+                self._keys = np.insert(self._keys, at[new], keys[new])
+                self._pred = np.insert(self._pred, at[new], pred[new], axis=0)
+        return (pred[inv.reshape(-1)] != fp.xor(fp.obs, cols)).any(axis=1)
 
 
 def connect_external_decoder(command: str, n_det: int, n_obs: int) -> ExternalDecoder:

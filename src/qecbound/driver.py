@@ -1,12 +1,23 @@
 """End-to-end orchestration: enumerate, decode, classify, refresh bounds.
 
-Workers own strided cursors over the weight order and are scheduled
-cooperatively in worker-id order, so results are deterministic for a
-given plan.  A single aggregator owns the accumulators, minterm stores,
-visited set, and trace.  Bounds refresh at geometric shot checkpoints
-(1, 2, 4, ...) plus a final checkpoint when enumeration advanced past the
-last one; each record carries the declared floating-point soundness
-margin except the exact final record of an exhausted run.
+One block core serves both modes.  The visit order is read in blocks of
+support rows (see `errorspace`): `hamming` is the weight order itself,
+whatever `worker_count` is; `split` interleaves a low and a high stream in
+chunks of ceil(k/2) and floor(k/2) positions (`SplitOrder`); `local-*`
+follows each logical error found in the weight order with its unvisited
+neighbours, in ascending bit-set order, before the order resumes, and
+only those detours are kept as extras in the visited set.  Each block
+gets its minterms with numpy, and its decoder verdicts from a
+`LogicalErrorClassifier` made for the run, which sends the unique
+syndromes it has not seen to one `decode_batch` call.  Blocks end at the
+geometric shot checkpoints (1, 2, 4, ...) and after at most `BLOCK_ROWS`
+rows, so a time limit is overrun by at most one block.
+
+Each mode has its own sink: Kahan-compensated accumulators fed in visit
+order (accuracy), or the two minterm stores (robustness).  Bounds refresh
+at every checkpoint, plus a final checkpoint when enumeration advanced
+past the last one; each record carries the declared floating-point
+soundness margin except the exact final record of an exhausted run.
 """
 
 from __future__ import annotations
@@ -17,16 +28,23 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .compiler import DetectorErrorModel, write_symbolic_dem
-from .decoders import Decoder
+from .decoders import Decoder, LogicalErrorClassifier
 from .errorspace import (
     EnumerationPlan,
+    OrderStream,
+    SplitOrder,
     VisitedSet,
+    bits_of,
+    ints_of,
     local_moves_flip,
     local_moves_shift,
-    observable_of,
-    partition_workers,
-    syndrome_of,
+    n_words,
+    split_workers,
+    supports_of_bits,
+    words_of,
 )
 from .polynomial import (
     FP_MARGIN,
@@ -43,8 +61,9 @@ from .sampling import (
     probabilistic_bounds,
     sample_unseen_batch,
 )
-import numpy as np
 
+# Most bitstrings evaluated at once: bounds memory and time-limit overrun.
+BLOCK_ROWS = 2048
 TERM_CAP_DEFAULT = 10_000_000
 
 
@@ -128,48 +147,156 @@ def emit_trace(trace: BoundsTrace, sink) -> None:
     sink.write(json.dumps({"final": trace.final}) + "\n")
 
 
-class _Enumerator:
-    """Deterministic cooperative scheduler over worker cursors plus the
-    local-search FIFO; yields each bitstring at most once."""
+@dataclass
+class _Rows:
+    """Evaluated bitstrings in visit order."""
 
-    def __init__(self, plan: EnumerationPlan, n: int, visited: VisitedSet):
-        self.cursors = partition_workers(plan, n)
-        self.visited = visited
-        self.pending: deque[int] = deque()
+    masks: np.ndarray  # [B, ceil(n/64)] uint64 channel bit sets
+    logical: np.ndarray  # decoder prediction differs from the observables
+    prob: np.ndarray | None  # minterm at the run's point (accuracy mode)
+
+    def __len__(self) -> int:
+        return len(self.logical)
+
+    def select(self, idx) -> "_Rows":
+        return _Rows(self.masks[idx], self.logical[idx],
+                     None if self.prob is None else self.prob[idx])
+
+
+class _BlockCore:
+    """One run's visit order as evaluated blocks, and its visited set."""
+
+    def __init__(self, model: DetectorErrorModel, decoder: Decoder,
+                 plan: EnumerationPlan, evaluator: MintermEvaluator | None) -> None:
+        self.n = model.n_channels
+        self.classify = LogicalErrorClassifier(model, decoder)
+        self.evaluator = evaluator
+        self.visited = VisitedSet(self.n)
+        split_workers(plan)  # validates the plan
+        self.split = SplitOrder(plan, self.n) if plan.strategy == "split" else None
+        self.stream = OrderStream(self.n)
         self.moves = plan.local_moves
-        self.n = n
-        self._next_worker = 0
+        self.pending: deque[int] = deque()  # detour still to visit
+        # In-order rows evaluated ahead; local moves take them piecewise.
+        self.rows: _Rows | None = None
+        self.base = 0  # weight-order position of rows[0]
+        self.cursor = 0  # rows[:cursor] are visited
+        self.ints: list[int] = []
+        self.flags: list[bool] = []
 
-    def push_neighbors(self, mask: int) -> None:
+    def evaluate(self, supp: np.ndarray) -> _Rows:
+        """Evaluate padded support rows."""
+        cols = supp.T
+        fp = self.classify.footprints
+        return _Rows(fp.xor(fp.chan, cols), self.classify(cols),
+                     None if self.evaluator is None else self.evaluator.block(cols))
+
+    def evaluate_masks(self, masks: list[int]) -> _Rows:
+        return self.evaluate(supports_of_bits(bits_of(words_of(masks, n_words(self.n)), self.n)))
+
+    def next_block(self, limit: int) -> _Rows | None:
+        """The next at most `limit` bitstrings of the visit order, now marked
+        visited (possibly none); None once the space is exhausted."""
+        if self.split is not None:
+            supp = self.split.take(limit)
+            if not len(supp):
+                return None
+            self.visited.set_prefix(*self.split.spans())
+            return self.evaluate(supp)
+        if (self.rows is None or self.cursor == len(self.rows)) and not self.pending:
+            self.base = self.stream.position
+            supp = self.stream.take(limit)
+            if not len(supp):
+                return None
+            self.rows, self.cursor = self.evaluate(supp), 0
+            if self.moves:
+                self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
         if not self.moves:
-            return
+            start, self.cursor = self.cursor, min(len(self.rows), self.cursor + limit)
+            self.visited.set_prefix(self.base + self.cursor)
+            return self.rows.select(slice(start, self.cursor))
+        picked, detours = self._walk(limit)
+        picked = np.array(picked, dtype=np.intp)
+        block = self.rows.select(np.maximum(picked, 0))
+        if detours:
+            at = np.flatnonzero(picked < 0)
+            d = self.evaluate_masks(detours)
+            block.masks[at], block.logical[at] = d.masks, d.logical
+            if d.prob is not None:
+                block.prob[at] = d.prob
+        return block
+
+    def _walk(self, limit: int) -> tuple[list[int], list[int]]:
+        """Local moves: the next at most `limit` visits, as buffer row indices
+        with -1 for a detour string, plus the detour strings in order.  A
+        logical error in the weight order queues its unvisited neighbours,
+        which go before the next in-order row; rows a detour visited are
+        skipped."""
+        extras = self.visited.extras
+        picked: list[int] = []
+        detours: list[int] = []
+        while len(picked) < limit:
+            if self.pending:
+                e = self.pending.popleft()
+                extras.add(e)
+                picked.append(-1)
+                detours.append(e)
+                continue
+            if self.cursor == len(self.ints):
+                break
+            i = self.cursor
+            self.cursor += 1
+            m = self.ints[i]
+            if m in extras:
+                extras.discard(m)  # the in-order prefix now holds it
+                continue
+            picked.append(i)
+            if self.flags[i]:
+                self.visited.set_prefix(self.base + self.cursor)
+                self.pending.extend(self._detour(m))
+        self.visited.set_prefix(self.base + self.cursor)
+        return picked, detours
+
+    def _detour(self, mask: int) -> list[int]:
         neighbors: set[int] = set()
         if "flip" in self.moves:
             neighbors |= local_moves_flip(mask, self.n)
         if "shift" in self.moves:
             neighbors |= local_moves_shift(mask, self.n)
-        for nb in sorted(neighbors):
-            self.pending.append(nb)
+        return [e for e in sorted(neighbors) if e not in self.visited]
 
-    def next(self) -> tuple[int, bool] | None:
-        """(bitstring, from_planned_order) or None when exhausted."""
-        while self.pending:
-            e = self.pending.popleft()
-            if e not in self.visited:
-                return e, False
-        active = [c for c in self.cursors if not c.exhausted]
-        while active:
-            k = len(self.cursors)
-            for _ in range(k):
-                cursor = self.cursors[self._next_worker]
-                self._next_worker = (self._next_worker + 1) % k
-                if cursor.exhausted:
-                    continue
-                e = cursor.next()
-                if e not in self.visited:
-                    return e, True
-            active = [c for c in self.cursors if not c.exhausted]
-        return None
+
+def _enumerate(core: _BlockCore, config: RunConfig, t0: float, sink,
+               checkpoint) -> tuple[int, bool]:
+    """Feed the visit order to `sink` in blocks, calling `checkpoint` at 1,
+    2, 4, ... enumerated shots and, when enumeration advanced past the last
+    one, at the end.  Returns the enumerated shots and whether the space
+    was exhausted."""
+    shots = 0
+    cp_shots = None  # shots at the last checkpoint
+    next_cp = 1
+    exhausted = False
+    while True:
+        limit = min(BLOCK_ROWS, next_cp - shots)
+        if config.max_shots is not None:
+            if shots >= config.max_shots:
+                break
+            limit = min(limit, config.max_shots - shots)
+        if config.time_limit is not None and time.monotonic() - t0 > config.time_limit:
+            break
+        rows = core.next_block(limit)
+        if rows is None:
+            exhausted = True
+            break
+        sink(rows)
+        shots += len(rows)
+        if shots == next_cp:
+            checkpoint(shots)
+            cp_shots = shots
+            next_cp *= 2
+    if shots != cp_shots:
+        checkpoint(shots)
+    return shots, exhausted
 
 
 def _sound_record(shots: int, lower: float, upper: float, t0: float) -> TraceRecord:
@@ -178,37 +305,40 @@ def _sound_record(shots: int, lower: float, upper: float, t0: float) -> TraceRec
     return TraceRecord(shots, lower, upper, True, time.monotonic() - t0)
 
 
+def _header(model: DetectorErrorModel, config: RunConfig, **extra) -> dict:
+    return {
+        "config": {k: getattr(config, k) for k in RunConfig.__dataclass_fields__},
+        "model_digest": model_digest(model),
+        "n_channels": model.n_channels,
+        "n_detectors": model.n_detectors,
+        "n_observables": model.n_observables,
+        "seed": config.seed,
+        **extra,
+    }
+
+
 def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
                  config: RunConfig) -> BoundsTrace:
     """Bound the logical error rate at the concrete point v."""
     v = tuple(float(x) for x in v)
     evaluator = MintermEvaluator(v)  # validates v in (0,1)^n
-    n = model.n_channels
-    visited = VisitedSet(n)
+    core = _BlockCore(model, decoder, config.plan(), evaluator)
+    visited = core.visited
     acc = BoundAccumulators()
-    enum = _Enumerator(config.plan(), n, visited)
-    rng = np.random.default_rng(config.seed)
+    # Made only when sampling: the generator costs megabytes of RSS.
+    rng = np.random.default_rng(config.seed) if config.sample_count else None
     t0 = time.monotonic()
-
-    trace = BoundsTrace(header={
-        "config": {k: getattr(config, k) for k in RunConfig.__dataclass_fields__},
-        "model_digest": model_digest(model),
-        "n_channels": n,
-        "n_detectors": model.n_detectors,
-        "n_observables": model.n_observables,
-        "seed": config.seed,
-    })
-
-    shots = 0
-    enum_shots = 0
-    cp_enum_shots = None  # enumeration count at the last checkpoint
-    next_cp = 1
-    exhausted = False
+    trace = BoundsTrace(header=_header(model, config))
+    shots = 0  # enumerated plus sampled
     best_lower, best_upper = 0.0, 1.0
 
-    def checkpoint() -> None:
-        nonlocal shots, cp_enum_shots, best_lower, best_upper
-        cp_enum_shots = enum_shots
+    def sink(rows: _Rows) -> None:
+        nonlocal shots
+        acc.accumulate_block(rows.prob, rows.logical)
+        shots += len(rows)
+
+    def checkpoint(enum_shots: int) -> None:
+        nonlocal shots, best_lower, best_upper
         lo, hi = accuracy_bounds(acc)
         rec = _sound_record(shots, lo, hi, t0)
         best_lower = max(best_lower, rec.lower)
@@ -220,11 +350,7 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
                 samples = sample_unseen_batch(v, visited, rng, config.sample_count)
             except RejectionGuardExceeded:
                 return
-            hits = 0
-            for e in samples:
-                pred = decoder.decode(syndrome_of(model, e))
-                if pred != observable_of(model, e):
-                    hits += 1
+            hits = int(np.count_nonzero(core.evaluate_masks(samples).logical))
             shots += len(samples)
             ci = kl_confidence_interval(hits / len(samples), len(samples), config.alpha)
             plo, phi, alpha = probabilistic_bounds(acc, ci)
@@ -232,30 +358,7 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
                 TraceRecord(shots, plo, phi, False, time.monotonic() - t0, alpha=alpha)
             )
 
-    while True:
-        if config.max_shots is not None and enum_shots >= config.max_shots:
-            break
-        if config.time_limit is not None and time.monotonic() - t0 > config.time_limit:
-            break
-        item = enum.next()
-        if item is None:
-            exhausted = True
-            break
-        e, planned = item
-        visited.add(e)
-        pred = decoder.decode(syndrome_of(model, e))
-        is_log = pred != observable_of(model, e)
-        acc.accumulate(e, is_log, evaluator)
-        if is_log and planned:
-            enum.push_neighbors(e)
-        shots += 1
-        enum_shots += 1
-        if enum_shots == next_cp:
-            checkpoint()
-            next_cp *= 2
-
-    if enum_shots != cp_enum_shots:
-        checkpoint()
+    _, exhausted = _enumerate(core, config, t0, sink, checkpoint)
     # The summary carries raw accumulator values: at exhaustion these are
     # the exact rate (no soundness margin applied).
     lo, hi = accuracy_bounds(acc)
@@ -284,35 +387,31 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
     n = model.n_channels
     if box.n != n:
         raise ValueError("box dimension must equal the channel count")
-    visited = VisitedSet(n)
-    enum = _Enumerator(config.plan(), n, visited)
+    core = _BlockCore(model, decoder, config.plan(), None)
     t0 = time.monotonic()
-
-    trace = BoundsTrace(header={
-        "config": {k: getattr(config, k) for k in RunConfig.__dataclass_fields__},
-        "model_digest": model_digest(model),
-        "n_channels": n,
-        "n_detectors": model.n_detectors,
-        "n_observables": model.n_observables,
-        "seed": config.seed,
-        "box": {"lower": list(box.lower), "upper": list(box.upper)},
-    })
+    trace = BoundsTrace(header=_header(
+        model, config, box={"lower": list(box.lower), "upper": list(box.upper)}))
 
     l_store = MintermStore(n)
     s_not_l_store = MintermStore(n)
     upper_frozen = False
-    shots = 0
     rb = None  # optimizer result of the last checkpoint
-    cp_shots = None  # shots at the last checkpoint
-    next_cp = 1
-    exhausted = False
     best_lower, best_upper = 0.0, 1.0
     witness: tuple[float, ...] | None = None
     lower_exact = upper_exact = True
 
-    def checkpoint() -> None:
-        nonlocal rb, cp_shots, best_lower, best_upper, witness, lower_exact, upper_exact
-        cp_shots = shots
+    def sink(rows: _Rows) -> None:
+        nonlocal upper_frozen
+        l_store.extend(rows.masks[rows.logical])
+        rest = rows.masks[~rows.logical]
+        room = config.term_cap - len(s_not_l_store)
+        if len(rest) > room:
+            upper_frozen = True
+            rest = rest[:room]
+        s_not_l_store.extend(rest)
+
+    def checkpoint(shots: int) -> None:
+        nonlocal rb, best_lower, best_upper, witness, lower_exact, upper_exact
         # A frozen upper side keeps its last sound value: skip its optimization.
         rb = robustness_bounds(
             l_store,
@@ -333,35 +432,7 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
                         lower_exact=lower_exact, upper_exact=upper_exact)
         )
 
-    while True:
-        if config.max_shots is not None and shots >= config.max_shots:
-            break
-        if config.time_limit is not None and time.monotonic() - t0 > config.time_limit:
-            break
-        item = enum.next()
-        if item is None:
-            exhausted = True
-            break
-        e, planned = item
-        visited.add(e)
-        pred = decoder.decode(syndrome_of(model, e))
-        is_log = pred != observable_of(model, e)
-        if is_log:
-            l_store.append(e)
-            if planned:
-                enum.push_neighbors(e)
-        else:
-            if len(s_not_l_store) < config.term_cap:
-                s_not_l_store.append(e)
-            else:
-                upper_frozen = True
-        shots += 1
-        if shots == next_cp:
-            checkpoint()
-            next_cp *= 2
-
-    if shots != cp_shots:
-        checkpoint()
+    shots, exhausted = _enumerate(core, config, t0, sink, checkpoint)
     # The summary carries the raw optimizer values: on exhaustion with
     # exact optimization these equal the true worst-case rate.
     if exhausted and rb.lower_exact and rb.upper_exact and not upper_frozen:

@@ -40,6 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+# Package module before numpy; see the note in decoders.py.
+from .errorspace import n_words as _n_words, words_of as _words_of
+
 import numpy as np
 
 # Absolute floating-point soundness margin applied to reported bounds.
@@ -52,8 +55,6 @@ F_MAX_DEFAULT = 24
 # rows as keep a block within _VERTEX_BLOCK (row, vertex) values.
 _VERTEX_CHUNK = 1 << 16
 _VERTEX_BLOCK = 1 << 18
-
-_WORD_MASK = (1 << 64) - 1
 
 
 class _KahanSum:
@@ -70,6 +71,16 @@ class _KahanSum:
         t = self.total + y
         self._c = (t - self.total) - y
         self.total = t
+
+    def add_all(self, xs) -> None:
+        """add(x) for each x in turn."""
+        total, c = self.total, self._c
+        for x in xs:
+            y = x - c
+            t = total + y
+            c = (t - total) - y
+            total = t
+        self.total, self._c = total, c
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,7 @@ class MintermEvaluator:
             b *= 1.0 - x
         self.base = b
         self.ratio = tuple(x / (1.0 - x) for x in self.v)
+        self._ratio_table = np.array(self.ratio + (1.0,))
 
     def __call__(self, mask: int) -> float:
         r = self.base
@@ -128,6 +140,16 @@ class MintermEvaluator:
             r *= self.ratio[i]
             m &= m - 1
         return r
+
+    def block(self, cols: np.ndarray) -> np.ndarray:
+        """Minterms of a block given as support columns ([k, B] channel
+        indices, n for none; see `errorspace.Footprints`).  Factors are
+        multiplied in column order, which is ascending channel order, and a
+        padding factor is 1.0, so each value equals __call__'s."""
+        p = np.full(cols.shape[1], self.base)
+        for col in cols:
+            p *= self._ratio_table[col]
+        return p
 
 
 def minterm_eval(mask: int, v) -> float:
@@ -151,6 +173,13 @@ class BoundAccumulators:
         if is_logical_error:
             self.sum_l.add(p)
             self.count_l += 1
+
+    def accumulate_block(self, probs: np.ndarray, logical: np.ndarray) -> None:
+        """accumulate() for a block of minterm values in visit order."""
+        self.sum_s.add_all(probs.tolist())
+        self.count_s += probs.size
+        self.sum_l.add_all(probs[logical].tolist())
+        self.count_l += int(np.count_nonzero(logical))
 
 
 def accuracy_bounds(acc: BoundAccumulators) -> tuple[float, float]:
@@ -184,19 +213,6 @@ def minterm_term(mask: int, n: int) -> SignedTerm:
 
 def terms_from_bitstrings(masks, n: int) -> list[SignedTerm]:
     return [minterm_term(m, n) for m in masks]
-
-
-def _n_words(n: int) -> int:
-    return max(1, -(-n // 64))
-
-
-def _words_of(masks, n_words: int) -> np.ndarray:
-    """Python-int bit sets as a [len(masks), n_words] uint64 array."""
-    out = np.empty((len(masks), n_words), dtype=np.uint64)
-    for w in range(n_words):
-        out[:, w] = np.fromiter(((m >> 64 * w) & _WORD_MASK for m in masks),
-                                dtype=np.uint64, count=len(masks))
-    return out
 
 
 def _bit(var: int) -> tuple[int, np.uint64]:
@@ -235,13 +251,6 @@ class TermArray:
 
     def __len__(self) -> int:
         return self.coef.size
-
-    @staticmethod
-    def minterms(masks, n: int) -> "TermArray":
-        """The minterms of the bitstrings `masks` over n channels."""
-        w = _n_words(n)
-        pos = _words_of(masks, w)
-        return TermArray(np.ones(len(masks)), pos, pos ^ _words_of([(1 << n) - 1], w))
 
     @staticmethod
     def from_signed(terms, n: int) -> "TermArray":
@@ -387,16 +396,23 @@ class MintermStore:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.masks: list[int] = []
+        self._words = [_words_of([], _n_words(n))]  # [T, ceil(n/64)] bit sets
+        self._len = 0
 
     def append(self, mask: int) -> None:
-        self.masks.append(mask)
+        self.extend(_words_of([mask], _n_words(self.n)))
+
+    def extend(self, words: np.ndarray) -> None:
+        self._words.append(words)
+        self._len += len(words)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self._len
 
     def terms(self) -> TermArray:
-        return TermArray.minterms(self.masks, self.n)
+        pos = self._words[0] = np.concatenate(self._words)
+        del self._words[1:]
+        return TermArray(np.ones(len(pos)), pos, pos ^ _words_of([(1 << self.n) - 1], pos.shape[1]))
 
 
 def _as_terms(terms, n: int) -> TermArray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errorspace import VisitedSet, observable_of, rank_in_weight_class, syndrome_of
+from .decoders import LogicalErrorClassifier
+from .errorspace import VisitedSet, supports_of_bits
 from .polynomial import BoundAccumulators
 
 REJECTION_GUARD = 1_000_000
@@ -31,20 +32,9 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _draw_batch(v: np.ndarray, rng: np.random.Generator, count: int):
-    """(packed ints, weights) for `count` independent Bernoulli draws."""
-    n = v.size
-    bits = rng.random((count, n)) < v
-    weights = bits.sum(axis=1)
-    if n <= 63:
-        shifts = np.arange(n, dtype=np.uint64)
-        packed = np.bitwise_or.reduce(bits.astype(np.uint64) << shifts, axis=1)
-        masks = [int(p) for p in packed]
-    else:
-        masks = [
-            sum(1 << i for i in np.flatnonzero(row)) for row in bits
-        ]
-    return masks, weights
+def _draw_batch(v: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """[count, n] bool rows of independent Bernoulli(v_i) draws."""
+    return rng.random((count, v.size)) < v
 
 
 def sample_unseen_batch(v, visited: VisitedSet, rng, count: int,
@@ -57,21 +47,17 @@ def sample_unseen_batch(v, visited: VisitedSet, rng, count: int,
     accepted: list[int] = []
     rejects = 0  # consecutive rejections since the last acceptance
     while len(accepted) < count:
-        masks, weights = _draw_batch(varr, rng, _BATCH)
-        # Cheap vectorized pre-filter: everything below the complete weight
-        # is certainly a member.
-        survivors = np.flatnonzero(weights >= visited.complete_weight)
+        bits = _draw_batch(varr, rng, _BATCH)
+        # Everything below the complete weight is certainly a member, so
+        # only the other draws become Python ints.
+        survivors = np.flatnonzero(bits.sum(axis=1) >= visited.complete_weight)
+        packed = np.packbits(bits[survivors], axis=1, bitorder="little")
+        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
         last_accept = -1
-        for idx in survivors:
-            e = masks[idx]
-            w = int(weights[idx])
-            member = (
-                w == visited.complete_weight
-                and rank_in_weight_class(e, visited.n) < visited.frontier_rank
-            ) or e in visited.extras
-            if not member:
+        for idx, e in zip(survivors.tolist(), masks):
+            if e not in visited:
                 rejects = 0
-                last_accept = int(idx)
+                last_accept = idx
                 accepted.append(e)
                 if len(accepted) == count:
                     break
@@ -153,20 +139,13 @@ def direct_sampling_interval(model, v, decoder, n: int, alpha: float, rng_seed) 
     the KL-Chernoff interval around the sample mean."""
     rng = _as_rng(rng_seed)
     varr = np.asarray(v, dtype=float)
+    classify = LogicalErrorClassifier(model, decoder)
     hits = 0
     remaining = n
-    cache: dict[int, int] = {}
     while remaining > 0:
         take = min(remaining, _BATCH)
-        masks, _ = _draw_batch(varr, rng, take)
-        for e in masks:
-            s = syndrome_of(model, e)
-            pred = cache.get(s)
-            if pred is None:
-                pred = decoder.decode(s)
-                cache[s] = pred
-            if pred != observable_of(model, e):
-                hits += 1
+        supp = supports_of_bits(_draw_batch(varr, rng, take))
+        hits += int(np.count_nonzero(classify(supp.T)))
         remaining -= take
     ci = kl_confidence_interval(hits / n, n, alpha)
     return ci.lower, ci.upper

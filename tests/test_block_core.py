@@ -1,0 +1,345 @@
+"""The batched enumeration core against a per-shot reference.
+
+The reference below visits one bitstring at a time: strided worker cursors
+taken in turn, a FIFO of local-move detours, a VisitedSet fed by `add`, the
+scalar syndrome/observable functions and `decode`.  Every record the
+driver makes must equal the reference's bit for bit.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from qecbound.compiler import DetectorErrorModel, parse_dem
+from qecbound.decoders import Decoder, build_greedy_decoder
+from qecbound.driver import RunConfig, run_accuracy, run_robustness
+from qecbound.errorspace import (
+    VisitedSet,
+    local_moves_flip,
+    local_moves_shift,
+    observable_of,
+    partition_workers,
+    syndrome_of,
+)
+from qecbound.polynomial import (
+    FP_MARGIN,
+    BoundAccumulators,
+    Hyperrectangle,
+    MintermEvaluator,
+    MintermStore,
+    accuracy_bounds,
+    robustness_bounds,
+)
+from qecbound.sampling import (
+    RejectionGuardExceeded,
+    kl_confidence_interval,
+    probabilistic_bounds,
+    sample_unseen_batch,
+)
+
+from conftest import random_model
+
+STRATEGIES = [
+    ("hamming", None),
+    ("split", 3),
+    ("local-flip", None),
+    ("local-shift", None),
+    ("local-both", None),
+]
+
+
+class ZeroDecoder(Decoder):
+    kind = "zero"
+
+    def __init__(self, n_det, n_obs):
+        self.n_det, self.n_obs = n_det, n_obs
+
+    def decode(self, syndrome):
+        return 0
+
+
+class CountingDecoder(Decoder):
+    """Greedy decoder that counts its batch calls and syndromes."""
+
+    kind = "counting"
+
+    def __init__(self, model):
+        self.inner = build_greedy_decoder(model)
+        self.n_det, self.n_obs = self.inner.n_det, self.inner.n_obs
+        self.calls = self.syndromes = 0
+
+    def decode(self, syndrome):
+        return self.decode_batch([syndrome])[0]
+
+    def decode_batch(self, syndromes):
+        syndromes = list(syndromes)
+        self.calls += 1
+        self.syndromes += len(syndromes)
+        return self.inner.decode_batch(syndromes)
+
+
+class _ReferenceOrder:
+    """Per-shot visit order: worker cursors in turn plus the detour FIFO."""
+
+    def __init__(self, config, n):
+        plan = config.plan()
+        self.cursors = partition_workers(plan, n)
+        self.moves = plan.local_moves
+        self.n = n
+        self.visited = VisitedSet(n)
+        self.pending = deque()
+        self.turn = 0
+
+    def next(self):
+        while self.pending:
+            e = self.pending.popleft()
+            if e not in self.visited:
+                return e, False
+        while any(not c.exhausted for c in self.cursors):
+            for _ in range(len(self.cursors)):
+                cursor = self.cursors[self.turn]
+                self.turn = (self.turn + 1) % len(self.cursors)
+                if cursor.exhausted:
+                    continue
+                e = cursor.next()
+                if e not in self.visited:
+                    return e, True
+        return None
+
+    def push_neighbors(self, mask):
+        neighbors = set()
+        if "flip" in self.moves:
+            neighbors |= local_moves_flip(mask, self.n)
+        if "shift" in self.moves:
+            neighbors |= local_moves_shift(mask, self.n)
+        self.pending.extend(sorted(neighbors))
+
+
+def _reference_walk(model, decoder, config, visit, checkpoint):
+    """Visit strings one by one; checkpoint at 1, 2, 4, ... and at the end."""
+    order = _ReferenceOrder(config, model.n_channels)
+    shots, cp_shots, next_cp, exhausted = 0, None, 1, False
+    while config.max_shots is None or shots < config.max_shots:
+        item = order.next()
+        if item is None:
+            exhausted = True
+            break
+        e, planned = item
+        order.visited.add(e)
+        is_log = decoder.decode(syndrome_of(model, e)) != observable_of(model, e)
+        visit(e, is_log)
+        if is_log and planned and order.moves:
+            order.push_neighbors(e)
+        shots += 1
+        if shots == next_cp:
+            checkpoint(shots, order.visited)
+            cp_shots, next_cp = shots, next_cp * 2
+    if shots != cp_shots:
+        checkpoint(shots, order.visited)
+    return shots, exhausted
+
+
+def reference_accuracy(model, decoder, v, config):
+    evaluator = MintermEvaluator(v)
+    acc = BoundAccumulators()
+    rng = np.random.default_rng(config.seed)
+    records = []
+    sampled = 0
+    best = [0.0, 1.0]
+
+    def checkpoint(shots, visited):
+        nonlocal sampled
+        lo, hi = accuracy_bounds(acc)
+        best[0] = max(best[0], max(0.0, lo - FP_MARGIN))
+        best[1] = min(best[1], min(1.0, hi + FP_MARGIN))
+        records.append((shots + sampled, best[0], best[1], True))
+        if config.sample_count and not visited.covers_all:
+            try:
+                samples = sample_unseen_batch(v, visited, rng, config.sample_count)
+            except RejectionGuardExceeded:
+                return
+            hits = sum(decoder.decode(syndrome_of(model, e)) != observable_of(model, e)
+                       for e in samples)
+            sampled += len(samples)
+            ci = kl_confidence_interval(hits / len(samples), len(samples), config.alpha)
+            plo, phi, _ = probabilistic_bounds(acc, ci)
+            records.append((shots + sampled, plo, phi, False))
+
+    shots, exhausted = _reference_walk(
+        model, decoder, config, lambda e, is_log: acc.accumulate(e, is_log, evaluator),
+        checkpoint)
+    lo, hi = accuracy_bounds(acc)
+    final = (shots + sampled, exhausted) + ((lo, hi) if exhausted else tuple(best))
+    return records, final
+
+
+def reference_robustness(model, decoder, box, config):
+    n = model.n_channels
+    l_store, s_store = MintermStore(n), MintermStore(n)
+    records = []
+
+    def visit(e, is_log):
+        (l_store if is_log else s_store).append(e)
+
+    def checkpoint(shots, visited):
+        rb = robustness_bounds(l_store, s_store, box, f_max=config.f_max)
+        records.append((shots, max(0.0, rb.lower - FP_MARGIN), min(1.0, rb.upper + FP_MARGIN),
+                        rb.lower_exact, rb.upper_exact))
+
+    _reference_walk(model, decoder, config, visit, checkpoint)
+    return records
+
+
+def _strip(trace):
+    return [(r.shots, r.lower, r.upper, r.sound) for r in trace.records]
+
+
+def _final(trace):
+    f = trace.final
+    return f["shots"], f["exhausted"], f["lower"], f["upper"]
+
+
+def _model(n):
+    rng = np.random.default_rng(1000 + n)
+    if n <= 64:
+        return random_model(rng, n_channels=n, n_det=4, n_obs=2)
+    # more than 64 detectors and channels: two-word syndromes and masks
+    n_det = 70
+    return DetectorErrorModel(
+        n_channels=n,
+        n_detectors=n_det,
+        n_observables=2,
+        probabilities=tuple(float(p) for p in rng.uniform(0.005, 0.2, size=n)),
+        det_footprints=tuple(sum(1 << int(d) for d in rng.choice(n_det, 3, replace=False))
+                             for _ in range(n)),
+        obs_footprints=tuple(int(o) for o in rng.integers(0, 4, size=n)),
+    )
+
+
+@pytest.mark.parametrize("n,max_shots", [(7, None), (9, None), (66, 700)])
+@pytest.mark.parametrize("decoder_kind", ["zero", "greedy"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("strategy,distance", STRATEGIES)
+def test_accuracy_records_match_per_shot_reference(strategy, distance, workers,
+                                                   decoder_kind, n, max_shots):
+    model = _model(n)
+    v = model.concrete_probabilities()
+    if decoder_kind == "zero":
+        dec = ZeroDecoder(model.n_detectors, model.n_observables)
+    else:
+        dec = build_greedy_decoder(model)
+    config = RunConfig(strategy=strategy, worker_count=workers,
+                       distance_ansatz=distance, max_shots=max_shots)
+    trace = run_accuracy(model, dec, v, config)
+    records, final = reference_accuracy(model, dec, v, config)
+    assert _strip(trace) == records
+    assert _final(trace) == final
+
+
+@pytest.mark.parametrize("n", [7, 66])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("strategy,distance", STRATEGIES)
+def test_hybrid_records_match_per_shot_reference(strategy, distance, workers, n):
+    model = _model(n)
+    v = model.concrete_probabilities()
+    dec = build_greedy_decoder(model)
+    config = RunConfig(strategy=strategy, worker_count=workers, distance_ansatz=distance,
+                       max_shots=40, sample_count=60, seed=5)
+    trace = run_accuracy(model, dec, v, config)
+    records, final = reference_accuracy(model, dec, v, config)
+    assert any(not r[3] for r in records)
+    assert _strip(trace) == records
+    assert _final(trace) == final
+
+
+@pytest.mark.parametrize("n,max_shots", [(7, None), (66, 96)])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("strategy,distance", STRATEGIES)
+def test_robustness_records_match_per_shot_reference(strategy, distance, workers,
+                                                     n, max_shots):
+    model = _model(n)
+    v = model.concrete_probabilities()
+    dec = build_greedy_decoder(model)
+    box = Hyperrectangle.scaled(v, 0.9, 1.1)
+    config = RunConfig(mode="robustness", strategy=strategy, worker_count=workers,
+                       distance_ansatz=distance, max_shots=max_shots, f_max=8)
+    trace = run_robustness(model, dec, box, config)
+    expect = reference_robustness(model, dec, box, config)
+    # the driver's records keep the best bounds so far
+    lo, hi, got = 0.0, 1.0, []
+    for shots, r_lo, r_hi, lo_exact, hi_exact in expect:
+        lo, hi = max(lo, r_lo), min(hi, r_hi)
+        got.append((shots, lo, hi, lo_exact, hi_exact))
+    assert [(r.shots, r.lower, r.upper, r.lower_exact, r.upper_exact)
+            for r in trace.records] == got
+
+
+def test_back_to_back_runs_repeat_decoder_calls():
+    model = _model(9)
+    v = model.concrete_probabilities()
+    counts = []
+    for _ in range(2):
+        dec = CountingDecoder(model)
+        for config in (RunConfig(max_shots=300), RunConfig(strategy="local-flip")):
+            run_accuracy(model, dec, v, config)
+        counts.append((dec.calls, dec.syndromes))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0
+
+
+def test_repeated_runs_on_one_decoder_repeat_calls():
+    """The syndrome cache belongs to the run, not to the decoder."""
+    model = _model(9)
+    v = model.concrete_probabilities()
+    dec = CountingDecoder(model)
+    seen = []
+    for _ in range(2):
+        before = (dec.calls, dec.syndromes)
+        run_accuracy(model, dec, v, RunConfig(max_shots=300))
+        seen.append((dec.calls - before[0], dec.syndromes - before[1]))
+    assert seen[0] == seen[1]
+
+
+def test_full_cache_decodes_again_with_same_records(monkeypatch):
+    import qecbound.decoders as decoders
+
+    model = _model(9)
+    v = model.concrete_probabilities()
+    config = RunConfig(strategy="local-flip")
+    dec = CountingDecoder(model)
+    full = _strip(run_accuracy(model, dec, v, config))
+    monkeypatch.setattr(decoders, "CACHE_CAP", 4)
+    capped = CountingDecoder(model)
+    assert _strip(run_accuracy(model, capped, v, config)) == full
+    assert capped.syndromes > dec.syndromes
+
+
+def test_block_rows_cap_and_checkpoints(monkeypatch):
+    """Small blocks give the same records as the default cap."""
+    import qecbound.driver as driver
+
+    model = _model(9)
+    v = model.concrete_probabilities()
+    dec = build_greedy_decoder(model)
+    config = RunConfig(strategy="local-both")
+    full = _strip(run_accuracy(model, dec, v, config))
+    monkeypatch.setattr(driver, "BLOCK_ROWS", 3)
+    assert _strip(run_accuracy(model, dec, v, config)) == full
+
+
+def test_zero_channel_model():
+    model = parse_dem("dem 1 1\n")
+    dec = ZeroDecoder(model.n_detectors, model.n_observables)
+    trace = run_accuracy(model, dec, (), RunConfig())
+    assert trace.final == {"shots": 1, "exhausted": True, "lower": 0.0, "upper": 0.0}
+
+
+def test_time_limit_stops_within_a_block():
+    text = "dem 2 1\n" + "".join(f"error(0.01) D{i % 2} L0\n" for i in range(30))
+    model = parse_dem(text)
+    v = model.concrete_probabilities()
+    dec = build_greedy_decoder(model)
+    trace = run_accuracy(model, dec, v, RunConfig(time_limit=0.0))
+    assert not trace.final["exhausted"]
+    assert trace.final["shots"] <= 1

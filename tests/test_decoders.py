@@ -164,3 +164,104 @@ def test_exact_rate_oracle_consistency(repetition_model):
     dec = build_ml_decoder(repetition_model, (0.01,) * 3)
     rate = exact_rate(repetition_model, dec, (0.01,) * 3)
     assert abs(rate - (3 * 0.01**2 * 0.99 + 0.01**3)) < 1e-15
+
+
+def _footprint_model(rng, n, n_det, n_obs, rates):
+    """Channels drawn from a few footprints and rates, so scores and masses tie."""
+    from qecbound.compiler import DetectorErrorModel
+
+    pool = [sum(1 << int(d) for d in rng.choice(n_det, int(rng.integers(1, 4)), replace=False))
+            for _ in range(max(2, n // 2))]
+    return DetectorErrorModel(
+        n_channels=n,
+        n_detectors=n_det,
+        n_observables=n_obs,
+        probabilities=tuple(float(rng.choice(rates)) for _ in range(n)),
+        det_footprints=tuple(pool[int(rng.integers(len(pool)))] for _ in range(n)),
+        obs_footprints=tuple(int(rng.integers(0, 1 << n_obs)) for _ in range(n)),
+    )
+
+
+@pytest.mark.parametrize("n_det", [5, 64, 70, 130])
+def test_greedy_decode_batch_matches_decode(n_det):
+    rng = np.random.default_rng(n_det)
+    model = _footprint_model(rng, 24, n_det, 2, [0.01, 0.02])
+    dec = GreedyDecoder(model)
+    syndromes = [0, (1 << n_det) - 1]
+    syndromes += [sum(1 << int(d) for d in np.flatnonzero(rng.random(n_det) < q))
+                  for q in (0.05, 0.2, 0.5) for _ in range(100)]
+    syndromes += [syndrome_of(model, int(e)) for e in rng.integers(0, 1 << 24, size=100)]
+    assert dec.decode_batch(syndromes) == [dec.decode(s) for s in syndromes]
+    assert dec.decode_batch([]) == []
+
+
+def _brute_force_ml_table(model, v):
+    """The ML table by a plain loop over all 2^n bitstrings."""
+    ev = MintermEvaluator(v)
+    mass = {}
+    for e in range(1 << model.n_channels):
+        key = (syndrome_of(model, e), observable_of(model, e))
+        mass[key] = mass.get(key, 0.0) + ev(e)
+    table = {}
+    for (s, o), m in mass.items():
+        rank = (-m, o != 0, [o >> i & 1 for i in range(model.n_observables)])
+        if s not in table or rank < table[s][0]:
+            table[s] = (rank, o)
+    return {s: o for s, (_, o) in table.items()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ml_table_matches_brute_force(seed, monkeypatch):
+    import qecbound.decoders as decoders
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    model = _footprint_model(rng, n, int(rng.choice([3, 6, 70])), int(rng.integers(1, 4)),
+                             [0.05, 0.1, 0.3])
+    v = model.concrete_probabilities()
+    expect = _brute_force_ml_table(model, v)
+    assert build_ml_decoder(model, v).table == expect
+    monkeypatch.setattr(decoders, "ML_CHUNK", 8)  # several chunks
+    assert build_ml_decoder(model, v).table == expect
+
+
+def test_external_decode_batch_sends_one_payload_per_chunk(repetition_model, tmp_path, monkeypatch):
+    import qecbound.decoders as decoders
+
+    dem_path = tmp_path / "model.dem"
+    dem_path.write_text(write_dem(repetition_model))
+    remote = connect_external_decoder(
+        _serve_command(dem_path), repetition_model.n_detectors, repetition_model.n_observables
+    )
+    sent = []
+    send = decoders.ExternalDecoder._send
+    monkeypatch.setattr(decoders.ExternalDecoder, "_send",
+                        lambda self, text: sent.append(text) or send(self, text))
+    try:
+        remote.batch_size = 3
+        syndromes = [syndrome_of(repetition_model, e) for e in range(8)]
+        local = build_ml_decoder(repetition_model, (0.01,) * 3)
+        assert remote.decode_batch(syndromes) == local.decode_batch(syndromes)
+        assert [t.splitlines()[0] for t in sent] == ["DECODE 3", "DECODE 3", "DECODE 2"]
+    finally:
+        remote.close()
+
+
+def test_external_close_kills_a_child_that_ignores_quit(tmp_path, monkeypatch):
+    import time
+
+    import qecbound.decoders as decoders
+
+    stub = tmp_path / "stub.py"
+    stub.write_text(
+        "import sys, time\n"
+        "sys.stdin.readline()\n"
+        "print('READY', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    monkeypatch.setattr(decoders, "CLOSE_TIMEOUT", 0.2)
+    dec = connect_external_decoder(f"{sys.executable} {stub}", 2, 1)
+    t0 = time.monotonic()
+    dec.close()
+    assert time.monotonic() - t0 < 30
+    assert dec._proc.returncode is not None  # killed and reaped
