@@ -39,7 +39,6 @@ from .errorspace import (
     VisitedSet,
     bits_of,
     ints_of,
-    local_moves_flip,
     local_moves_shift,
     n_words,
     split_workers,
@@ -258,12 +257,19 @@ class _BlockCore:
         return picked, detours
 
     def _detour(self, mask: int) -> list[int]:
+        """The unvisited neighbours of `mask`, the last string of the
+        in-order prefix.  A flip that clears a bit lands inside the prefix,
+        and one that sets a bit lands past it, where only extras are
+        visited (local moves keep no high run).  Shifts take the full
+        membership test."""
+        visited = self.visited
         neighbors: set[int] = set()
         if "flip" in self.moves:
-            neighbors |= local_moves_flip(mask, self.n)
+            neighbors.update(e for i in range(self.n)
+                             if not mask >> i & 1 and (e := mask | 1 << i) not in visited.extras)
         if "shift" in self.moves:
-            neighbors |= local_moves_shift(mask, self.n)
-        return [e for e in sorted(neighbors) if e not in self.visited]
+            neighbors.update(e for e in local_moves_shift(mask, self.n) if e not in visited)
+        return sorted(neighbors)
 
 
 def _enumerate(core: _BlockCore, config: RunConfig, t0: float, sink,

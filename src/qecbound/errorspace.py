@@ -18,6 +18,7 @@ column, for every detector count.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from math import comb
@@ -96,6 +97,18 @@ def unrank_position(pos: int, n: int) -> int:
 
 def first_position_of_weight(w: int, n: int) -> int:
     return sum(comb(n, j) for j in range(w))
+
+
+def precedes(a: int, b: int | None) -> bool:
+    """Whether string `a` comes before `b` in the weight order; None stands
+    for the end of the order."""
+    if b is None:
+        return True
+    wa, wb = a.bit_count(), b.bit_count()
+    if wa != wb:
+        return wa < wb
+    d = a ^ b
+    return bool(a & d & -d)  # a holds the lowest channel where they differ
 
 
 @dataclass
@@ -255,14 +268,51 @@ class VisitedSet:
         else:
             self.extras.add(mask)
 
+    def lowest_unvisited_weight(self) -> int:
+        """The lowest weight of any unvisited string (n + 1 if none).
+
+        Depends on membership alone: the in-order prefix is followed
+        through extras at its frontier and through the high run, whatever
+        layout built the set.  The set is not changed."""
+        pos, end = self._prefix_end(), 1 << self.n
+        a, b = self.high
+        while pos < end:
+            if a <= pos < b:
+                pos = b
+            elif unrank_position(pos, self.n) in self.extras:
+                pos += 1
+            else:
+                return weight(unrank_position(pos, self.n))
+        return self.n + 1
+
+    def frozen_contains(self) -> Callable[[int], bool]:
+        """Membership in the set as it stands now, without ranking: a string
+        is compared with the strings that end the prefix and bound the high
+        run.  Valid until the set changes."""
+        def at(pos: int) -> int | None:
+            return unrank_position(pos, self.n) if pos < 1 << self.n else None
+
+        stop, extras = at(self._prefix_end()), self.extras
+        a, b = self.high
+        if a >= b:
+            return lambda m: precedes(m, stop) or m in extras
+        lo, hi = at(a), at(b)
+        return lambda m: (precedes(m, stop) or m in extras
+                          or (not precedes(m, lo) and precedes(m, hi)))
+
+    def _prefix_end(self) -> int:
+        """Length of the in-order prefix."""
+        if self.covers_all:
+            return 1 << self.n
+        return first_position_of_weight(self.complete_weight, self.n) + self.frontier_rank
+
     @property
     def covers_all(self) -> bool:
         return self.complete_weight > self.n
 
     @property
     def count(self) -> int:
-        prefix = first_position_of_weight(self.complete_weight, self.n) if not self.covers_all else 1 << self.n
-        return prefix + self.frontier_rank + len(self.extras) + self.high[1] - self.high[0]
+        return self._prefix_end() + len(self.extras) + self.high[1] - self.high[0]
 
 
 def n_words(n: int) -> int:

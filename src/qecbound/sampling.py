@@ -1,10 +1,14 @@
-"""Hybrid sampling support: rejection sampling of unseen bitstrings and
+"""Hybrid sampling support: exact sampling of unseen bitstrings and
 KL-Chernoff confidence intervals.
 
-The rejection sampler draws each channel bit independently and redraws on
-membership in the visited set, so accepted samples follow the model's
-error distribution conditioned on the unexplored space.  Intervals invert
-the Kullback-Leibler form of the Chernoff bound by bisection.
+Every string of weight below c, the lowest weight of any unvisited string,
+is visited, so the unexplored space lies in the tail "weight >= c".  The
+sampler draws from the model's distribution conditioned on that tail
+exactly, channel by channel from a table of tail probabilities, and
+rejects only the visited strings of the tail.  Accepted samples therefore
+follow the model's error distribution conditioned on the unexplored space,
+at any noise level.  Intervals invert the Kullback-Leibler form of the
+Chernoff bound by bisection.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoders import LogicalErrorClassifier
-from .errorspace import VisitedSet, supports_of_bits
+from .errorspace import VisitedSet, ints_of, n_words, supports_of_bits
 from .polynomial import BoundAccumulators
 
 REJECTION_GUARD = 1_000_000
@@ -23,7 +27,8 @@ _BATCH = 1 << 14
 
 
 class RejectionGuardExceeded(RuntimeError):
-    """The visited set covers nearly all probability mass; stop sampling."""
+    """The visited strings hold nearly all of the mass of the tail
+    weight >= c that the sampler draws from; stop sampling."""
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -37,35 +42,68 @@ def _draw_batch(v: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarr
     return rng.random((count, v.size)) < v
 
 
+def _tail_table(v: np.ndarray, c: int) -> np.ndarray:
+    """[n + 1, c + 1] table of log P(at least k of channels i..n-1 are set)
+    at row i, column k.  Logs keep the deep tail from underflowing."""
+    n = v.size
+    lg = np.full((n + 1, c + 1), -np.inf)
+    lg[:, 0] = 0.0
+    lv, lq = np.log(v), np.log1p(-v)
+    for i in range(n - 1, -1, -1):
+        lg[i, 1:] = np.logaddexp(lv[i] + lg[i + 1, :-1], lq[i] + lg[i + 1, 1:])
+    return lg
+
+
+def _draw_tail(v: np.ndarray, lg: np.ndarray, rng: np.random.Generator,
+               count: int) -> list[int]:
+    """`count` bitstrings drawn from the model conditioned on weight >= c,
+    where c is the last column of the tail table `lg`.  Channel i is set
+    with probability v_i g[i+1, need-1] / g[i, need], where `need` is how
+    many more set bits the row still needs."""
+    n = v.size
+    lv = np.log(v)
+    u = rng.random((n, count))
+    need = np.full(count, lg.shape[1] - 1)
+    words = np.zeros((count, n_words(n)), dtype=np.uint64)
+    for i in range(n):
+        bit = u[i] < np.exp(lv[i] + lg[i + 1, np.maximum(need - 1, 0)] - lg[i, need])
+        words[:, i >> 6] |= bit.astype(np.uint64) << np.uint64(i & 63)
+        need = np.maximum(need - bit, 0)
+    return ints_of(words)
+
+
 def sample_unseen_batch(v, visited: VisitedSet, rng, count: int,
                         guard: int = REJECTION_GUARD) -> list[int]:
     """Draw `count` bitstrings from the model distribution conditioned on
-    the complement of `visited`.  Raises RejectionGuardExceeded after
-    `guard` consecutive rejections."""
+    the complement of `visited`.  Draws come from the tail weight >= c,
+    with c the lowest unvisited weight, and visited strings of that tail
+    are redrawn.  Raises RejectionGuardExceeded after `guard` consecutive
+    rejections, or at once when every string is visited."""
     rng = _as_rng(rng)
     varr = np.asarray(v, dtype=float)
+    c = visited.lowest_unvisited_weight()
+    if c > varr.size:
+        raise RejectionGuardExceeded("every bitstring is visited")
+    lg = _tail_table(varr, c)
+    seen = visited.frozen_contains()
     accepted: list[int] = []
     rejects = 0  # consecutive rejections since the last acceptance
     while len(accepted) < count:
-        bits = _draw_batch(varr, rng, _BATCH)
-        # Everything below the complete weight is certainly a member, so
-        # only the other draws become Python ints.
-        survivors = np.flatnonzero(bits.sum(axis=1) >= visited.complete_weight)
-        packed = np.packbits(bits[survivors], axis=1, bitorder="little")
-        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        last_accept = -1
-        for idx, e in zip(survivors.tolist(), masks):
-            if e not in visited:
-                rejects = 0
-                last_accept = idx
-                accepted.append(e)
-                if len(accepted) == count:
-                    break
-        rejects += _BATCH - 1 - last_accept if last_accept >= 0 else _BATCH
+        # Twice the shortfall, and more after rejections, so that a nearly
+        # visited tail reaches the guard in a few batches.
+        size = min(_BATCH, 2 * (count - len(accepted)) + rejects)
+        for e in _draw_tail(varr, lg, rng, size):
+            if seen(e):
+                rejects += 1
+                continue
+            rejects = 0
+            accepted.append(e)
+            if len(accepted) == count:
+                break
         if rejects >= guard and len(accepted) < count:
             raise RejectionGuardExceeded(
                 f"{rejects} consecutive rejections; "
-                "enumeration already covers nearly all mass"
+                "enumeration already covers nearly all of the tail"
             )
     return accepted
 

@@ -171,6 +171,29 @@ def test_replay_reproduces_probabilistic_records(repetition_model):
     assert r1 == r2
 
 
+def test_low_noise_hybrid_samples_the_unexplored_tail(repetition_program_text):
+    """At p = 1e-4 the unexplored space after weights 0 and 1 holds about
+    3e-8 of the mass; sampling it still gives a probabilistic record."""
+    p = 1e-4
+    model = compile_to_dem(parse_program(repetition_program_text.replace("0.01", repr(p))))
+    v = model.concrete_probabilities()
+    dec = build_ml_decoder(model, v)
+    trace = run_accuracy(model, dec, v, RunConfig(sample_count=200, max_shots=4, seed=1))
+    # checkpoints at 1, 2 and 4 enumerated shots; the last is the 4-shot one
+    sound = [i for i, r in enumerate(trace.records) if r.sound]
+    assert len(sound) == 3
+    idx = sound[-1]
+    assert idx + 1 < len(trace.records)
+    rec = trace.records[idx + 1]
+    assert not rec.sound
+    exact = 3 * p**2 * (1 - p) + p**3
+    # every unexplored string is a logical error, so the upper end is the
+    # unexplored mass 1 - sum_S, rounded; criterion 8 allows the same slack
+    assert rec.lower - 1e-15 <= exact <= rec.upper + 1e-15
+    assert rec.lower > 0.9 * exact
+    assert trace.records[idx].lower <= rec.lower and rec.upper <= trace.records[idx].upper
+
+
 def test_robustness_exhaustion_oracle(repetition_model):
     v = repetition_model.concrete_probabilities()
     dec = build_ml_decoder(repetition_model, v)

@@ -16,6 +16,7 @@ from qecbound.errorspace import (
     local_moves_shift,
     partition_workers,
     position_of,
+    precedes,
     rank_in_weight_class,
     str_to_bits,
     unrank_in_weight_class,
@@ -181,3 +182,38 @@ def test_visited_set_membership_matches_reference_set(seed, n):
         for probe in rng.integers(0, 1 << n, size=3):
             assert (int(probe) in vs) == (int(probe) in ref)
     assert vs.count == len(ref)
+
+
+def test_precedes_is_the_weight_order():
+    n = 5
+    order = [unrank_position(p, n) for p in range(1 << n)]
+    for i, a in enumerate(order):
+        assert precedes(a, None)
+        for j, b in enumerate(order):
+            assert precedes(a, b) == (i < j)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_frozen_membership_and_lowest_unvisited_weight(seed, n):
+    """Any layout: a prefix, an optional high run, extras anywhere else
+    (also at the frontier, as local moves leave them)."""
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    prefix = int(rng.integers(0, size + 1))
+    vs = VisitedSet(n)
+    if rng.random() < 0.5 and prefix < size:
+        a = int(rng.integers(prefix, size))
+        b = int(rng.integers(a, size + 1))
+        vs.set_prefix(prefix, (a, b))
+    else:
+        vs.set_prefix(prefix)
+    a, b = vs.high
+    outside = [p for p in range(vs.count - (b - a), size) if not a <= p < b]
+    vs.extras.update(unrank_position(p, n) for p in outside if rng.random() < 0.5)
+    before = repr(vs)
+    member = vs.frozen_contains()
+    unvisited = [m for m in range(size) if m not in vs]
+    assert [member(m) for m in range(size)] == [m in vs for m in range(size)]
+    assert vs.lowest_unvisited_weight() == min((weight(m) for m in unvisited), default=n + 1)
+    assert repr(vs) == before

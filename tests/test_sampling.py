@@ -1,18 +1,26 @@
-"""Conditioned rejection sampling and KL-Chernoff intervals."""
+"""Exact conditional sampling of the unseen tail and KL-Chernoff intervals."""
 
 import math
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qecbound.errorspace import VisitedSet, unrank_position, weight
+from qecbound.errorspace import (
+    VisitedSet,
+    first_position_of_weight,
+    unrank_position,
+    weight,
+)
 from qecbound.polynomial import BoundAccumulators, MintermEvaluator
 from qecbound.sampling import (
     ConfidenceInterval,
     RejectionGuardExceeded,
     kl_confidence_interval,
     probabilistic_bounds,
+    _tail_table,
     sample_unseen,
     sample_unseen_batch,
 )
@@ -51,6 +59,96 @@ def test_sample_distribution_matches_conditional():
         assert abs(got - expect) < 5 * math.sqrt(expect * (1 - expect) / len(samples)) + 1e-3
 
 
+def _assert_frequencies_match(v, visited, samples):
+    ev = MintermEvaluator(v)
+    unseen = [e for e in range(1 << len(v)) if e not in visited]
+    assert set(samples) <= set(unseen)
+    z = sum(ev(e) for e in unseen)
+    for e in unseen:
+        expect = ev(e) / z
+        got = samples.count(e) / len(samples)
+        assert abs(got - expect) < 5 * math.sqrt(expect * (1 - expect) / len(samples)) + 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_tail_table_matches_brute_force(n):
+    v = np.random.default_rng(n).uniform(0.01, 0.6, size=n)
+    lg = _tail_table(v, n)
+    assert lg.shape == (n + 1, n + 1)
+    for i in range(n + 1):
+        tail = [0.0] * (n - i + 2)  # mass of each weight among channels i..n-1
+        for bits in product((0, 1), repeat=n - i):
+            tail[sum(bits)] += math.prod(v[i + j] if b else 1 - v[i + j]
+                                         for j, b in enumerate(bits))
+        for k in range(n + 1):
+            expect = sum(tail[k:])
+            assert math.isclose(math.exp(lg[i, k]), expect, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_sample_distribution_with_extras_and_high_run():
+    """Frontier prefix, extras and a split high run all present."""
+    n = 6
+    v = (0.3, 0.15, 0.45, 0.2, 0.35, 0.25)
+    high = first_position_of_weight(3, n)
+    visited = VisitedSet(n)
+    visited.set_prefix(10, (high, high + 5))  # weight 2 partly visited
+    visited.extras.update(unrank_position(p, n) for p in (12, 15, 50))
+    assert visited.lowest_unvisited_weight() == 2
+    samples = sample_unseen_batch(v, visited, np.random.default_rng(4), 40_000)
+    _assert_frequencies_match(v, visited, samples)
+
+
+def _layouts(n):
+    """Three VisitedSets with one membership: the in-order visits 0..23
+    (all of weights 0-2 and two weight-3 strings) and two more strings."""
+    later = [unrank_position(p, n) for p in (30, 45)]
+    built = VisitedSet(n)
+    for p in range(24):
+        built.add(unrank_position(p, n))
+    for e in later:
+        built.add(e)
+    ahead = VisitedSet(n)  # extras ahead of the prefix, as local moves leave them
+    ahead.set_prefix(10)
+    ahead.extras.update(unrank_position(p, n) for p in range(10, 24))
+    ahead.extras.update(later)
+    split = VisitedSet(n)  # the weight-3 strings as a high run
+    split.set_prefix(10, (22, 24))
+    split.extras.update(unrank_position(p, n) for p in range(10, 22))
+    split.extras.update(later)
+    return built, ahead, split
+
+
+def test_visited_layouts_give_identical_draws():
+    n = 6
+    v = (0.3, 0.15, 0.45, 0.2, 0.35, 0.25)
+    layouts = _layouts(n)
+    members = [[e in vs for e in range(1 << n)] for vs in layouts]
+    assert members[0] == members[1] == members[2]
+    assert [vs.complete_weight for vs in layouts] == [3, 2, 2]
+    states = [repr(vs) for vs in layouts]
+    draws = []
+    for vs in layouts:
+        assert vs.lowest_unvisited_weight() == 3
+        draws.append(sample_unseen_batch(v, vs, np.random.default_rng(8), 3000))
+    assert draws[0] == draws[1] == draws[2]
+    assert [repr(vs) for vs in layouts] == states  # sampling leaves the sets alone
+    _assert_frequencies_match(v, layouts[0], draws[0])
+
+
+def test_deep_tail_does_not_underflow():
+    n, c = 48, 40
+    v = (1e-9,) * n
+    visited = VisitedSet(n)
+    visited.set_prefix(first_position_of_weight(c, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lg = _tail_table(np.asarray(v), c)
+        samples = sample_unseen_batch(v, visited, np.random.default_rng(5), 50)
+    assert not np.isnan(lg).any()
+    assert len(samples) == 50
+    assert all(weight(e) >= c for e in samples)
+
+
 def test_single_sample_helper():
     n = 4
     visited = VisitedSet(n)
@@ -59,12 +157,26 @@ def test_single_sample_helper():
     assert s != 0
 
 
-def test_rejection_guard_trips_when_space_nearly_exhausted():
+def test_sampler_draws_the_last_unvisited_string():
     n = 3
     v = (0.01,) * n
     visited = VisitedSet(n)
     for pos in range(7):  # everything but the all-ones string
         visited.add(unrank_position(pos, n))
+    rng = np.random.default_rng(1)
+    assert sample_unseen_batch(v, visited, rng, 10, guard=50_000) == [0b111] * 10
+
+
+def test_rejection_guard_trips_when_tail_nearly_visited():
+    # Positions 0-2 are the prefix and the weight-2 strings extras, so only
+    # 0b100 and 0b111 are unvisited: about 7e-10 of the tail weight >= 1.
+    v = (0.5, 0.5, 1e-9)
+    visited = VisitedSet(3)
+    for pos in range(3):
+        visited.add(unrank_position(pos, 3))
+    for e in (0b011, 0b101, 0b110):
+        visited.add(e)
+    assert visited.extras == {0b011, 0b101, 0b110}
     rng = np.random.default_rng(1)
     with pytest.raises(RejectionGuardExceeded):
         sample_unseen_batch(v, visited, rng, 10, guard=50_000)
