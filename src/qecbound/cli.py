@@ -20,7 +20,6 @@ from .compiler import (
     check_well_defined,
     compile_to_dem,
     parse_dem,
-    write_dem,
     write_symbolic_dem,
 )
 from .decoders import (
@@ -48,11 +47,15 @@ def load_model(path: str) -> DetectorErrorModel:
         return parse_dem(text)
     except DemParseError:
         pass
+    return compile_to_dem(_parse_any_program(text))
+
+
+def _parse_any_program(text: str):
+    """Parse a program with concrete rates, or else one with symbolic rates."""
     try:
-        program = parse_program(text)
+        return parse_program(text)
     except ParseError:
-        program = parse_symbolic_program(text)
-    return compile_to_dem(program)
+        return parse_symbolic_program(text)
 
 
 def _parse_box(args, model: DetectorErrorModel) -> Hyperrectangle:
@@ -101,6 +104,19 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="trace output path ('-' for stdout)")
+
+
+def _run_config(args, **mode_fields) -> RunConfig:
+    """A RunConfig from the flags both run commands share, plus `mode_fields`."""
+    return RunConfig(
+        strategy=args.strategy,
+        worker_count=args.workers,
+        distance_ansatz=args.distance,
+        max_shots=args.max_shots,
+        time_limit=args.time_limit,
+        seed=args.seed,
+        **mode_fields,
+    )
 
 
 def _emit(trace, path: str | None) -> None:
@@ -152,13 +168,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "compile":
-        text = _read(args.program)
-        try:
-            program = parse_program(text)
-        except ParseError:
-            program = parse_symbolic_program(text)
-        model = compile_to_dem(program)
-        out = write_symbolic_dem(model) if model.is_symbolic else write_dem(model)
+        out = write_symbolic_dem(compile_to_dem(_parse_any_program(_read(args.program))))
         if args.output:
             with open(args.output, "w") as f:
                 f.write(out)
@@ -167,12 +177,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check":
-        text = _read(args.program)
-        try:
-            program = parse_program(text)
-        except ParseError:
-            program = parse_symbolic_program(text)
-        report = check_well_defined(program)
+        report = check_well_defined(_parse_any_program(_read(args.program)))
         for r in report.declarations:
             label = f"{r.declaration.kind} {' '.join(r.declaration.operands)}"
             if r.deterministic:
@@ -192,17 +197,7 @@ def _dispatch(args) -> int:
 
     if args.command == "accuracy":
         v = model.concrete_probabilities()
-        config = RunConfig(
-            mode="accuracy",
-            strategy=args.strategy,
-            worker_count=args.workers,
-            distance_ansatz=args.distance,
-            max_shots=args.max_shots,
-            time_limit=args.time_limit,
-            sample_count=args.samples,
-            alpha=args.alpha,
-            seed=args.seed,
-        )
+        config = _run_config(args, mode="accuracy", sample_count=args.samples, alpha=args.alpha)
         decoder = _build_decoder(args.decoder, model, v)
         try:
             trace = run_accuracy(model, decoder, v, config)
@@ -216,15 +211,7 @@ def _dispatch(args) -> int:
         box = _parse_box(args, model)
         v0 = tuple(0.5 * (lo + hi) for lo, hi in zip(box.lower, box.upper))
         work_model = model.with_probabilities(v0) if model.is_symbolic else model
-        config = RunConfig(
-            mode="robustness",
-            strategy=args.strategy,
-            worker_count=args.workers,
-            distance_ansatz=args.distance,
-            max_shots=args.max_shots,
-            time_limit=args.time_limit,
-            seed=args.seed,
-        )
+        config = _run_config(args, mode="robustness")
         decoder = _build_decoder(args.decoder, work_model, v0)
         try:
             trace = run_robustness(work_model, decoder, box, config)

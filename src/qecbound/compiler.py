@@ -389,13 +389,8 @@ def _targets(model: DetectorErrorModel, i: int) -> str:
 
 def write_dem(model: DetectorErrorModel) -> str:
     """Render a concrete model; parse_dem(write_dem(m)) == m."""
-    lines = [
-        f"# detector error model: {model.n_channels} channels",
-        f"dem {model.n_detectors} {model.n_observables}",
-    ]
-    for i, p in enumerate(model.concrete_probabilities()):
-        lines.append(f"error({p:.17g}) {_targets(model, i)}".rstrip())
-    return "\n".join(lines) + "\n"
+    model.concrete_probabilities()  # raises on a symbolic model
+    return write_symbolic_dem(model)
 
 
 def write_symbolic_dem(model: DetectorErrorModel) -> str:

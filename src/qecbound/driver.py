@@ -1,17 +1,17 @@
 """End-to-end orchestration: enumerate, decode, classify, refresh bounds.
 
 One block core serves both modes.  The visit order is read in blocks of
-support rows (see `errorspace`): `hamming` is the weight order itself,
-whatever `worker_count` is; `split` interleaves a low and a high stream in
-chunks of ceil(k/2) and floor(k/2) positions (`SplitOrder`); `local-*`
-follows each logical error found in the weight order with its unvisited
-neighbours, in ascending bit-set order, before the order resumes, and
-only those detours are kept as extras in the visited set.  Each block
-gets its minterms with numpy, and its decoder verdicts from a
-`LogicalErrorClassifier` made for the run, which sends the unique
-syndromes it has not seen to one `decode_batch` call.  Blocks end at the
-geometric shot checkpoints (1, 2, 4, ...) and after at most `BLOCK_ROWS`
-rows, so a time limit is overrun by at most one block.
+support rows from one `errorspace.VisitOrder`: `hamming` is the weight
+order itself, whatever `worker_count` is; `split` reads a low and a high
+run of the weight order, taking ceil(k/2) and floor(k/2) strings in turn
+until either run ends; `local-*` follows each logical error found in the
+weight order with its unvisited neighbours, in ascending bit-set order,
+before the order resumes, and only those detours are kept as extras in
+the visited set.  Each block gets its minterms with numpy, and its
+decoder verdicts from a `LogicalErrorClassifier` made for the run, which
+sends the unique syndromes it has not seen to one `decode_batch` call.
+Blocks end at the geometric shot checkpoints (1, 2, 4, ...) and after at
+most `BLOCK_ROWS` rows, so a time limit is overrun by at most one block.
 
 Each mode has its own sink: Kahan-compensated accumulators fed in visit
 order (accuracy), or the two minterm stores (robustness).  Bounds refresh
@@ -34,14 +34,12 @@ from .compiler import DetectorErrorModel, write_symbolic_dem
 from .decoders import Decoder, LogicalErrorClassifier
 from .errorspace import (
     EnumerationPlan,
-    OrderStream,
-    SplitOrder,
     VisitedSet,
+    VisitOrder,
     bits_of,
     ints_of,
     local_moves_shift,
     n_words,
-    split_workers,
     supports_of_bits,
     words_of,
 )
@@ -171,9 +169,7 @@ class _BlockCore:
         self.classify = LogicalErrorClassifier(model, decoder)
         self.evaluator = evaluator
         self.visited = VisitedSet(self.n)
-        split_workers(plan)  # validates the plan
-        self.split = SplitOrder(plan, self.n) if plan.strategy == "split" else None
-        self.stream = OrderStream(self.n)
+        self.order = VisitOrder(plan, self.n)
         self.moves = plan.local_moves
         self.pending: deque[int] = deque()  # detour still to visit
         # In-order rows evaluated ahead; local moves take them piecewise.
@@ -196,24 +192,19 @@ class _BlockCore:
     def next_block(self, limit: int) -> _Rows | None:
         """The next at most `limit` bitstrings of the visit order, now marked
         visited (possibly none); None once the space is exhausted."""
-        if self.split is not None:
-            supp = self.split.take(limit)
+        if not self.moves:
+            supp = self.order.take(limit)
             if not len(supp):
                 return None
-            self.visited.set_prefix(*self.split.spans())
+            self.visited.set_prefix(*self.order.spans())
             return self.evaluate(supp)
-        if (self.rows is None or self.cursor == len(self.rows)) and not self.pending:
-            self.base = self.stream.position
-            supp = self.stream.take(limit)
+        if self.cursor == len(self.ints) and not self.pending:
+            self.base = self.order.spans()[0]
+            supp = self.order.take(limit)
             if not len(supp):
                 return None
             self.rows, self.cursor = self.evaluate(supp), 0
-            if self.moves:
-                self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
-        if not self.moves:
-            start, self.cursor = self.cursor, min(len(self.rows), self.cursor + limit)
-            self.visited.set_prefix(self.base + self.cursor)
-            return self.rows.select(slice(start, self.cursor))
+            self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
         picked, detours = self._walk(limit)
         picked = np.array(picked, dtype=np.intp)
         block = self.rows.select(np.maximum(picked, 0))

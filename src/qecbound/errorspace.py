@@ -9,11 +9,16 @@ arithmetic for membership tests.
 Blocks.  The enumeration core reads the order in blocks of support-index
 rows: row r lists the channels of one bitstring in ascending order, padded
 with n to the block's width.  `itertools.combinations(range(n), w)` yields
-weight class w in exactly the rank order above, so `OrderStream` needs no
-rank arithmetic.  `Footprints` holds every channel's detector, observable
-and channel bit sets as rows of ceil(width/64) uint64 words, with an empty
-row n, so a block's syndromes are the XOR of one gathered row per support
-column, for every detector count.
+weight class w in exactly the rank order above, so a `WeightRun` (a range
+of weight classes) needs no rank arithmetic.  Every visit order is read as
+runs of the weight order (`VisitOrder`): one run for most strategies, and
+for `split` a low and a high run taking turns until either ends.  The
+visited set is kept in the same terms, as a position prefix, the high
+run's positions and out-of-order extras.  `Footprints` holds every
+channel's detector, observable and channel bit sets as rows of
+ceil(width/64) uint64 words, with an empty row n, so a block's syndromes
+are the XOR of one gathered row per support column, for every detector
+count.
 """
 
 from __future__ import annotations
@@ -164,9 +169,9 @@ def partition_workers(plan: EnumerationPlan, n: int) -> list[WeightOrderCursor]:
     hamming: worker i takes order positions congruent to i mod k.  split:
     the first ceil(k/2) workers stride from position 0 and the rest from
     the first position of weight floor(d/2)+1; the low block eventually
-    reaches the high start, so the cursors overlap.  Taking one position from each cursor in turn, and
-    dropping positions already taken, gives the visit order that
-    `SplitOrder` produces in blocks (and, for hamming, the plain order).
+    reaches the high start, so the cursors overlap.  Taking one position
+    from each cursor in turn, and dropping positions already taken, gives
+    the visit order that `VisitOrder` produces in blocks.
     """
     k_low, k_high = split_workers(plan)
     cursors = [WeightOrderCursor(n, position=i, stride=k_low) for i in range(k_low)]
@@ -197,84 +202,56 @@ def local_moves_shift(mask: int, n: int) -> set[int]:
 
 @dataclass
 class VisitedSet:
-    """Membership structure for enumerated bitstrings.
+    """Membership structure for enumerated bitstrings, kept as positions in
+    the weight order.
 
-    All strings of weight < complete_weight are members, plus weight-class
-    strings below frontier_rank, plus an explicit extras set for
-    out-of-order visits.  Extras are promoted into the frontier as the
-    in-order prefix catches up, so extras never duplicate the prefix.
+    Members are the first `prefix` positions, the positions [a, b) of a
+    second in-order run `high` (the split strategy's high run), and an
+    explicit extras set for out-of-order visits.  `add` promotes extras
+    into the prefix as the prefix catches up, so extras never duplicate
+    the prefix.
     """
 
     n: int
-    complete_weight: int = 0
-    frontier_rank: int = 0
+    prefix: int = 0
     extras: set[int] = field(default_factory=set)
-    # positions [a, b) of a second in-order run (the split strategy's high stream)
     high: tuple[int, int] = (0, 0)
 
     def __contains__(self, mask: int) -> bool:
-        w = weight(mask)
-        if w < self.complete_weight:
-            return True
-        if w == self.complete_weight and rank_in_weight_class(mask, self.n) < self.frontier_rank:
-            return True
         if mask in self.extras:
             return True
+        pos = position_of(mask, self.n)
         a, b = self.high
-        return a < b and a <= position_of(mask, self.n) < b
+        return pos < self.prefix or a <= pos < b
 
     def set_prefix(self, count: int, high: tuple[int, int] = (0, 0)) -> None:
         """Make the first `count` positions of the weight order the in-order
         prefix, and `high` the second run.  The prefix only grows; extras
         it swallows must already be gone from `extras`."""
         a, b = high
-        if a < b and count >= a:  # the runs meet
+        if count >= a:  # the runs meet
             count, a, b = max(count, b), 0, 0
-        w = self.complete_weight
-        start = first_position_of_weight(w, self.n)
-        while w <= self.n and count >= start + comb(self.n, w):
-            start += comb(self.n, w)
-            w += 1
-        self.complete_weight = w
-        self.frontier_rank = count - start if w <= self.n else 0
-        self.high = (a, b)
-
-    def _frontier_mask(self) -> int | None:
-        if self.complete_weight > self.n:
-            return None
-        return unrank_in_weight_class(self.frontier_rank, self.n, self.complete_weight)
-
-    def _advance(self) -> None:
-        self.frontier_rank += 1
-        while self.complete_weight <= self.n and self.frontier_rank >= comb(
-            self.n, self.complete_weight
-        ):
-            self.frontier_rank = 0
-            self.complete_weight += 1
+        self.prefix, self.high = count, (a, b)
 
     def add(self, mask: int) -> None:
         if mask in self:
             raise ValueError(f"bitstring {bits_to_str(mask, self.n)} visited twice")
-        if self.complete_weight <= self.n and mask == self._frontier_mask():
-            self._advance()
-            # promote any extras that now sit on the frontier
-            while self.complete_weight <= self.n:
-                fm = self._frontier_mask()
-                if fm in self.extras:
-                    self.extras.discard(fm)
-                    self._advance()
-                else:
-                    break
-        else:
+        if position_of(mask, self.n) != self.prefix:
             self.extras.add(mask)
+            return
+        self.prefix += 1
+        # promote any extras that now sit at the end of the prefix
+        while not self.covers_all and (m := unrank_position(self.prefix, self.n)) in self.extras:
+            self.extras.discard(m)
+            self.prefix += 1
 
     def lowest_unvisited_weight(self) -> int:
         """The lowest weight of any unvisited string (n + 1 if none).
 
         Depends on membership alone: the in-order prefix is followed
-        through extras at its frontier and through the high run, whatever
+        through extras at its end and through the high run, whatever
         layout built the set.  The set is not changed."""
-        pos, end = self._prefix_end(), 1 << self.n
+        pos, end = self.prefix, 1 << self.n
         a, b = self.high
         while pos < end:
             if a <= pos < b:
@@ -292,7 +269,7 @@ class VisitedSet:
         def at(pos: int) -> int | None:
             return unrank_position(pos, self.n) if pos < 1 << self.n else None
 
-        stop, extras = at(self._prefix_end()), self.extras
+        stop, extras = at(self.prefix), self.extras
         a, b = self.high
         if a >= b:
             return lambda m: precedes(m, stop) or m in extras
@@ -300,19 +277,18 @@ class VisitedSet:
         return lambda m: (precedes(m, stop) or m in extras
                           or (not precedes(m, lo) and precedes(m, hi)))
 
-    def _prefix_end(self) -> int:
-        """Length of the in-order prefix."""
-        if self.covers_all:
-            return 1 << self.n
-        return first_position_of_weight(self.complete_weight, self.n) + self.frontier_rank
+    @property
+    def complete_weight(self) -> int:
+        """Every string of lower weight lies in the prefix."""
+        return self.n + 1 if self.covers_all else weight(unrank_position(self.prefix, self.n))
 
     @property
     def covers_all(self) -> bool:
-        return self.complete_weight > self.n
+        return self.prefix == 1 << self.n
 
     @property
     def count(self) -> int:
-        return self._prefix_end() + len(self.extras) + self.high[1] - self.high[0]
+        return self.prefix + len(self.extras) + self.high[1] - self.high[0]
 
 
 def n_words(n: int) -> int:
@@ -384,56 +360,44 @@ class Footprints:
         return out
 
 
-class OrderStream:
-    """The weight order from the first string of weight `w0` on, read as
-    support rows padded with n to a common width."""
+class WeightRun:
+    """Weight classes [w0, w1) of the weight order, read as support rows
+    padded with n to a common width; `position` counts from the start of
+    the whole order, and the run ends at `end`."""
 
-    def __init__(self, n: int, w0: int = 0) -> None:
+    def __init__(self, n: int, w0: int, w1: int) -> None:
         self.n = n
-        self._w = min(w0, n + 1)
-        self.position = first_position_of_weight(self._w, n)
+        self._w, self._w1 = min(w0, n + 1), min(w1, n + 1)
+        self.start = self.position = first_position_of_weight(self._w, n)
+        self.end = first_position_of_weight(self._w1, n)
         self._it = combinations(range(n), self._w)
-        self._buf = np.empty((0, 0), dtype=np.intp)
 
-    @property
-    def exhausted(self) -> bool:
-        return self.position >= 1 << self.n
-
-    def peek(self, m: int) -> np.ndarray:
-        """The next rows, at most m of them, without consuming them."""
-        parts = [self._buf] if len(self._buf) else []
-        have = len(self._buf)
-        while have < m and self._w <= self.n:
-            want, w = m - have, self._w
-            rows = islice(self._it, want)
+    def take(self, m: int) -> np.ndarray:
+        """The next m rows (fewer once the run ends)."""
+        parts = []
+        while m and self._w < self._w1:
+            w = self._w
+            rows = islice(self._it, m)
             if w:
                 got = np.fromiter(chain.from_iterable(rows), dtype=np.intp).reshape(-1, w)
             else:
                 got = np.empty((sum(1 for _ in rows), 0), dtype=np.intp)
-            if len(got) < want:  # weight class w is done
+            if len(got) < m:  # weight class w is done
                 self._w += 1
                 self._it = combinations(range(self.n), self._w)
             if len(got):
                 parts.append(got)
-                have += len(got)
-        if len(parts) > 1 or (parts and parts[0] is not self._buf):
-            self._buf = _stack_rows(parts, self.n)
-        return self._buf[:m]
-
-    def skip(self, k: int) -> None:
-        self._buf = self._buf[k:]
-        self.position += k
-
-    def take(self, m: int) -> np.ndarray:
-        rows = self.peek(m)
-        self.skip(len(rows))
-        return rows
+            m -= len(got)
+            self.position += len(got)
+        return _stack_rows(parts, self.n)
 
 
 def _stack_rows(parts, n: int) -> np.ndarray:
     """Support-row arrays stacked, padded with n to the widest."""
-    out = np.full((sum(len(p) for p in parts), max(p.shape[1] for p in parts)), n,
-                  dtype=np.intp)
+    if len(parts) == 1:
+        return parts[0]
+    width = max((p.shape[1] for p in parts), default=0)
+    out = np.full((sum(len(p) for p in parts), width), n, dtype=np.intp)
     r = 0
     for p in parts:
         out[r:r + len(p), :p.shape[1]] = p
@@ -441,83 +405,63 @@ def _stack_rows(parts, n: int) -> np.ndarray:
     return out
 
 
-# Position offsets beyond this are clamped; blocks span far fewer turns.
-_CLAMP = 1 << 40
+class VisitOrder:
+    """A plan's visit order, read in blocks of support rows.
 
-
-def _clamp(x: int) -> int:
-    return max(-_CLAMP, min(_CLAMP, x))
-
-
-class SplitOrder:
-    """The split strategy's visit order, read in blocks of support rows.
-
-    A low stream from position 0 and a high stream from the first string
-    of weight floor(d/2)+1 take turns: ceil(k/2) positions from the low stream, then floor(k/2) from
-    the high one.  A turn whose position the other stream has already
-    taken, or that lies past the end of the space, visits nothing.  This
-    is the order of taking one position from each `partition_workers`
+    The weight order is cut into a low run [0, start) and a high run
+    [start, 2^n).  The two runs take turns, ceil(k/2) strings from the low
+    run and then floor(k/2) from the high one, until either ends; the
+    other then continues alone.  For `split`, start is the first string of
+    weight floor(d/2)+1; every other strategy, and `split` with one
+    worker, has an empty high run and visits the weight order itself.
+    This is the order of taking one position from each `partition_workers`
     cursor in turn and dropping repeats.
     """
 
     def __init__(self, plan: EnumerationPlan, n: int) -> None:
-        self.k_low, self.k_high = split_workers(plan)
+        k_low, k_high = split_workers(plan)
+        w = plan.distance_ansatz // 2 + 1 if k_high else n + 1
+        self.runs = (WeightRun(n, 0, w), WeightRun(n, w, n + 1))
+        self.chunks = (k_low, k_high)
+        self.phase = 0  # place of the next string in a round of k turns
         self.n = n
-        self.low = OrderStream(n)
-        self.high = OrderStream(n, plan.distance_ansatz // 2 + 1)
-        self.start = self.high.position
-        self.turn = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.low.exhausted and (self.high.exhausted or not self.k_high)
 
     def spans(self) -> tuple[int, tuple[int, int]]:
-        """The visited positions: the low prefix and the high run."""
-        return self.low.position, (self.start, self.high.position)
+        """The visited positions: the low run's prefix and the high run's."""
+        low, high = self.runs
+        return low.position, (high.start, high.position)
 
     def take(self, m: int) -> np.ndarray:
-        """The next m visited strings (fewer at the end of the space)."""
-        kl, kh = self.k_low, self.k_high
-        k = kl + kh
-        end = 1 << self.n
+        """The next m strings of the order (fewer at its end)."""
         parts = []
-        got = 0
-        while got < m and not self.exhausted:
-            r0, s0 = divmod(self.turn, k)
-            lo0, hi0 = r0 * kl, r0 * kh  # consumed by each stream before round r0
-            span = max(2 * (m - got), k)
-            dr, slot = np.divmod(s0 + np.arange(span), k)
-            is_low = slot < kl
-            # positions consumed before each turn, relative to lo0 and hi0
-            dl = dr * kl + np.minimum(slot, kl)
-            dh = dr * kh + np.maximum(slot - kl, 0)
-            # low turn at lo0+dl: taken by high iff start <= pos < start+hi0+dh
-            low_ok = (dl < _clamp(end - lo0)) & ~(
-                (dl >= _clamp(self.start - lo0)) & (dl - dh < _clamp(self.start + hi0 - lo0)))
-            # high turn at start+hi0+dh: taken by low iff pos < lo0+dl
-            high_ok = (dh < _clamp(end - self.start - hi0)) & (
-                dh - dl >= _clamp(lo0 - self.start - hi0))
-            idx = np.flatnonzero(np.where(is_low, low_ok, high_ok))[: m - got]
-            used = int(idx[-1]) + 1 if len(idx) == m - got else span
-            r1, s1 = divmod(s0 + used, k)
-            dl0, dh0 = min(s0, kl), max(s0 - kl, 0)
-            low_rows = self.low.peek(r1 * kl + min(s1, kl) - dl0)
-            high_rows = self.high.peek(r1 * kh + max(s1 - kl, 0) - dh0)
-            if len(idx):
-                sel_low = is_low[idx]
-                width = max(low_rows.shape[1], high_rows.shape[1])
-                rows = np.full((len(idx), width), self.n, dtype=np.intp)
-                rows[sel_low, :low_rows.shape[1]] = low_rows[dl[idx[sel_low]] - dl0]
-                rows[~sel_low, :high_rows.shape[1]] = high_rows[dh[idx[~sel_low]] - dh0]
-                parts.append(rows)
-                got += len(idx)
-            self.low.skip(len(low_rows))
-            self.high.skip(len(high_rows))
-            self.turn += used
-        if not parts:
-            return np.empty((0, 0), dtype=np.intp)
-        return parts[0] if len(parts) == 1 else _stack_rows(parts, self.n)
+        while m:
+            live = [run for run in self.runs if run.position < run.end]
+            if not live:
+                break
+            rows = live[0].take(m) if len(live) == 1 else self._turns(m)
+            parts.append(rows)
+            m -= len(rows)
+        return _stack_rows(parts, self.n)
+
+    def _turns(self, m: int) -> np.ndarray:
+        """The next at most m strings while both runs last: string s is the
+        low run's if its place in the round is below ceil(k/2)."""
+        low, high = self.runs
+        k = sum(self.chunks)
+        is_low = (self.phase + np.arange(m)) % k < self.chunks[0]
+        n_low = np.cumsum(is_low)
+        # run lengths clamped to m: beyond 62 channels they overflow int64
+        fits = np.where(is_low, n_low <= min(m, low.end - low.position),
+                        np.arange(1, m + 1) - n_low <= min(m, high.end - high.position))
+        used = m if fits.all() else int(np.argmin(fits))  # up to a string of an ended run
+        is_low = is_low[:used]
+        low_rows = low.take(int(np.count_nonzero(is_low)))
+        high_rows = high.take(used - len(low_rows))
+        rows = np.full((used, max(low_rows.shape[1], high_rows.shape[1])), self.n, dtype=np.intp)
+        rows[is_low, :low_rows.shape[1]] = low_rows
+        rows[~is_low, :high_rows.shape[1]] = high_rows
+        self.phase = (self.phase + used) % k
+        return rows
 
 
 def syndrome_of(model: DetectorErrorModel, mask: int) -> int:

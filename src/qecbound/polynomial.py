@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 # Package module before numpy; see the note in decoders.py.
-from .errorspace import n_words as _n_words, words_of as _words_of
+from .errorspace import bits_of as _bits_of, n_words as _n_words, words_of as _words_of
 
 import numpy as np
 
@@ -223,9 +223,7 @@ def _bit(var: int) -> tuple[int, np.uint64]:
 
 def _bits(words: np.ndarray, n: int) -> np.ndarray:
     """Bit sets as a C-contiguous [n, T] bool array (row i: holds variable i)."""
-    by = np.ascontiguousarray(words.astype("<u8", copy=False)).view(np.uint8)
-    bits = np.unpackbits(by, axis=1, count=n, bitorder="little")
-    return np.ascontiguousarray(bits.T).view(bool)
+    return np.ascontiguousarray(_bits_of(words, n).T)
 
 
 def _products(p_bits, n_bits, p_factor, n_factor) -> np.ndarray:

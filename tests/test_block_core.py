@@ -48,6 +48,21 @@ STRATEGIES = [
     ("local-both", None),
 ]
 
+# More split inputs: the low run reaches the high start before the high
+# run takes anything (d = 0), the high run is empty (d = 2n+2, so that
+# d//2+1 > n), and, with 3-row blocks, runs end inside a block.
+SPLIT_DISTANCES = [0, 1, 3, 5, "2n+2"]
+ORDER_CASES = [
+    pytest.param(strategy, distance, workers, None, id=f"{strategy}-{distance}-{workers}")
+    for strategy, distance in STRATEGIES for workers in (1, 2, 3, 4)
+] + [
+    pytest.param("split", distance, workers, rows,
+                 id=f"split-{distance}-{workers}" + (f"-rows{rows}" if rows else ""))
+    for distance in SPLIT_DISTANCES
+    for workers, rows in [(k, None) for k in range(1, 7)] + [(5, 3)]
+    if not (distance == 3 and workers <= 4 and rows is None)
+]
+
 
 class ZeroDecoder(Decoder):
     kind = "zero"
@@ -219,10 +234,15 @@ def _model(n):
 
 @pytest.mark.parametrize("n,max_shots", [(7, None), (9, None), (66, 700)])
 @pytest.mark.parametrize("decoder_kind", ["zero", "greedy"])
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-@pytest.mark.parametrize("strategy,distance", STRATEGIES)
-def test_accuracy_records_match_per_shot_reference(strategy, distance, workers,
-                                                   decoder_kind, n, max_shots):
+@pytest.mark.parametrize("strategy,distance,workers,block_rows", ORDER_CASES)
+def test_accuracy_records_match_per_shot_reference(strategy, distance, workers, block_rows,
+                                                   decoder_kind, n, max_shots, monkeypatch):
+    import qecbound.driver as driver
+
+    if distance == "2n+2":
+        distance = 2 * n + 2
+    if block_rows is not None:
+        monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
     model = _model(n)
     v = model.concrete_probabilities()
     if decoder_kind == "zero":
