@@ -2,10 +2,11 @@
 
 Three stages: well-definedness checking via symbolic tableau simulation,
 decomposition of mixture channels into Bernoulli channels, and Pauli-frame
-propagation of each channel's Pauli through the remaining circuit to find
-which declared parities it flips.  Also reads and writes the textual DEM
-format (a compatible subset of the Stim detector-error-model surface
-syntax):
+propagation to find which declared parities each channel flips.  All
+frames move in one pass, as per-qubit bit planes over the channels, under
+the same gate rules (`tableau.GATES`) that drive the tableau.  Also reads
+and writes the textual DEM format (a compatible subset of the Stim
+detector-error-model surface syntax):
 
     dem <n_detectors> <n_observables>        # optional header
     error(<float>) D0 D1 L0
@@ -26,7 +27,7 @@ from .frontend import (
     QecProgram,
     Reset,
 )
-from .tableau import SignExpr, SymbolicTableau
+from .tableau import GATES, SignExpr, SymbolicTableau
 
 
 class CompileError(ValueError):
@@ -48,16 +49,6 @@ class PauliString:
     @staticmethod
     def from_dict(d: dict[int, str]) -> "PauliString":
         return PauliString(tuple(sorted(d.items())))
-
-    def masks(self) -> tuple[int, int]:
-        """(x_mask, z_mask) bit representation."""
-        x = z = 0
-        for q, p in self.paulis:
-            if p in ("X", "Y"):
-                x |= 1 << q
-            if p in ("Z", "Y"):
-                z |= 1 << q
-        return x, z
 
 
 @dataclass(frozen=True)
@@ -134,23 +125,7 @@ def check_well_defined(program: QecProgram) -> WellDefinedReport:
     outcomes: dict[str, SignExpr] = {}
     for stmt in program.statements:
         if isinstance(stmt, Gate):
-            q = stmt.qubits
-            if stmt.kind == "H":
-                tab.h(q[0])
-            elif stmt.kind == "S":
-                tab.s(q[0])
-            elif stmt.kind == "SDG":
-                tab.sdg(q[0])
-            elif stmt.kind == "X":
-                tab.x(q[0])
-            elif stmt.kind == "Y":
-                tab.y(q[0])
-            elif stmt.kind == "Z":
-                tab.z(q[0])
-            elif stmt.kind == "CX":
-                tab.cx(q[0], q[1])
-            elif stmt.kind == "CZ":
-                tab.cz(q[0], q[1])
+            tab.gate(stmt.kind, stmt.qubits)
         elif isinstance(stmt, Reset):
             tab.reset(stmt.qubit)
         elif isinstance(stmt, Measure):
@@ -216,44 +191,53 @@ def decompose_channels(program: QecProgram) -> list[BernoulliChannel]:
     return channels
 
 
-def _propagate_frame(program: QecProgram, channel: BernoulliChannel) -> set[str]:
-    """Names of measurement records flipped by the channel's Pauli."""
-    x, z = channel.pauli.masks()
-    flipped: set[str] = set()
-    for stmt in program.statements[channel.source + 1 :]:
+def _record_planes(program: QecProgram, channels: list[BernoulliChannel]) -> dict[str, int]:
+    """Each measurement's flips as a bit set over the channels.
+
+    All Pauli frames move at once: planes[2q] and planes[2q+1] hold bit i
+    of channel i's x and z components on qubit q, from the channel's own
+    statement onward.  A measurement flips the channels whose frame has
+    an x component on its qubit.
+    """
+    planes = [0] * (2 * program.qubit_count)
+    by_source: dict[int, list[tuple[int, BernoulliChannel]]] = {}
+    for i, ch in enumerate(channels):
+        by_source.setdefault(ch.source, []).append((i, ch))
+    records: dict[str, int] = {}
+    for idx, stmt in enumerate(program.statements):
         if isinstance(stmt, Gate):
-            q = stmt.qubits
-            if stmt.kind == "H":
-                bit = 1 << q[0]
-                xb, zb = x & bit, z & bit
-                x = (x & ~bit) | (bit if zb else 0)
-                z = (z & ~bit) | (bit if xb else 0)
-            elif stmt.kind in ("S", "SDG"):
-                bit = 1 << q[0]
-                if x & bit:
-                    z ^= bit
-            elif stmt.kind == "CX":
-                cb, tb = 1 << q[0], 1 << q[1]
-                if x & cb:
-                    x ^= tb
-                if z & tb:
-                    z ^= cb
-            elif stmt.kind == "CZ":
-                cb, tb = 1 << q[0], 1 << q[1]
-                xc, xt = x & cb, x & tb
-                if xc:
-                    z ^= tb
-                if xt:
-                    z ^= cb
-            # Pauli gates commute with the frame up to sign
+            at = [2 * q + b for q in stmt.qubits for b in (0, 1)]
+            moved = GATES[stmt.kind][1](*(planes[k] for k in at))
+            for k, plane in zip(at, moved):  # the sign flip, last, is dropped
+                planes[k] = plane
         elif isinstance(stmt, Reset):
-            bit = 1 << stmt.qubit
-            x &= ~bit
-            z &= ~bit
+            planes[2 * stmt.qubit] = planes[2 * stmt.qubit + 1] = 0
         elif isinstance(stmt, Measure):
-            if x & (1 << stmt.qubit):
-                flipped.add(stmt.name)
-    return flipped
+            records[stmt.name] = planes[2 * stmt.qubit]
+        else:  # an error channel: its kept channels' frames start here
+            for i, ch in by_source.get(idx, ()):
+                for q, p in ch.pauli.paulis:
+                    if p in ("X", "Y"):
+                        planes[2 * q] |= 1 << i
+                    if p in ("Z", "Y"):
+                        planes[2 * q + 1] |= 1 << i
+    return records
+
+
+def _footprints(records: dict[str, int], decls: list[Declaration], n_channels: int) -> list[int]:
+    """Per channel, the bit set of the declarations whose parity it flips:
+    each declaration's column over the channels is the XOR of its
+    operands' records, and the columns are transposed."""
+    masks = [0] * n_channels
+    for j, decl in enumerate(decls):
+        column = 0
+        for name in decl.operands:
+            column ^= records[name]
+        while column:
+            low = column & -column
+            masks[low.bit_length() - 1] |= 1 << j
+            column ^= low
+    return masks
 
 
 def compile_to_dem(program: QecProgram) -> DetectorErrorModel:
@@ -273,29 +257,17 @@ def compile_to_dem(program: QecProgram) -> DetectorErrorModel:
     syndromes = [d for d in program.declarations if d.kind == "syndrome"]
     observables = [d for d in program.declarations if d.kind == "observable"]
 
-    probs: list[Probability] = []
-    det_fp: list[int] = []
-    obs_fp: list[int] = []
-    for ch in decompose_channels(program):
-        if ch.probability == 0.0:
-            continue
+    channels = [ch for ch in decompose_channels(program) if ch.probability != 0.0]
+    for ch in channels:
         if ch.probability == 1.0:
             raise CompileError(
                 f"channel at statement {ch.source} has probability 1; "
                 "fold the deterministic flip into the circuit"
             )
-        flipped = _propagate_frame(program, ch)
-        dmask = 0
-        for j, decl in enumerate(syndromes):
-            if sum(1 for name in decl.operands if name in flipped) % 2:
-                dmask |= 1 << j
-        omask = 0
-        for j, decl in enumerate(observables):
-            if sum(1 for name in decl.operands if name in flipped) % 2:
-                omask |= 1 << j
-        probs.append(ch.probability)
-        det_fp.append(dmask)
-        obs_fp.append(omask)
+    records = _record_planes(program, channels)
+    det_fp = _footprints(records, syndromes, len(channels))
+    obs_fp = _footprints(records, observables, len(channels))
+    probs = [ch.probability for ch in channels]
 
     return DetectorErrorModel(
         n_channels=len(probs),

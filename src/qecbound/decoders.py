@@ -112,12 +112,12 @@ def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inv
 
 
-def build_ml_decoder(model: DetectorErrorModel, v, cap: int = ML_CHANNEL_CAP) -> MlDecoder:
+def build_ml_decoder(model: DetectorErrorModel, v) -> MlDecoder:
     """Sum each (syndrome, observable) class's mass over all 2^n bitstrings,
     in ascending bitstring order, and keep each syndrome's heaviest class."""
     n = model.n_channels
-    if n > cap:
-        raise ValueError(f"{n} channels exceeds the ML enumeration cap {cap}")
+    if n > ML_CHANNEL_CAP:
+        raise ValueError(f"{n} channels exceeds the ML enumeration cap {ML_CHANNEL_CAP}")
     evaluator = MintermEvaluator(v)
     fp = Footprints(model)
     wd = fp.det.shape[1]

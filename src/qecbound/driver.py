@@ -40,6 +40,7 @@ from .errorspace import (
     ints_of,
     local_moves_shift,
     n_words,
+    precedes,
     supports_of_bits,
     words_of,
 )
@@ -249,17 +250,18 @@ class _BlockCore:
 
     def _detour(self, mask: int) -> list[int]:
         """The unvisited neighbours of `mask`, the last string of the
-        in-order prefix.  A flip that clears a bit lands inside the prefix,
-        and one that sets a bit lands past it, where only extras are
-        visited (local moves keep no high run).  Shifts take the full
-        membership test."""
-        visited = self.visited
+        in-order prefix.  A neighbour outside the prefix is visited only
+        as an extra (local moves keep no high run).  A flip that clears a
+        bit lands inside the prefix and one that sets a bit lands past it;
+        a shift lies in the prefix when it precedes `mask`."""
+        extras = self.visited.extras
         neighbors: set[int] = set()
         if "flip" in self.moves:
             neighbors.update(e for i in range(self.n)
-                             if not mask >> i & 1 and (e := mask | 1 << i) not in visited.extras)
+                             if not mask >> i & 1 and (e := mask | 1 << i) not in extras)
         if "shift" in self.moves:
-            neighbors.update(e for e in local_moves_shift(mask, self.n) if e not in visited)
+            neighbors.update(e for e in local_moves_shift(mask, self.n)
+                             if not precedes(e, mask) and e not in extras)
         return sorted(neighbors)
 
 
@@ -356,11 +358,12 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
             )
 
     _, exhausted = _enumerate(core, config, t0, sink, checkpoint)
-    # The summary carries raw accumulator values: at exhaustion these are
-    # the exact rate (no soundness margin applied).
-    lo, hi = accuracy_bounds(acc)
+    # At exhaustion sum_L is the exact rate (no soundness margin applied)
+    # and gives both sides: 1 - (sum_S - sum_L) would keep only about 16
+    # absolute digits of it.
     if exhausted:
-        trace.final = {"shots": shots, "exhausted": True, "lower": lo, "upper": hi}
+        lo = acc.sum_l.total
+        trace.final = {"shots": shots, "exhausted": True, "lower": lo, "upper": lo}
     else:
         rec = trace.sound_records[-1]
         trace.final = {
@@ -430,10 +433,11 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
         )
 
     shots, exhausted = _enumerate(core, config, t0, sink, checkpoint)
-    # The summary carries the raw optimizer values: on exhaustion with
-    # exact optimization these equal the true worst-case rate.
+    # On exhaustion with exact optimization the raw maximum of p_L is the
+    # true worst-case rate and gives both sides (the upper side's
+    # 1 - (S - L) form loses relative precision at low rates).
     if exhausted and rb.lower_exact and rb.upper_exact and not upper_frozen:
-        lo, hi = rb.lower, rb.upper
+        lo = hi = rb.lower
     else:
         lo, hi = best_lower, best_upper
     trace.final = {

@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-GATE_KINDS = {"X", "Y", "Z", "H", "S", "SDG", "CX", "CZ"}
-TWO_QUBIT_GATES = {"CX", "CZ"}
+from .tableau import GATES
+
 CHANNEL_KINDS = {"XERR", "YERR", "ZERR", "DEPOLARIZE1", "DEPOLARIZE2"}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -125,8 +125,8 @@ def _parse_line(raw: str, lineno: int, symbolic: bool) -> Statement | Declaratio
     toks = line.split()
     head = toks[0].upper()
 
-    if head in GATE_KINDS:
-        arity = 2 if head in TWO_QUBIT_GATES else 1
+    if head in GATES:
+        arity = GATES[head][0]
         if len(toks) != 1 + arity:
             raise ParseError(f"{head} takes {arity} qubit(s)", lineno)
         qubits = tuple(_parse_qubit(t, lineno) for t in toks[1:])

@@ -163,23 +163,17 @@ class BoundAccumulators:
 
     sum_l: _KahanSum = field(default_factory=_KahanSum)
     sum_s: _KahanSum = field(default_factory=_KahanSum)
-    count_l: int = 0
-    count_s: int = 0
 
     def accumulate(self, mask: int, is_logical_error: bool, evaluator: MintermEvaluator) -> None:
         p = evaluator(mask)
         self.sum_s.add(p)
-        self.count_s += 1
         if is_logical_error:
             self.sum_l.add(p)
-            self.count_l += 1
 
     def accumulate_block(self, probs: np.ndarray, logical: np.ndarray) -> None:
         """accumulate() for a block of minterm values in visit order."""
         self.sum_s.add_all(probs.tolist())
-        self.count_s += probs.size
         self.sum_l.add_all(probs[logical].tolist())
-        self.count_l += int(np.count_nonzero(logical))
 
 
 def accuracy_bounds(acc: BoundAccumulators) -> tuple[float, float]:
@@ -471,8 +465,6 @@ def _optimize(terms: TermArray, box: Hyperrectangle, sense: int,
     while progress:
         progress = False
         for i in terms.variables():
-            if i in fixed:
-                continue
             d_lo, d_hi = terms.derivative(i).termwise(lo, hi)
             if d_lo > 0.0:
                 choice = box.upper[i] if sense > 0 else box.lower[i]

@@ -6,6 +6,10 @@ expression: a constant bit plus an XOR of free random bits, one fresh bit
 per nondeterministic measurement.  Measurement outcomes are therefore
 affine expressions too, which lets a caller decide statically whether a
 declared parity of outcomes is deterministic.
+
+Every gate's action on a Pauli is written once, in `GATES`; the tableau
+tabulates it per gate and qubits, and the compiler applies it to bit
+planes of Pauli frames.
 """
 
 from __future__ import annotations
@@ -22,6 +26,39 @@ _PHASE = {
     (0, 1, 1, 0): 1,   # Z*X = iY
     (0, 1, 1, 1): 3,   # Z*Y = -iX
 }
+
+# Each Clifford gate's action on a Pauli, written once as (arity, rule).
+# The rule maps the x/z bits of the gate's qubits, (x, z) or
+# (xc, zc, xt, zt), to the bits of the conjugated Pauli followed by its
+# sign flip.  Rules use bitwise operations only, so the same rule moves a
+# single Pauli or whole bit planes of them.
+GATES = {
+    "H": (1, lambda x, z: (z, x, x & z)),
+    "S": (1, lambda x, z: (x, z ^ x, x & z)),
+    "SDG": (1, lambda x, z: (x, z ^ x, x & ~z)),
+    "X": (1, lambda x, z: (x, z, z)),
+    "Y": (1, lambda x, z: (x, z, x ^ z)),
+    "Z": (1, lambda x, z: (x, z, x)),
+    "CX": (2, lambda xc, zc, xt, zt: (xc, zc ^ zt, xt ^ xc, zt, xc & zt & ~(xt ^ zc))),
+    "CZ": (2, lambda xc, zc, xt, zt: (xc, zc ^ xt, xt, zt ^ xc, xc & xt & (zc ^ zt))),
+}
+
+
+def _row_moves(kind: str, qubits: tuple[int, ...]) -> tuple[int, dict]:
+    """GATES[kind] on these qubits, tabulated over the local Paulis: the
+    qubits' bit mask, and a map from a row's masked (x, z) bits to the
+    (x, z) XOR masks and the sign flip."""
+    def spread(local_bits) -> int:
+        return sum(b << q for b, q in zip(local_bits, qubits))
+
+    rule = GATES[kind][1]
+    moves = {}
+    for s in range(1 << 2 * len(qubits)):
+        bits = [s >> t & 1 for t in range(2 * len(qubits))]
+        *out, flip = rule(*bits)
+        x, z = spread(bits[0::2]), spread(bits[1::2])
+        moves[x, z] = (x ^ spread(out[0::2]), z ^ spread(out[1::2]), flip)
+    return sum(1 << q for q in qubits), moves
 
 
 @dataclass(frozen=True)
@@ -75,68 +112,23 @@ class SymbolicTableau:
         # rows[0:n] destabilizers (X_i), rows[n:2n] stabilizers (Z_i)
         self.rows = [_Row(x=1 << i) for i in range(n)] + [_Row(z=1 << i) for i in range(n)]
         self._next_free_bit = 0
+        self._moves: dict[tuple, tuple[int, dict]] = {}  # _row_moves by (kind, qubits)
 
     # -- gates ---------------------------------------------------------
 
-    def h(self, q: int) -> None:
-        bit = 1 << q
+    def gate(self, kind: str, qubits: tuple[int, ...]) -> None:
+        """Conjugate every row by the Clifford gate ``GATES[kind]``."""
+        key = (kind, tuple(qubits))
+        if key not in self._moves:
+            self._moves[key] = _row_moves(*key)
+        support, moves = self._moves[key]
         for row in self.rows:
-            xq, zq = row.x & bit, row.z & bit
-            if xq and zq:
-                row.r ^= 1
-            row.x = (row.x & ~bit) | (zq and bit)
-            row.z = (row.z & ~bit) | (xq and bit)
-
-    def s(self, q: int) -> None:
-        bit = 1 << q
-        for row in self.rows:
-            if row.x & bit:
-                if row.z & bit:
-                    row.r ^= 1
-                row.z ^= bit
-
-    def sdg(self, q: int) -> None:
-        bit = 1 << q
-        for row in self.rows:
-            if row.x & bit:
-                if not row.z & bit:
-                    row.r ^= 1
-                row.z ^= bit
-
-    def x(self, q: int) -> None:
-        bit = 1 << q
-        for row in self.rows:
-            if row.z & bit:
-                row.r ^= 1
-
-    def y(self, q: int) -> None:
-        bit = 1 << q
-        for row in self.rows:
-            if bool(row.x & bit) ^ bool(row.z & bit):
-                row.r ^= 1
-
-    def z(self, q: int) -> None:
-        bit = 1 << q
-        for row in self.rows:
-            if row.x & bit:
-                row.r ^= 1
-
-    def cx(self, c: int, t: int) -> None:
-        cb, tb = 1 << c, 1 << t
-        for row in self.rows:
-            xc, zc = bool(row.x & cb), bool(row.z & cb)
-            xt, zt = bool(row.x & tb), bool(row.z & tb)
-            if xc and zt and not (xt ^ zc):
-                row.r ^= 1
-            if xc:
-                row.x ^= tb
-            if zt:
-                row.z ^= cb
-
-    def cz(self, c: int, t: int) -> None:
-        self.h(t)
-        self.cx(c, t)
-        self.h(t)
+            x, z = row.x & support, row.z & support
+            if x or z:
+                dx, dz, flip = moves[x, z]
+                row.x ^= dx
+                row.z ^= dz
+                row.r ^= flip
 
     # -- measurement and reset ----------------------------------------
 

@@ -185,7 +185,7 @@ def reference_accuracy(model, decoder, v, config):
         model, decoder, config, lambda e, is_log: acc.accumulate(e, is_log, evaluator),
         checkpoint)
     lo, hi = accuracy_bounds(acc)
-    final = (shots + sampled, exhausted) + ((lo, hi) if exhausted else tuple(best))
+    final = (shots + sampled, exhausted) + ((lo, lo) if exhausted else tuple(best))
     return records, final
 
 

@@ -193,3 +193,84 @@ def test_well_definedness_matches_dense_randomization(seed):
             assert parities == {r.value}
         else:
             assert parities == {0, 1}
+
+
+def repetition_memory_text(d: int) -> str:
+    """Repetition-code memory program: d data qubits (0..d-1), d-1
+    ancillas (d..2d-2), d rounds of noisy parity checks.  Each round puts
+    DEPOLARIZE1 on every data qubit and DEPOLARIZE2 after every CX, then
+    XERR, M and R on every ancilla.  Detectors compare an ancilla's
+    outcomes in consecutive rounds (the first round against the reset
+    value); the observable is the final measurement of data qubit 0."""
+    lines = [f"R {q}" for q in range(2 * d - 1)]
+    for r in range(d):
+        lines += [f"DEPOLARIZE1(0.001) {q}" for q in range(d)]
+        for a in range(d - 1):
+            for q in (a, a + 1):
+                lines += [f"CX {q} {d + a}", f"DEPOLARIZE2(0.001) {q} {d + a}"]
+        for a in range(d - 1):
+            lines += [f"XERR(0.001) {d + a}", f"M m{r}_{a} <- {d + a}", f"R {d + a}"]
+    lines += [f"M out{q} <- {q}" for q in range(d)]
+    for r in range(d):
+        for a in range(d - 1):
+            prev = f" m{r - 1}_{a}" if r else ""
+            lines.append(f"DETECTOR m{r}_{a}{prev}")
+    lines.append("OBSERVABLE out0")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_footprints(program, channel, syndromes, observables):
+    """One channel's (detector, observable) masks by pushing its Pauli
+    alone through the statements after it."""
+    from qecbound.frontend import Gate, Measure, Reset
+
+    x = sum(1 << q for q, p in channel.pauli.paulis if p in ("X", "Y"))
+    z = sum(1 << q for q, p in channel.pauli.paulis if p in ("Z", "Y"))
+    flipped = set()
+    for stmt in program.statements[channel.source + 1:]:
+        if isinstance(stmt, Gate):
+            q = stmt.qubits
+            if stmt.kind == "H":
+                bit = 1 << q[0]
+                xb, zb = x & bit, z & bit
+                x = (x & ~bit) | (bit if zb else 0)
+                z = (z & ~bit) | (bit if xb else 0)
+            elif stmt.kind in ("S", "SDG"):
+                if x & 1 << q[0]:
+                    z ^= 1 << q[0]
+            elif stmt.kind == "CX":
+                if x & 1 << q[0]:
+                    x ^= 1 << q[1]
+                if z & 1 << q[1]:
+                    z ^= 1 << q[0]
+            elif stmt.kind == "CZ":
+                xc, xt = x & 1 << q[0], x & 1 << q[1]
+                if xc:
+                    z ^= 1 << q[1]
+                if xt:
+                    z ^= 1 << q[0]
+        elif isinstance(stmt, Reset):
+            x &= ~(1 << stmt.qubit)
+            z &= ~(1 << stmt.qubit)
+        elif isinstance(stmt, Measure) and x & 1 << stmt.qubit:
+            flipped.add(stmt.name)
+
+    def mask(decls):
+        return sum(1 << j for j, d in enumerate(decls)
+                   if sum(name in flipped for name in d.operands) % 2)
+
+    return mask(syndromes), mask(observables)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_circuit_scale_footprints_match_per_channel_frames(d):
+    prog = parse_program(repetition_memory_text(d))
+    model = compile_to_dem(prog)
+    channels = decompose_channels(prog)
+    assert model.n_channels == len(channels) == d * (3 * d + 15 * 2 * (d - 1) + d - 1)
+    assert model.n_detectors == d * (d - 1) and model.n_observables == 1
+    syndromes = [s for s in prog.declarations if s.kind == "syndrome"]
+    observables = [s for s in prog.declarations if s.kind == "observable"]
+    for i, ch in enumerate(channels):
+        assert (model.det_footprints[i], model.obs_footprints[i]) == \
+            _reference_footprints(prog, ch, syndromes, observables)

@@ -2,8 +2,10 @@
 strategy equivalence, trace plumbing."""
 
 import io
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -205,6 +207,41 @@ def test_robustness_exhaustion_oracle(repetition_model):
     assert abs(trace.final["upper"] - expect) < 1e-12
     assert trace.final["witness_vertex"] == [0.011, 0.011, 0.011]
     assert trace.final["exact"] == [True, True]
+
+
+def _exact_logical_rate(model, decoder, v) -> Fraction:
+    from qecbound.errorspace import observable_of, syndrome_of
+
+    total = Fraction(0)
+    for e in range(1 << model.n_channels):
+        if decoder.decode(syndrome_of(model, e)) != observable_of(model, e):
+            term = Fraction(1)
+            for i, p in enumerate(v):
+                term *= Fraction(p) if e >> i & 1 else 1 - Fraction(p)
+            total += term
+    return total
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_exhausted_finals_give_one_exact_value(repetition_program_text, p):
+    """An exhausted run's final summary is one value on both sides, within
+    1 ulp of the exact rational rate, also where 1 - (sum_S - sum_L)
+    keeps too few digits to give it."""
+    model = compile_to_dem(parse_program(repetition_program_text.replace("0.01", repr(p))))
+    v = model.concrete_probabilities()
+    dec = build_ml_decoder(model, v)
+    final = run_accuracy(model, dec, v, RunConfig()).final
+    assert final["exhausted"] and final["lower"] == final["upper"]
+    exact = _exact_logical_rate(model, dec, v)
+    assert abs(Fraction(final["lower"]) - exact) <= math.ulp(float(exact))
+
+    box = Hyperrectangle.scaled(v, 0.9, 1.1)
+    final = run_robustness(model, dec, box, RunConfig(mode="robustness")).final
+    assert final["exhausted"] and final["exact"] == [True, True]
+    assert final["lower"] == final["upper"]
+    worst = max(_exact_logical_rate(model, dec, vertex)
+                for vertex in itertools.product(*zip(box.lower, box.upper)))
+    assert abs(Fraction(final["lower"]) - worst) <= math.ulp(float(worst))
 
 
 def test_robustness_degenerate_box_equals_accuracy(repetition_model):

@@ -27,14 +27,14 @@ def test_fresh_tableau_measures_zero():
 
 def test_x_flips_measurement():
     tab = SymbolicTableau(1)
-    tab.x(0)
+    tab.gate("X", (0,))
     expr = tab.measure(0)
     assert expr.deterministic and expr.const == 1
 
 
 def test_hadamard_randomizes_then_repeat_is_deterministic():
     tab = SymbolicTableau(1)
-    tab.h(0)
+    tab.gate("H", (0,))
     first = tab.measure(0)
     assert not first.deterministic
     second = tab.measure(0)
@@ -43,8 +43,8 @@ def test_hadamard_randomizes_then_repeat_is_deterministic():
 
 def test_bell_pair_correlated_outcomes():
     tab = SymbolicTableau(2)
-    tab.h(0)
-    tab.cx(0, 1)
+    tab.gate("H", (0,))
+    tab.gate("CX", (0, 1))
     a = tab.measure(0)
     b = tab.measure(1)
     assert not a.deterministic
@@ -54,30 +54,30 @@ def test_bell_pair_correlated_outcomes():
 def test_cz_equals_conjugated_cx():
     # CZ on |+>|1> flips the first qubit's X expectation
     tab = SymbolicTableau(2)
-    tab.h(0)
-    tab.x(1)
-    tab.cz(0, 1)
-    tab.h(0)
+    tab.gate("H", (0,))
+    tab.gate("X", (1,))
+    tab.gate("CZ", (0, 1))
+    tab.gate("H", (0,))
     expr = tab.measure(0)
     assert expr.deterministic and expr.const == 1
 
 
 def test_s_gate_period_four():
     tab = SymbolicTableau(1)
-    tab.h(0)
+    tab.gate("H", (0,))
     for _ in range(4):
-        tab.s(0)
-    tab.h(0)
+        tab.gate("S", (0,))
+    tab.gate("H", (0,))
     expr = tab.measure(0)
     assert expr.deterministic and expr.const == 0
 
 
 def test_sdg_inverts_s():
     tab = SymbolicTableau(1)
-    tab.h(0)
-    tab.s(0)
-    tab.sdg(0)
-    tab.h(0)
+    tab.gate("H", (0,))
+    tab.gate("S", (0,))
+    tab.gate("SDG", (0,))
+    tab.gate("H", (0,))
     expr = tab.measure(0)
     assert expr.deterministic and expr.const == 0
 
@@ -85,17 +85,17 @@ def test_sdg_inverts_s():
 def test_hsh_on_one_gives_deterministic_flip():
     # H S S H == H Z H == X
     tab = SymbolicTableau(1)
-    tab.h(0)
-    tab.s(0)
-    tab.s(0)
-    tab.h(0)
+    tab.gate("H", (0,))
+    tab.gate("S", (0,))
+    tab.gate("S", (0,))
+    tab.gate("H", (0,))
     expr = tab.measure(0)
     assert expr.deterministic and expr.const == 1
 
 
 def test_reset_after_hadamard():
     tab = SymbolicTableau(1)
-    tab.h(0)
+    tab.gate("H", (0,))
     tab.reset(0)
     expr = tab.measure(0)
     assert expr.deterministic and expr.const == 0
@@ -108,14 +108,14 @@ def test_validate_after_random_circuit():
         op = rng.integers(6)
         q = int(rng.integers(4))
         if op == 0:
-            tab.h(q)
+            tab.gate("H", (q,))
         elif op == 1:
-            tab.s(q)
+            tab.gate("S", (q,))
         elif op == 2:
-            tab.sdg(q)
+            tab.gate("SDG", (q,))
         elif op == 3:
             a, b = rng.choice(4, size=2, replace=False)
-            tab.cx(int(a), int(b))
+            tab.gate("CX", (int(a), int(b)))
         elif op == 4:
             tab.measure(q)
         else:
@@ -152,12 +152,8 @@ def test_deterministic_outcomes_match_dense_oracle(seed):
     for g, qs in ops:
         if g == "M":
             tab_out.append(tab.measure(qs[0]))
-        elif g == "CX":
-            tab.cx(*qs)
-        elif g == "CZ":
-            tab.cz(*qs)
         else:
-            getattr(tab, g.lower())(qs[0])
+            tab.gate(g, qs)
     tab.validate()
 
     for trial in range(20):
@@ -188,8 +184,8 @@ def test_randomized_outcomes_vary_across_trials(seed):
     rng = np.random.default_rng(seed + 500)
     n = 2
     tab = SymbolicTableau(n)
-    tab.h(0)
-    tab.cx(0, 1)
+    tab.gate("H", (0,))
+    tab.gate("CX", (0, 1))
     expr = tab.measure(0)
     assert not expr.deterministic
     values = set()
