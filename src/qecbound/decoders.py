@@ -38,6 +38,7 @@ from .errorspace import (
     bits_to_str,
     ints_of,
     n_words,
+    row_keys,
     str_to_bits,
     words_of,
 )
@@ -299,20 +300,13 @@ class LogicalErrorClassifier:
     def __init__(self, model: DetectorErrorModel, decoder: Decoder) -> None:
         self.footprints = Footprints(model)
         self.decoder = decoder
-        self._keys = self._key(self.footprints.det[:0])
+        self._keys = row_keys(self.footprints.det[:0])
         self._pred = self.footprints.obs[:0]
-
-    @staticmethod
-    def _key(words: np.ndarray) -> np.ndarray:
-        """One sortable scalar per row of detector words."""
-        if words.shape[1] == 1:
-            return words[:, 0]
-        return np.ascontiguousarray(words).view(f"V{8 * words.shape[1]}")[:, 0]
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         fp = self.footprints
         syn = fp.xor(fp.det, cols)
-        keys, inv = np.unique(self._key(syn), return_inverse=True)
+        keys, inv = np.unique(row_keys(syn), return_inverse=True)
         at = np.searchsorted(self._keys, keys)
         known = at < len(self._keys)
         known[known] = self._keys[at[known]] == keys[known]

@@ -389,6 +389,8 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
         raise ValueError("box dimension must equal the channel count")
     core = _BlockCore(model, decoder, config.plan(), None)
     t0 = time.monotonic()
+    # Vertex search stops here too; a truncated search is flagged inexact.
+    deadline = None if config.time_limit is None else t0 + config.time_limit
     trace = BoundsTrace(header=_header(
         model, config, box={"lower": list(box.lower), "upper": list(box.upper)}))
 
@@ -418,6 +420,7 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
             None if upper_frozen else s_not_l_store,
             box,
             f_max=config.f_max,
+            deadline=deadline,
         )
         lo = max(0.0, rb.lower - FP_MARGIN)
         hi = min(1.0, rb.upper + FP_MARGIN)

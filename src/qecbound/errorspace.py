@@ -313,6 +313,14 @@ def ints_of(words: np.ndarray) -> list[int]:
     return out
 
 
+def row_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable scalar per row of [B, words] uint64 words: the word
+    itself for one word, else the row's bytes as one void scalar."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(f"V{8 * words.shape[1]}")[:, 0]
+
+
 def bits_of(words: np.ndarray, n: int) -> np.ndarray:
     """[B, words] bit sets as [B, n] bool rows."""
     by = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)

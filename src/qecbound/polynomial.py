@@ -16,32 +16,55 @@ code path serves every channel count.  A partial derivative selects the
 rows that hold the variable, signs their coefficients, clears the bit and
 merges rows with equal (pos, neg) by sorting and summing; for minterms the
 matching pairs have equal magnitudes, so the cancellation is exact.
-Substitution scales the rows that hold the variable, clears its bit and
-merges the same way.  `SignedTerm` lists remain the public exchange
-format and are converted to arrays at the public functions; the driver
-hands its minterm stores (`MintermStore`) over directly.
+Substitution fixes a set of variables at once: it scales each row by its
+factors, clears their bits and merges the same way.  `SignedTerm` lists
+remain the public exchange format and are converted to arrays at the
+public functions; the driver hands its minterm stores (`MintermStore`)
+over directly.
+
+Pruning in rounds.  A round bounds every live variable's merged partial
+derivative termwise over the box in one vectorized pass
+(`TermArray.certify`) and fixes every variable whose bound has a certain
+sign (d_lo > 0 or d_hi < 0) in one substitution; rounds repeat until none
+is certified.  Fixing them together is sound: each certificate holds on
+the whole box, so any point can be moved to the certified end of each
+certified variable, one coordinate at a time, without worsening the
+objective.  In exact arithmetic a substituted box end and a merge only
+shrink every later derivative's termwise interval, so the rounds fix a
+superset of the variables that a one-at-a-time sweep fixes, with the
+same choices, and exactness flags can only improve.  The pass needs
+signs, not sums: it adds each variable's terms in any order and trusts
+the sign outside an error bound that covers the summation and the
+rounding of the products (Higham, Accuracy and Stability of Numerical
+Algorithms, 4.2); only a variable inside that bound (or every variable,
+when a product could underflow) takes the per-variable
+`derivative(i).termwise`, so the decisions equal that reference's.  The
+pass works on chunks of rows of at most _VERTEX_BLOCK // 16 (variable,
+row) values; across chunks it keeps one bit set per row and one partner
+coefficient per positive literal.
 
 Summation.  Per-term products multiply their factors in variable order.
 Termwise bounds and point evaluations sum the terms with `math.fsum`
 (correctly rounded); vertex search sums terms in row order.
 
-Truncation.  When more than f_max free variables survive pruning, vertex
-search is skipped and the result is flagged inexact: `maximize` and
-`minimize` return the value at a feasible vertex (free variables at their
-upper, resp. lower, ends).  That value cannot exceed the maximum, so it
-stays a sound lower side, but it can exceed the minimum.
-`robustness_bounds` therefore takes the termwise lower bound of the
-terms that survive pruning as the minimum, so `1 - min p_{S\\L}` stays a
-sound upper bound.
+Truncation.  When more than f_max free variables survive pruning, or a
+deadline passes during vertex search, the search is skipped or stopped
+and the result is flagged inexact: `maximize` and `minimize` return the
+value at a feasible vertex (free variables at their upper, resp. lower,
+ends).  That value cannot exceed the maximum, so it stays a sound lower
+side, but it can exceed the minimum.  `robustness_bounds` therefore takes
+the termwise lower bound of the terms that survive pruning as the
+minimum, so `1 - min p_{S\\L}` stays a sound upper bound.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 # Package module before numpy; see the note in decoders.py.
-from .errorspace import bits_of as _bits_of, n_words as _n_words, words_of as _words_of
+from .errorspace import bits_of as _bits_of, n_words as _n_words, row_keys, words_of as _words_of
 
 import numpy as np
 
@@ -220,6 +243,27 @@ def _bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(_bits_of(words, n).T)
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of [width, rows] working arrays: at most
+    _VERTEX_BLOCK // 16 values each, so the handful of them a chunk needs
+    stay well within one vertex-search block."""
+    return max(1, _VERTEX_BLOCK // (16 * width))
+
+
+def _others(f: np.ndarray) -> np.ndarray:
+    """Row k of the result is prod_{j != k} f[j], as a prefix times a
+    suffix product (no division: a factor may be 0).  Overwrites f."""
+    if len(f) == 1:
+        f[0] = 1.0
+        return f
+    pre = np.multiply.accumulate(f[:-1], axis=0)  # pre[j] = f[0] ... f[j]
+    suf = np.multiply.accumulate(f[:0:-1], axis=0)[::-1]  # suf[j] = f[j+1] ... f[-1]
+    f[0] = suf[0]
+    f[-1] = pre[-1]
+    np.multiply(pre[:-1], suf[1:], out=f[1:-1])
+    return f
+
+
 def _products(p_bits, n_bits, p_factor, n_factor) -> np.ndarray:
     """Per row: p_factor[i] for each positive and n_factor[i] for each
     negative literal, multiplied in variable order."""
@@ -320,14 +364,120 @@ class TermArray:
         neg[:, w] &= ~bit
         return TermArray(coef, pos, neg).merged()
 
-    def substitute(self, var: int, value: float) -> "TermArray":
-        """Fix x_var = value, merged."""
-        w, bit, p, q = self._holding(var)
-        coef = self.coef * np.where(p, value, np.where(q, 1.0 - value, 1.0))
-        pos, neg = self.pos.copy(), self.neg.copy()
-        pos[:, w] &= ~bit
-        neg[:, w] &= ~bit
-        return TermArray(coef, pos, neg).merged()
+    def substitute(self, values: dict[int, float]) -> "TermArray":
+        """Fix x_var = value for every (var, value) in `values`, merged.
+        Each row's coefficient is multiplied by its factors in variable
+        order."""
+        fixed = sorted(values)
+        v = np.array([values[var] for var in fixed])[:, None]
+        n = fixed[-1] + 1
+        coef = np.empty(len(self))
+        rows = _chunk_rows(len(fixed) + 1)
+        for r0 in range(0, len(self), rows):
+            r1 = min(r0 + rows, len(self))
+            # row 0 is the coefficient, so the reduction multiplies it by
+            # the factors one after another
+            f = np.empty((len(fixed) + 1, r1 - r0))
+            f[0] = self.coef[r0:r1]
+            p, q = _bits(self.pos[r0:r1], n)[fixed], _bits(self.neg[r0:r1], n)[fixed]
+            f[1:] = np.where(p, v, np.where(q, 1.0 - v, 1.0))
+            coef[r0:r1] = np.multiply.reduce(f, axis=0)
+        clear = ~_words_of([sum(1 << var for var in fixed)], self.pos.shape[1])
+        return TermArray(coef, self.pos & clear, self.neg & clear).merged()
+
+    def certify(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Signs of every live variable's derivative bounds, in one pass.
+
+        Returns (variables, lo_sign, hi_sign): the sorted variables that
+        occur in some row and, for each, the signs (-1, 0 or 1) of d_lo and
+        d_hi in `self.derivative(var).termwise(lo, hi)`.  Rows must be
+        merged (no (pos, neg) twice).
+
+        Each row's product of its other factors at the box ends is a prefix
+        times a suffix product along the variables (no division: a factor
+        may be 0).  Per variable the values are added in any order, and the
+        sign of the sum s is trusted where |s| > gamma_m * sum|x| with
+        m = 2 (T + V + 2) for T rows and V live variables: that bounds the
+        summation error plus the rounding by which these products differ
+        from the reference's (Higham, section 4.2), so the sign is that of
+        the reference's correctly rounded `math.fsum`.  A variable in doubt,
+        and every variable when a product could underflow, takes the
+        reference itself.  Rows go in chunks of `_chunk_rows` rows."""
+        live = np.array(self.variables(), dtype=np.intp)
+        if not live.size:
+            return live, live, live
+        n = int(live[-1]) + 1
+        rows = _chunk_rows(n)
+        chunks = range(0, len(self), rows)
+        mate, partner_coef = self._partners(rows, n)
+        l_lo, l_hi = lo[live][:, None], hi[live][:, None]
+        sums = np.zeros((2, live.size))  # d_lo, d_hi
+        mags = np.zeros((2, live.size))  # sums of |term|
+        for r0, p_coef in zip(chunks, partner_coef):
+            p = _bits(self.pos[r0:r0 + rows], n)[live]
+            q = _bits(self.neg[r0:r0 + rows], n)[live]
+            lone = q & ~_bits(mate[r0:r0 + rows], n)[live]
+            c = self.coef[r0:r0 + rows]
+            # merged derivative coefficients: c_p - c_q at x_var, -c_q at a
+            # 1 - x_var without partner, 0 at one with a partner
+            d = np.where(p, c, np.where(lone, -c, 0.0))
+            d.T[p.T] -= p_coef
+            at_max = _others(np.where(p, l_hi, np.where(q, 1.0 - l_lo, 1.0)))
+            at_min = _others(np.where(p, l_lo, np.where(q, 1.0 - l_hi, 1.0)))
+            negative = d < 0.0
+            for side, (a, b) in enumerate(((at_min, at_max), (at_max, at_min))):
+                val = np.where(negative, b, a)
+                val *= d
+                sums[side] += val.sum(axis=1)
+                np.abs(val, out=val)
+                mags[side] += val.sum(axis=1)
+
+        m = 2 * (len(self) + live.size + 2)
+        u = np.finfo(float).eps / 2
+        doubt = ((np.abs(sums) <= m * u / (1.0 - m * u) * mags) & (mags > 0.0)).any(axis=0)
+        # A product of other factors is at least the product of every
+        # variable's smallest nonzero factor, and a nonzero derivative
+        # coefficient at least the smallest |coefficient| times 2^-53.
+        ends = np.concatenate((l_lo, l_hi, 1.0 - l_lo, 1.0 - l_hi), axis=1)
+        floor = np.log2(np.where(ends > 0.0, ends, 1.0).min(axis=1)).sum()
+        if floor + np.log2(np.abs(self.coef).min()) - 53 < -1000:
+            doubt[:] = True
+        signs = np.sign(sums)
+        for k in np.flatnonzero(doubt):
+            signs[:, k] = np.sign(self.derivative(int(live[k])).termwise(lo, hi))
+        return live, signs[0], signs[1]
+
+    def _partners(self, rows: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Matching rows for `certify`, chunk by chunk.  A row holding x_var
+        merges in d/dx_var with its partner: the row with the same other
+        literals and 1 - x_var.  Returns bit sets with bit var set in each
+        row that is the partner of some row at var, and per chunk the
+        partner coefficients (0 without partner) of the positive literals
+        in row-major order."""
+        w_count = self.pos.shape[1]
+        keys = row_keys(np.hstack((self.pos, self.neg)))
+        order = np.argsort(keys)
+        keys = keys[order]
+        mate = np.zeros_like(self.pos)
+        partner_coef = []
+        for r0 in range(0, len(self), rows):
+            t, var = np.nonzero(_bits_of(self.pos[r0:r0 + rows], n))
+            t += r0
+            w = var // 64
+            bit = np.left_shift(np.uint64(1), (var % 64).astype(np.uint64))
+            query = np.hstack((self.pos[t], self.neg[t]))
+            k = np.arange(t.size)
+            query[k, w] ^= bit
+            query[k, w_count + w] ^= bit
+            query = row_keys(query)
+            at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+            hit = keys[at] == query
+            q = order[at[hit]]
+            np.bitwise_or.at(mate, (q, w[hit]), bit[hit])
+            coef = np.zeros(t.size)
+            coef[hit] = self.coef[q]
+            partner_coef.append(coef)
+        return mate, partner_coef
 
     def termwise(self, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
         """Sound interval for the sum over the box [lo, hi]: the sum of
@@ -351,10 +501,12 @@ class TermArray:
         prods = _products(_bits(self.pos, x.size), _bits(self.neg, x.size), x, 1.0 - x)
         return math.fsum((self.coef * prods).tolist())
 
-    def vertex_values(self, lo: np.ndarray, hi: np.ndarray, free: list[int]) -> np.ndarray:
+    def vertex_values(self, lo: np.ndarray, hi: np.ndarray, free: list[int],
+                      deadline: float | None = None) -> np.ndarray | None:
         """Values at all 2^len(free) vertices; bit j of a vertex's index
         puts free[j] at its upper end.  Every variable of the rows must be
-        in `free`."""
+        in `free`.  None when `deadline` (a `time.monotonic()` value) has
+        passed before a chunk of _VERTEX_CHUNK vertices starts."""
         f = len(free)
         n = max(free) + 1
         p_bits, n_bits = _bits(self.pos, n)[free], _bits(self.neg, n)[free]
@@ -367,6 +519,8 @@ class TermArray:
         rows = max(1, _VERTEX_BLOCK // chunk)
         total = np.zeros(n_vert)
         for v0 in range(0, n_vert, chunk):
+            if deadline is not None and time.monotonic() > deadline:
+                return None
             idx = np.arange(v0, min(v0 + chunk, n_vert))
             up = [((idx >> j) & 1).astype(bool) for j in range(f)]
             for r0 in range(0, len(self), rows):
@@ -451,38 +605,38 @@ class OptimizationResult:
     exact: bool
 
 
-def _optimize(terms: TermArray, box: Hyperrectangle, sense: int,
-              f_max: int) -> tuple[OptimizationResult, TermArray]:
+def _optimize(terms: TermArray, box: Hyperrectangle, sense: int, f_max: int,
+              deadline: float | None = None) -> tuple[OptimizationResult, TermArray]:
     """sense=+1 maximizes, sense=-1 minimizes.  Also returns the terms left
-    after pruning, whose free variables the vertex search covered."""
-    n = box.n
+    after pruning, whose free variables the vertex search covered.
+
+    Pruning runs in rounds (see the module docstring for why it is sound):
+    one `certify` pass over the live variables, then one substitution of
+    every certified variable at its better end, until a pass certifies
+    none.  Vertex search stops at `deadline` (see `vertex_values`) and then
+    takes the truncation path."""
     lo, hi = _box_arrays(box)
     terms = terms.merged()
     fixed: dict[int, float] = {}
-    # Repeat the pruning sweep while it makes progress: substitutions can
-    # unlock further sign certificates.
-    progress = True
-    while progress:
-        progress = False
-        for i in terms.variables():
-            d_lo, d_hi = terms.derivative(i).termwise(lo, hi)
-            if d_lo > 0.0:
-                choice = box.upper[i] if sense > 0 else box.lower[i]
-            elif d_hi < 0.0:
-                choice = box.lower[i] if sense > 0 else box.upper[i]
-            else:
-                continue
-            fixed[i] = choice
-            terms = terms.substitute(i, choice)
-            progress = True
+    # the better end of a variable whose derivative is > 0, resp. < 0
+    rising, falling = (box.upper, box.lower) if sense > 0 else (box.lower, box.upper)
+    while True:
+        live, lo_sign, hi_sign = terms.certify(lo, hi)
+        up, down = lo_sign > 0, hi_sign < 0
+        if not (up.any() or down.any()):
+            break
+        choice = {var: rising[var] for var in live[up].tolist()}
+        choice.update((var, falling[var]) for var in live[down].tolist())
+        fixed.update(choice)
+        terms = terms.substitute(choice)
 
-    free = terms.variables()
+    free = live.tolist()
+    vals = terms.vertex_values(lo, hi, free, deadline) if free and len(free) <= f_max else None
     exact = True
     if not free:
         # no variables left: at most one constant row
         value = float(terms.coef.sum())
-    elif len(free) <= f_max:
-        vals = terms.vertex_values(lo, hi, free)
+    elif vals is not None:
         best = int(np.argmax(vals) if sense > 0 else np.argmin(vals))
         value = float(vals[best])
         for j, var in enumerate(free):
@@ -492,9 +646,9 @@ def _optimize(terms: TermArray, box: Hyperrectangle, sense: int,
         exact = False
         for var in free:
             fixed[var] = box.upper[var] if sense > 0 else box.lower[var]
-        value = terms.evaluate([fixed.get(i, box.lower[i]) for i in range(n)])
+        value = terms.evaluate([fixed.get(i, box.lower[i]) for i in range(box.n)])
 
-    vertex = tuple(fixed.get(i, box.lower[i]) for i in range(n))
+    vertex = tuple(fixed.get(i, box.lower[i]) for i in range(box.n))
     return OptimizationResult(vertex, value, exact), terms
 
 
@@ -520,19 +674,21 @@ class RobustnessBounds:
 
 
 def robustness_bounds(l_terms, s_not_l_terms, box: Hyperrectangle,
-                      f_max: int = F_MAX_DEFAULT) -> RobustnessBounds:
+                      f_max: int = F_MAX_DEFAULT, *,
+                      deadline: float | None = None) -> RobustnessBounds:
     """Sound bounds on the worst-case rate over the box:
     max p_{L&S} <= max p_L <= 1 - min p_{S\\L}.
 
     Each side is a sequence of SignedTerm or a MintermStore.  When vertex
     search is truncated on the S\\L side, the termwise lower bound of the
-    terms left after pruning stands in for its minimum.  With
-    `s_not_l_terms` None the upper side is not optimized and is reported as
-    the trivial bound 1, flagged inexact.
+    terms left after pruning stands in for its minimum.  Vertex search on
+    either side is also truncated once `deadline` (a `time.monotonic()`
+    value) has passed.  With `s_not_l_terms` None the upper side is not
+    optimized and is reported as the trivial bound 1, flagged inexact.
     """
-    lo = maximize(l_terms, box, f_max)
+    lo = _optimize(_as_terms(l_terms, box.n), box, +1, f_max, deadline)[0]
     if s_not_l_terms is None:
         return RobustnessBounds(lo.value, 1.0, lo.exact, False, lo.vertex)
-    hi, rest = _optimize(_as_terms(s_not_l_terms, box.n), box, -1, f_max)
+    hi, rest = _optimize(_as_terms(s_not_l_terms, box.n), box, -1, f_max, deadline)
     s_min = hi.value if hi.exact else rest.termwise(*_box_arrays(box))[0]
     return RobustnessBounds(lo.value, 1.0 - s_min, lo.exact, hi.exact, lo.vertex)

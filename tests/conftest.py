@@ -10,7 +10,9 @@ the program AST.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,21 @@ DETECTOR s1
 DETECTOR s2
 OBSERVABLE out
 """
+
+
+@pytest.fixture(scope="session", autouse=True)
+def children_import_checkout():
+    """Put this checkout's `src` first on PYTHONPATH for the session, so
+    that child processes (`python -m qecbound.cli serve-ml ...`) import
+    the package under test without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    old = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = src if not old else os.pathsep.join((src, old))
+    yield
+    if old is None:
+        del os.environ["PYTHONPATH"]
+    else:
+        os.environ["PYTHONPATH"] = old
 
 
 @pytest.fixture
