@@ -29,7 +29,8 @@ from .decoders import (
     serve,
 )
 from .driver import RunConfig, emit_trace, run_accuracy, run_robustness
-from .frontend import ParseError, parse_program, parse_symbolic_program
+from .errorspace import STRATEGIES
+from .frontend import ParseError, parse_symbolic_program
 from .polynomial import Hyperrectangle
 
 
@@ -47,31 +48,28 @@ def load_model(path: str) -> DetectorErrorModel:
         return parse_dem(text)
     except DemParseError:
         pass
-    return compile_to_dem(_parse_any_program(text))
-
-
-def _parse_any_program(text: str):
-    """Parse a program with concrete rates, or else one with symbolic rates."""
-    try:
-        return parse_program(text)
-    except ParseError:
-        return parse_symbolic_program(text)
+    return compile_to_dem(parse_symbolic_program(text))
 
 
 def _parse_box(args, model: DetectorErrorModel) -> Hyperrectangle:
     if args.box_file:
-        lines = [
-            ln.split("#", 1)[0].strip()
-            for ln in _read(args.box_file).splitlines()
-        ]
-        rows = [ln.split() for ln in lines if ln]
+        rows = []
+        for i, ln in enumerate(_read(args.box_file).splitlines(), 1):
+            fields = ln.split("#", 1)[0].split()
+            if not fields:
+                continue
+            try:
+                lo, hi = map(float, fields)  # exactly two numbers
+            except ValueError:
+                raise SystemExit(
+                    f"box file line {i}: expected two numbers 'lo hi', got {ln.strip()!r}"
+                ) from None
+            rows.append((lo, hi))
         if len(rows) != model.n_channels:
             raise SystemExit(
                 f"box file has {len(rows)} rows, model has {model.n_channels} channels"
             )
-        lo = tuple(float(r[0]) for r in rows)
-        hi = tuple(float(r[1]) for r in rows)
-        return Hyperrectangle(lo, hi)
+        return Hyperrectangle(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
     if args.box_scale:
         lo_s, hi_s = (float(t) for t in args.box_scale.split(","))
         return Hyperrectangle.scaled(model.concrete_probabilities(), lo_s, hi_s)
@@ -93,11 +91,7 @@ def _build_decoder(choice: str, model: DetectorErrorModel, v):
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", help="DEM file or program file ('-' for stdin)")
     p.add_argument("--decoder", default="ml", help="ml | greedy | exec:<command>")
-    p.add_argument(
-        "--strategy",
-        default="hamming",
-        choices=["hamming", "split", "local-flip", "local-shift", "local-both"],
-    )
+    p.add_argument("--strategy", default="hamming", choices=STRATEGIES)
     p.add_argument("--distance", type=int, default=None, help="distance ansatz for split")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-shots", type=int, default=None)
@@ -168,7 +162,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "compile":
-        out = write_symbolic_dem(compile_to_dem(_parse_any_program(_read(args.program))))
+        out = write_symbolic_dem(compile_to_dem(parse_symbolic_program(_read(args.program))))
         if args.output:
             with open(args.output, "w") as f:
                 f.write(out)
@@ -177,7 +171,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check":
-        report = check_well_defined(_parse_any_program(_read(args.program)))
+        report = check_well_defined(parse_symbolic_program(_read(args.program)))
         for r in report.declarations:
             label = f"{r.declaration.kind} {' '.join(r.declaration.operands)}"
             if r.deterministic:

@@ -13,17 +13,20 @@ sends the unique syndromes it has not seen to one `decode_batch` call.
 Blocks end at the geometric shot checkpoints (1, 2, 4, ...) and after at
 most `BLOCK_ROWS` rows, so a time limit is overrun by at most one block.
 
-Each mode has its own sink: Kahan-compensated accumulators fed in visit
-order (accuracy), or the two minterm stores (robustness).  Bounds refresh
-at every checkpoint, plus a final checkpoint when enumeration advanced
-past the last one; each record carries the declared floating-point
-soundness margin except the exact final record of an exhausted run.
+Both modes run one checkpoint loop, `_checkpoints`: it feeds each block
+to the mode's sink (Kahan-compensated accumulators in visit order, or the
+two minterm stores) and yields at 1, 2, 4, ... shots and at the end.
+`_sound_record` widens each checkpoint's bounds by the floating-point
+margin and clamps them into the previous sound record, so sound records
+never widen; the final summary is the last one, or an exhausted run's
+exact value.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,6 +36,7 @@ import numpy as np
 from .compiler import DetectorErrorModel, write_symbolic_dem
 from .decoders import Decoder, LogicalErrorClassifier
 from .errorspace import (
+    STRATEGIES,
     EnumerationPlan,
     VisitedSet,
     VisitOrder,
@@ -82,8 +86,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("accuracy", "robustness"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
+        if self.sample_count < 0:
+            raise ValueError("sample_count must be >= 0")
         if self.mode == "robustness" and self.sample_count:
             raise ValueError("sampling is supported in accuracy mode only")
+        if self.sample_count and not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
 
     def plan(self) -> EnumerationPlan:
         return EnumerationPlan(self.strategy, self.worker_count, self.distance_ansatz)
@@ -179,6 +189,7 @@ class _BlockCore:
         self.cursor = 0  # rows[:cursor] are visited
         self.ints: list[int] = []
         self.flags: list[bool] = []
+        self.exhausted = False  # next_block found the space used up
 
     def evaluate(self, supp: np.ndarray) -> _Rows:
         """Evaluate padded support rows."""
@@ -196,6 +207,7 @@ class _BlockCore:
         if not self.moves:
             supp = self.order.take(limit)
             if not len(supp):
+                self.exhausted = True
                 return None
             self.visited.set_prefix(*self.order.spans())
             return self.evaluate(supp)
@@ -203,6 +215,7 @@ class _BlockCore:
             self.base = self.order.spans()[0]
             supp = self.order.take(limit)
             if not len(supp):
+                self.exhausted = True
                 return None
             self.rows, self.cursor = self.evaluate(supp), 0
             self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
@@ -265,43 +278,51 @@ class _BlockCore:
         return sorted(neighbors)
 
 
-def _enumerate(core: _BlockCore, config: RunConfig, t0: float, sink,
-               checkpoint) -> tuple[int, bool]:
-    """Feed the visit order to `sink` in blocks, calling `checkpoint` at 1,
-    2, 4, ... enumerated shots and, when enumeration advanced past the last
-    one, at the end.  Returns the enumerated shots and whether the space
-    was exhausted."""
-    shots = 0
-    cp_shots = None  # shots at the last checkpoint
-    next_cp = 1
-    exhausted = False
-    while True:
-        limit = min(BLOCK_ROWS, next_cp - shots)
-        if config.max_shots is not None:
-            if shots >= config.max_shots:
-                break
-            limit = min(limit, config.max_shots - shots)
-        if config.time_limit is not None and time.monotonic() - t0 > config.time_limit:
-            break
-        rows = core.next_block(limit)
+def _checkpoints(core: _BlockCore, config: RunConfig, t0: float, sink):
+    """Feed the visit order to `sink` in blocks, yielding the enumerated
+    shots at 1, 2, 4, ... and, when enumeration advanced past the last
+    checkpoint, once more at the end.  Afterwards `core.exhausted` tells
+    whether the space ran out before `max_shots` or the time limit."""
+    max_shots = math.inf if config.max_shots is None else config.max_shots
+    time_limit = math.inf if config.time_limit is None else config.time_limit
+    shots, next_cp = 0, 1
+    while shots < max_shots and time.monotonic() - t0 <= time_limit:
+        rows = core.next_block(min(BLOCK_ROWS, next_cp - shots, max_shots - shots))
         if rows is None:
-            exhausted = True
             break
         sink(rows)
         shots += len(rows)
         if shots == next_cp:
-            checkpoint(shots)
-            cp_shots = shots
+            yield shots
             next_cp *= 2
-    if shots != cp_shots:
-        checkpoint(shots)
-    return shots, exhausted
+    if 2 * shots != next_cp:
+        yield shots
 
 
-def _sound_record(shots: int, lower: float, upper: float, t0: float) -> TraceRecord:
-    lower = max(0.0, lower - FP_MARGIN)
-    upper = min(1.0, upper + FP_MARGIN)
-    return TraceRecord(shots, lower, upper, True, time.monotonic() - t0)
+def _sound_record(trace: BoundsTrace, shots: int, lower: float, upper: float, t0: float,
+                  **exact) -> bool:
+    """Append the sound record for the bounds [lower, upper]: widened by the
+    floating-point margin, then clamped into the previous sound record, so
+    no sound record is wider than the one before.  Returns whether the
+    widened lower bound is not below the previous one."""
+    lower, upper = max(0.0, lower - FP_MARGIN), min(1.0, upper + FP_MARGIN)
+    sound = trace.sound_records
+    prev_lower, prev_upper = (sound[-1].lower, sound[-1].upper) if sound else (0.0, 1.0)
+    trace.records.append(TraceRecord(shots, max(prev_lower, lower), min(prev_upper, upper),
+                                     True, time.monotonic() - t0, **exact))
+    return lower >= prev_lower
+
+
+def _finish(trace: BoundsTrace, shots: int, exhausted: bool, value: float | None,
+            **extra) -> BoundsTrace:
+    """Set the final summary: the exact value on both sides when there is
+    one (no soundness margin applied), else the last sound record.  At
+    exhaustion it is not taken as 1 - (sum_S - sum_L), which keeps only
+    about 16 absolute digits of a small rate."""
+    rec = trace.sound_records[-1]
+    lo, hi = (rec.lower, rec.upper) if value is None else (value, value)
+    trace.final = {"shots": shots, "exhausted": exhausted, "lower": lo, "upper": hi, **extra}
+    return trace
 
 
 def _header(model: DetectorErrorModel, config: RunConfig, **extra) -> dict:
@@ -319,60 +340,38 @@ def _header(model: DetectorErrorModel, config: RunConfig, **extra) -> dict:
 def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
                  config: RunConfig) -> BoundsTrace:
     """Bound the logical error rate at the concrete point v."""
+    if config.mode != "accuracy":
+        raise ValueError(f"run_accuracy needs mode 'accuracy', not {config.mode!r}")
     v = tuple(float(x) for x in v)
     evaluator = MintermEvaluator(v)  # validates v in (0,1)^n
     core = _BlockCore(model, decoder, config.plan(), evaluator)
-    visited = core.visited
     acc = BoundAccumulators()
     # Made only when sampling: the generator costs megabytes of RSS.
     rng = np.random.default_rng(config.seed) if config.sample_count else None
     t0 = time.monotonic()
     trace = BoundsTrace(header=_header(model, config))
-    shots = 0  # enumerated plus sampled
-    best_lower, best_upper = 0.0, 1.0
+    sampled = 0
 
     def sink(rows: _Rows) -> None:
-        nonlocal shots
         acc.accumulate_block(rows.prob, rows.logical)
-        shots += len(rows)
 
-    def checkpoint(enum_shots: int) -> None:
-        nonlocal shots, best_lower, best_upper
-        lo, hi = accuracy_bounds(acc)
-        rec = _sound_record(shots, lo, hi, t0)
-        best_lower = max(best_lower, rec.lower)
-        best_upper = min(best_upper, rec.upper)
-        rec = TraceRecord(rec.shots, best_lower, best_upper, True, rec.elapsed_s)
-        trace.records.append(rec)
-        if config.sample_count and not visited.covers_all:
-            try:
-                samples = sample_unseen_batch(v, visited, rng, config.sample_count)
-            except RejectionGuardExceeded:
-                return
-            hits = int(np.count_nonzero(core.evaluate_masks(samples).logical))
-            shots += len(samples)
-            ci = kl_confidence_interval(hits / len(samples), len(samples), config.alpha)
-            plo, phi, alpha = probabilistic_bounds(acc, ci)
-            trace.records.append(
-                TraceRecord(shots, plo, phi, False, time.monotonic() - t0, alpha=alpha)
-            )
-
-    _, exhausted = _enumerate(core, config, t0, sink, checkpoint)
-    # At exhaustion sum_L is the exact rate (no soundness margin applied)
-    # and gives both sides: 1 - (sum_S - sum_L) would keep only about 16
-    # absolute digits of it.
-    if exhausted:
-        lo = acc.sum_l.total
-        trace.final = {"shots": shots, "exhausted": True, "lower": lo, "upper": lo}
-    else:
-        rec = trace.sound_records[-1]
-        trace.final = {
-            "shots": shots,
-            "exhausted": False,
-            "lower": rec.lower,
-            "upper": rec.upper,
-        }
-    return trace
+    for shots in _checkpoints(core, config, t0, sink):
+        _sound_record(trace, shots + sampled, *accuracy_bounds(acc), t0)
+        if not config.sample_count or core.visited.covers_all:
+            continue
+        try:
+            samples = sample_unseen_batch(v, core.visited, rng, config.sample_count)
+        except RejectionGuardExceeded:
+            continue
+        hits = int(np.count_nonzero(core.evaluate_masks(samples).logical))
+        sampled += len(samples)
+        ci = kl_confidence_interval(hits / len(samples), len(samples), config.alpha)
+        plo, phi, alpha = probabilistic_bounds(acc, ci)
+        trace.records.append(TraceRecord(shots + sampled, plo, phi, False,
+                                         time.monotonic() - t0, alpha=alpha))
+    # At exhaustion sum_L is the exact rate.
+    return _finish(trace, shots + sampled, core.exhausted,
+                   acc.sum_l.total if core.exhausted else None)
 
 
 def run_robustness(model: DetectorErrorModel, decoder: Decoder,
@@ -384,6 +383,8 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
     past the term cap the upper-bound side freezes at its last sound value
     while lower bounds keep refining.
     """
+    if config.mode != "robustness":
+        raise ValueError(f"run_robustness needs mode 'robustness', not {config.mode!r}")
     n = model.n_channels
     if box.n != n:
         raise ValueError("box dimension must equal the channel count")
@@ -393,63 +394,24 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
     deadline = None if config.time_limit is None else t0 + config.time_limit
     trace = BoundsTrace(header=_header(
         model, config, box={"lower": list(box.lower), "upper": list(box.upper)}))
-
     l_store = MintermStore(n)
     s_not_l_store = MintermStore(n)
-    upper_frozen = False
-    rb = None  # optimizer result of the last checkpoint
-    best_lower, best_upper = 0.0, 1.0
     witness: tuple[float, ...] | None = None
-    lower_exact = upper_exact = True
 
     def sink(rows: _Rows) -> None:
-        nonlocal upper_frozen
         l_store.extend(rows.masks[rows.logical])
-        rest = rows.masks[~rows.logical]
-        room = config.term_cap - len(s_not_l_store)
-        if len(rest) > room:
-            upper_frozen = True
-            rest = rest[:room]
-        s_not_l_store.extend(rest)
+        s_not_l_store.extend(rows.masks[~rows.logical][:config.term_cap - len(s_not_l_store)])
 
-    def checkpoint(shots: int) -> None:
-        nonlocal rb, best_lower, best_upper, witness, lower_exact, upper_exact
-        # A frozen upper side keeps its last sound value: skip its optimization.
-        rb = robustness_bounds(
-            l_store,
-            None if upper_frozen else s_not_l_store,
-            box,
-            f_max=config.f_max,
-            deadline=deadline,
-        )
-        lo = max(0.0, rb.lower - FP_MARGIN)
-        hi = min(1.0, rb.upper + FP_MARGIN)
-        if lo >= best_lower:
-            best_lower = lo
+    for shots in _checkpoints(core, config, t0, sink):
+        # Every string went to one store: S-minus-L dropped some past the cap.
+        frozen = shots - len(l_store) > config.term_cap
+        rb = robustness_bounds(l_store, None if frozen else s_not_l_store, box,
+                               f_max=config.f_max, deadline=deadline)
+        if _sound_record(trace, shots, rb.lower, rb.upper, t0,
+                         lower_exact=rb.lower_exact, upper_exact=rb.upper_exact):
             witness = rb.witness_vertex
-        if not upper_frozen:
-            best_upper = min(best_upper, hi)
-        lower_exact, upper_exact = rb.lower_exact, rb.upper_exact and not upper_frozen
-        trace.records.append(
-            TraceRecord(shots, best_lower, best_upper, True, time.monotonic() - t0,
-                        lower_exact=lower_exact, upper_exact=upper_exact)
-        )
-
-    shots, exhausted = _enumerate(core, config, t0, sink, checkpoint)
-    # On exhaustion with exact optimization the raw maximum of p_L is the
-    # true worst-case rate and gives both sides (the upper side's
-    # 1 - (S - L) form loses relative precision at low rates).
-    if exhausted and rb.lower_exact and rb.upper_exact and not upper_frozen:
-        lo = hi = rb.lower
-    else:
-        lo, hi = best_lower, best_upper
-    trace.final = {
-        "shots": shots,
-        "exhausted": exhausted,
-        "lower": lo,
-        "upper": hi,
-        "witness_vertex": list(witness) if witness is not None else None,
-        "exact": [lower_exact, upper_exact],
-        "upper_frozen": upper_frozen,
-    }
-    return trace
+    # Exhausted with exact optimization, the maximum of p_L is the worst-case rate.
+    exact = core.exhausted and rb.lower_exact and rb.upper_exact
+    return _finish(trace, shots, core.exhausted, rb.lower if exact else None,
+                   witness_vertex=None if witness is None else list(witness),
+                   exact=[rb.lower_exact, rb.upper_exact], upper_frozen=frozen)

@@ -136,9 +136,12 @@ class WeightOrderCursor:
         return mask
 
 
+STRATEGIES = ("hamming", "split", "local-flip", "local-shift", "local-both")
+
+
 @dataclass(frozen=True)
 class EnumerationPlan:
-    strategy: str = "hamming"  # hamming | split | local-flip | local-shift | local-both
+    strategy: str = "hamming"  # one of STRATEGIES
     worker_count: int = 1
     distance_ansatz: int | None = None  # required for split
 

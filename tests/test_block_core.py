@@ -206,6 +206,46 @@ def reference_robustness(model, decoder, box, config):
     return records
 
 
+def reference_robustness_final(model, decoder, box, config):
+    """The final summary from the per-checkpoint `robustness_bounds` of the
+    per-shot walk.  Correctly decoded strings past the term cap are
+    dropped; once any were, the upper side gets None and so stays at its
+    last sound value."""
+    n = model.n_channels
+    l_store, s_store = MintermStore(n), MintermStore(n)
+    best = [0.0, 1.0]
+    dropped, witness, rb = False, None, None
+
+    def visit(e, is_log):
+        nonlocal dropped
+        if is_log:
+            l_store.append(e)
+        elif len(s_store) < config.term_cap:
+            s_store.append(e)
+        else:
+            dropped = True
+
+    def checkpoint(shots, visited):
+        nonlocal witness, rb
+        rb = robustness_bounds(l_store, None if dropped else s_store, box, f_max=config.f_max)
+        lo = max(0.0, rb.lower - FP_MARGIN)
+        if lo >= best[0]:
+            best[0], witness = lo, rb.witness_vertex
+        best[1] = min(best[1], min(1.0, rb.upper + FP_MARGIN))
+
+    shots, exhausted = _reference_walk(model, decoder, config, visit, checkpoint)
+    exact = exhausted and rb.lower_exact and rb.upper_exact
+    return {
+        "shots": shots,
+        "exhausted": exhausted,
+        "lower": rb.lower if exact else best[0],
+        "upper": rb.lower if exact else best[1],
+        "witness_vertex": None if witness is None else list(witness),
+        "exact": [rb.lower_exact, rb.upper_exact],
+        "upper_frozen": dropped,
+    }
+
+
 def _strip(trace):
     return [(r.shots, r.lower, r.upper, r.sound) for r in trace.records]
 
@@ -293,6 +333,29 @@ def test_robustness_records_match_per_shot_reference(strategy, distance, workers
         got.append((shots, lo, hi, lo_exact, hi_exact))
     assert [(r.shots, r.lower, r.upper, r.lower_exact, r.upper_exact)
             for r in trace.records] == got
+
+
+# Rates scaled by 1e-12 keep every lower bound under the floating-point
+# margin, so each checkpoint ties with the sound lower bound 0 and the
+# witness is the vertex of the last one.
+@pytest.mark.parametrize("n,max_shots,term_cap,scale", [
+    (7, None, None, 1.0), (66, 96, None, 1.0), (7, None, 20, 1.0), (66, 96, 40, 1.0),
+    (7, None, None, 1e-12)])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("strategy,distance", STRATEGIES)
+def test_robustness_final_matches_per_shot_reference(strategy, distance, workers,
+                                                     n, max_shots, term_cap, scale):
+    model = _model(n)
+    model = model.with_probabilities([p * scale for p in model.concrete_probabilities()])
+    v = model.concrete_probabilities()
+    dec = build_greedy_decoder(model)
+    box = Hyperrectangle.scaled(v, 0.9, 1.1)
+    cap = {} if term_cap is None else {"term_cap": term_cap}
+    config = RunConfig(mode="robustness", strategy=strategy, worker_count=workers,
+                       distance_ansatz=distance, max_shots=max_shots, f_max=8, **cap)
+    final = run_robustness(model, dec, box, config).final
+    assert final == reference_robustness_final(model, dec, box, config)
+    assert final["upper_frozen"] == (term_cap is not None)
 
 
 def test_back_to_back_runs_repeat_decoder_calls():

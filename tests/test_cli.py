@@ -126,6 +126,21 @@ def test_robustness_box_file_row_mismatch(program_file, tmp_path):
         main(["robustness", program_file, "--box-file", str(box)])
 
 
+@pytest.mark.parametrize("text", ["0.009\n", "0.009 0.011 0.5\n", "0.009 high\n"])
+def test_robustness_box_file_row_needs_two_numbers(program_file, tmp_path, text):
+    box = tmp_path / "box.txt"
+    box.write_text("# lo hi\n0.009 0.011\n" + text + "0.009 0.011\n")
+    with pytest.raises(SystemExit, match="line 3"):
+        main(["robustness", program_file, "--box-file", str(box)])
+
+
+def test_negative_sample_count_is_an_error(program_file, capsys):
+    assert main(["accuracy", program_file, "--samples", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "sample_count" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_decoder_rejected(program_file):
     with pytest.raises(SystemExit):
         main(["accuracy", program_file, "--decoder", "wizard"])

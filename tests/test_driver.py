@@ -397,6 +397,24 @@ def test_config_validation():
         RunConfig(mode="bogus")
     with pytest.raises(ValueError):
         RunConfig(mode="robustness", sample_count=10)
+    with pytest.raises(ValueError, match="strategy"):
+        RunConfig(strategy="local_flip")
+    with pytest.raises(ValueError, match="sample_count"):
+        RunConfig(sample_count=-2)
+    for alpha in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            RunConfig(sample_count=10, alpha=alpha)
+    RunConfig(alpha=0.0)  # alpha is unused without sampling
+
+
+def test_run_functions_reject_the_other_mode(repetition_model):
+    v = repetition_model.concrete_probabilities()
+    dec = build_ml_decoder(repetition_model, v)
+    box = Hyperrectangle.scaled(v, 0.9, 1.1)
+    with pytest.raises(ValueError, match="mode"):
+        run_robustness(repetition_model, dec, box, RunConfig())
+    with pytest.raises(ValueError, match="mode"):
+        run_accuracy(repetition_model, dec, v, RunConfig(mode="robustness"))
 
 
 def test_emit_trace_format(repetition_model):
