@@ -17,7 +17,9 @@ blocks of bitstrings with `LogicalErrorClassifier`: the block's unique
 syndromes that are not yet in its syndrome -> prediction cache go to one
 `decode_batch` call.  The cache belongs to the classifier, which lives
 for one run, so repeated runs make the same decoder calls.
-`GreedyDecoder.decode_batch` peels a whole batch at once.
+`GreedyDecoder.decode_batch` peels a whole batch in rounds: each round
+scores every distinct residual once against every channel in one
+[rows, channels] array and XORs in each row's best channel.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ ML_CHUNK = 1 << 16
 # Syndromes a LogicalErrorClassifier caches at most: its inserts copy the
 # cache, and a long run can see a new syndrome in nearly every string.
 CACHE_CAP = 1 << 18
+# Cells of each [rows, channels] score array `GreedyDecoder.decode_batch`
+# makes; its rows are a chunk of the distinct residuals.
+GREEDY_CELLS = 1 << 14
 # Seconds `ExternalDecoder.close` waits for the child to exit after QUIT
 # before killing it.
 CLOSE_TIMEOUT = 10.0
@@ -161,7 +166,12 @@ class GreedyDecoder(Decoder):
         self._order = sorted(range(self.model.n_channels), key=lambda i: (-probs[i], i))
         self._det = words_of(self.model.det_footprints, n_words(self.n_det))
         self._obs = words_of(self.model.obs_footprints, n_words(self.n_obs))
-        self._weight = [fp.bit_count() for fp in self.model.det_footprints]
+        # the channels that can score above 0 (an empty footprint never
+        # does) in `_order`, with their detector words as [words, channels]
+        self._live = np.array([i for i in self._order if self.model.det_footprints[i]],
+                              dtype=np.intp)
+        self._live_det = np.ascontiguousarray(self._det[self._live].T)
+        self._live_weight = np.bitwise_count(self._live_det).sum(axis=0, dtype=np.int32)
 
     def decode(self, syndrome: int) -> int:
         residual = syndrome
@@ -182,28 +192,32 @@ class GreedyDecoder(Decoder):
         return answer
 
     def decode_batch(self, syndromes) -> list[int]:
-        """decode() for every syndrome, peeling the whole batch at once: each
-        round scores every channel in `_order` against all active residuals
-        ([batch] vectors, no [batch, channels] array) and keeps the first
-        strictly best one, as decode() does."""
+        """decode() for every syndrome, peeling the whole batch in rounds.  A
+        round scores each distinct active residual once against every live
+        channel, as a [rows, channels] array of 2 |fp & r| - |fp| (chunks of
+        at most `GREEDY_CELLS` cells); the channels lie in `_order`, so
+        argmax picks the first strictly best one, as decode() does.  A row
+        whose best score is not above 0 gives up."""
         residual = words_of(list(syndromes), self._det.shape[1])
         answer = np.zeros((len(residual), self._obs.shape[1]), dtype=np.uint64)
-        active = np.flatnonzero(residual.any(axis=1))
+        det, weight = self._live_det, self._live_weight
+        step = max(1, GREEDY_CELLS // max(1, weight.size))
+        active = np.flatnonzero(residual.any(axis=1)) if weight.size else np.empty(0, np.intp)
         while active.size:
-            words = [np.ascontiguousarray(c) for c in residual[active].T]
-            best = np.full(active.size, -1, dtype=np.intp)
-            best_score = np.zeros(active.size, dtype=np.int32)
-            for i in self._order:
-                if not self._weight[i]:
-                    continue  # an empty footprint never scores above 0
-                # |fp & r| - |fp & ~r| = 2 |fp & r| - |fp|
-                hit = np.zeros(active.size, dtype=np.int32)
-                for r, f in zip(words, self._det[i]):
-                    hit += np.bitwise_count(r & f)
-                score = 2 * hit - self._weight[i]
-                better = score > best_score
-                best_score = np.where(better, score, best_score)
-                best = np.where(better, i, best)
+            _, first, inv = np.unique(row_keys(residual[active]),
+                                      return_index=True, return_inverse=True)
+            rows = residual[active[first]]
+            best = np.empty(len(rows), dtype=np.intp)
+            for a in range(0, len(rows), step):
+                r = rows[a:a + step]
+                score = np.zeros((len(r), weight.size), dtype=np.int32)
+                for rw, dw in zip(r.T, det):
+                    score += np.bitwise_count(rw[:, None] & dw)
+                score *= 2
+                score -= weight
+                j = score.argmax(axis=1)
+                best[a:a + step] = np.where(score[np.arange(len(r)), j] > 0, self._live[j], -1)
+            best = best[inv.reshape(-1)]
             found = best >= 0  # rows without a scoring channel give up
             active, best = active[found], best[found]
             residual[active] ^= self._det[best]
@@ -327,12 +341,24 @@ def connect_external_decoder(command: str, n_det: int, n_obs: int) -> ExternalDe
     return ExternalDecoder(command, n_det, n_obs)
 
 
+def _command(line: str, name: str, n_args: int) -> list[int] | None:
+    """The non-negative integer arguments of `line` if it is `name` followed
+    by `n_args` of them, else None."""
+    toks = line.split()
+    if (len(toks) != n_args + 1 or toks[0] != name
+            or not all(t.isascii() and t.isdigit() for t in toks[1:])):
+        return None
+    return [int(t) for t in toks[1:]]
+
+
 def serve(decoder: Decoder, stdin, stdout) -> None:
-    """Server side of the wire protocol (used by `qecbound serve-ml`)."""
-    init = stdin.readline().split()
-    if len(init) != 3 or init[0] != "INIT":
-        raise ProtocolError(f"bad handshake {init!r}")
-    n_det, n_obs = int(init[1]), int(init[2])
+    """Server side of the wire protocol (used by `qecbound serve-ml`).  A
+    malformed line raises ProtocolError naming it."""
+    line = stdin.readline()
+    init = _command(line, "INIT", 2)
+    if init is None:
+        raise ProtocolError(f"bad handshake {line!r}")
+    n_det, n_obs = init
     if n_det != decoder.n_det or n_obs != decoder.n_obs:
         raise ProtocolError(
             f"dimension mismatch: got {n_det}x{n_obs}, "
@@ -344,11 +370,10 @@ def serve(decoder: Decoder, stdin, stdout) -> None:
         line = stdin.readline()
         if not line or line.strip() == "QUIT":
             return
-        toks = line.split()
-        if toks[0] != "DECODE":
+        count = _command(line, "DECODE", 1)
+        if count is None:
             raise ProtocolError(f"unexpected command {line!r}")
-        k = int(toks[1])
-        for _ in range(k):
+        for _ in range(count[0]):
             s = stdin.readline().strip()
             if len(s) != n_det or set(s) - {"0", "1"}:
                 raise ProtocolError(f"malformed syndrome {s!r}")

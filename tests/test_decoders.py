@@ -1,17 +1,21 @@
 """Built-in decoders and the external subprocess protocol."""
 
+import io
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qecbound.compiler import compile_to_dem, write_dem
+from qecbound.compiler import DetectorErrorModel, compile_to_dem, write_dem
 from qecbound.decoders import (
     GreedyDecoder,
+    MlDecoder,
     ProtocolError,
     build_greedy_decoder,
     build_ml_decoder,
     connect_external_decoder,
+    serve,
 )
 from qecbound.errorspace import observable_of, syndrome_of
 from qecbound.frontend import parse_program
@@ -265,3 +269,87 @@ def test_external_close_kills_a_child_that_ignores_quit(tmp_path, monkeypatch):
     dec.close()
     assert time.monotonic() - t0 < 30
     assert dec._proc.returncode is not None  # killed and reaped
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("INIT 2 1\n\n", "\n"),
+    ("INIT 2 1\nDECODE\n", "DECODE\n"),
+    ("INIT 2 1\nDECODE x\n", "DECODE x\n"),
+    ("INIT 2 1\nDECODE -1\n", "DECODE -1\n"),
+    ("INIT two 1\nDECODE 1\n00\n", "INIT two 1\n"),
+])
+def test_serve_rejects_malformed_lines(text, bad):
+    out = io.StringIO()
+    with pytest.raises(ProtocolError) as info:
+        serve(MlDecoder(2, 1, {}), io.StringIO(text), out)
+    assert repr(bad) in str(info.value)
+
+
+@st.composite
+def _greedy_cases(draw):
+    """A model with tied rates and footprints (some empty), and a batch
+    with duplicates, 0, all-ones, channel syndromes and random masks."""
+    n_det = draw(st.one_of(st.integers(1, 3), st.sampled_from([64, 65]), st.integers(1, 130)))
+    full = (1 << n_det) - 1
+    masks = st.integers(0, full)
+    pool = draw(st.lists(masks, min_size=1, max_size=5))
+    n = draw(st.integers(0, 80))
+    det = draw(st.lists(st.one_of(st.sampled_from([0, *pool]), masks), min_size=n, max_size=n))
+    model = DetectorErrorModel(
+        n_channels=n,
+        n_detectors=n_det,
+        n_observables=2,
+        probabilities=tuple(draw(st.lists(st.sampled_from([0.01, 0.02, 0.1]),
+                                          min_size=n, max_size=n))),
+        det_footprints=tuple(det),
+        obs_footprints=tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))),
+    )
+    batch = [0, full, *draw(st.lists(masks, max_size=30))]
+    batch += [1 << int(d) for d in draw(st.lists(st.integers(0, n_det - 1), max_size=5))]
+    if n:
+        errors = st.lists(st.integers(0, n - 1), min_size=1, max_size=4)
+        batch += [syndrome_of(model, sum(1 << i for i in set(e)))
+                  for e in draw(st.lists(errors, max_size=30))]
+    batch += draw(st.lists(st.sampled_from(batch), max_size=20))
+    return model, draw(st.permutations(batch))
+
+
+@given(_greedy_cases())
+@settings(max_examples=100, deadline=None)
+def test_greedy_decode_batch_is_decode_on_random_models(case):
+    model, batch = case
+    dec = GreedyDecoder(model)
+    assert dec.decode_batch(batch) == [dec.decode(s) for s in batch]
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_greedy_decode_batch_across_score_chunks(chunk_rows, monkeypatch):
+    """A cell bound of 1 scores one row at a time; one of 7 rows' cells
+    leaves a part-filled last chunk in every round."""
+    import qecbound.decoders as decoders
+
+    rng = np.random.default_rng(7)
+    model = _footprint_model(rng, 30, 70, 2, [0.01, 0.02])
+    dec = GreedyDecoder(model)
+    cells = 1 if chunk_rows is None else chunk_rows * dec._live.size
+    monkeypatch.setattr(decoders, "GREEDY_CELLS", cells)
+    syndromes = [syndrome_of(model, int(e)) for e in rng.integers(0, 1 << 30, size=300)]
+    syndromes += [sum(1 << int(d) for d in np.flatnonzero(rng.random(70) < 0.1))
+                  for _ in range(100)]
+    assert len(set(syndromes)) % 7
+    assert dec.decode_batch(syndromes) == [dec.decode(s) for s in syndromes]
+
+
+def test_greedy_decode_batch_on_a_circuit_model():
+    """The d = 5 repetition-memory circuit (695 channels): syndromes of
+    weight-2 and weight-3 errors."""
+    from test_compiler import repetition_memory_text
+
+    model = compile_to_dem(parse_program(repetition_memory_text(5)))
+    assert model.n_channels == 695
+    rng = np.random.default_rng(5)
+    syndromes = [syndrome_of(model, sum(1 << int(i) for i in
+                                        rng.choice(model.n_channels, w, replace=False)))
+                 for w in (2, 3) for _ in range(150)]
+    dec = GreedyDecoder(model)
+    assert dec.decode_batch(syndromes) == [dec.decode(s) for s in syndromes]
