@@ -71,7 +71,12 @@ def _parse_box(args, model: DetectorErrorModel) -> Hyperrectangle:
             )
         return Hyperrectangle(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
     if args.box_scale:
-        lo_s, hi_s = (float(t) for t in args.box_scale.split(","))
+        try:
+            lo_s, hi_s = map(float, args.box_scale.split(","))  # exactly two numbers
+        except ValueError:
+            raise SystemExit(
+                f"--box-scale: expected two numbers 'lo,hi', got {args.box_scale!r}"
+            ) from None
         return Hyperrectangle.scaled(model.concrete_probabilities(), lo_s, hi_s)
     raise SystemExit("robustness requires --box-scale or --box-file")
 

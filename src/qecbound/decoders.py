@@ -251,10 +251,15 @@ class ExternalDecoder(Decoder):
             text=True,
             bufsize=1,
         )
-        self._send(f"INIT {self.n_det} {self.n_obs}")
-        ready = self._recv()
-        if ready != "READY":
-            raise ProtocolError(f"expected READY, got {ready!r}")
+        try:
+            self._send(f"INIT {self.n_det} {self.n_obs}")
+            ready = self._recv()
+            if ready != "READY":
+                raise ProtocolError(f"expected READY, got {ready!r}")
+        except ProtocolError:
+            self._proc.kill()
+            self._reap()
+            raise
 
     def _send(self, line: str) -> None:
         assert self._proc.stdin is not None
@@ -297,7 +302,16 @@ class ExternalDecoder(Decoder):
             self._proc.wait(timeout=CLOSE_TIMEOUT)
         except subprocess.TimeoutExpired:
             self._proc.kill()
-            self._proc.wait()
+        self._reap()
+
+    def _reap(self) -> None:
+        """Wait for the child to exit, then close both pipes."""
+        self._proc.wait()
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            try:
+                pipe.close()
+            except BrokenPipeError:  # unflushed input to a dead child
+                pass
 
 
 class LogicalErrorClassifier:

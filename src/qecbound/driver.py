@@ -45,6 +45,7 @@ from .errorspace import (
     local_moves_shift,
     n_words,
     precedes,
+    split_workers,
     supports_of_bits,
     words_of,
 )
@@ -88,12 +89,15 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be >= 0")
+        for name in ("max_shots", "time_limit", "sample_count", "f_max", "term_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.mode == "robustness" and self.sample_count:
             raise ValueError("sampling is supported in accuracy mode only")
         if self.sample_count and not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        split_workers(self.plan())
 
     def plan(self) -> EnumerationPlan:
         return EnumerationPlan(self.strategy, self.worker_count, self.distance_ansatz)
@@ -256,7 +260,6 @@ class _BlockCore:
                 continue
             picked.append(i)
             if self.flags[i]:
-                self.visited.set_prefix(self.base + self.cursor)
                 self.pending.extend(self._detour(m))
         self.visited.set_prefix(self.base + self.cursor)
         return picked, detours

@@ -3,8 +3,7 @@
 Bitstrings are plain ints with bit ``i`` selecting channel ``i``; textual
 renderings put bit 0 leftmost.  The base enumeration order is ascending
 Hamming weight, with ties broken by lexicographic order of the ascending
-support tuples (combinatorial number system ranks), which gives O(1) rank
-arithmetic for membership tests.
+support tuples (combinatorial number system ranks).
 
 Blocks.  The enumeration core reads the order in blocks of support-index
 rows: row r lists the channels of one bitstring in ascending order, padded
@@ -23,7 +22,6 @@ count.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from math import comb
@@ -51,25 +49,8 @@ def weight(mask: int) -> int:
     return mask.bit_count()
 
 
-def support(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def rank_in_weight_class(mask: int, n: int) -> int:
-    """Position of `mask` among same-weight strings, lex order of supports."""
-    supp = support(mask)
-    k = len(supp)
-    r = 0
-    prev = -1
-    for j, c in enumerate(supp):
-        for a in range(prev + 1, c):
-            r += comb(n - 1 - a, k - 1 - j)
-        prev = c
-    return r
-
-
 def unrank_in_weight_class(r: int, n: int, k: int) -> int:
-    """Inverse of rank_in_weight_class for weight-k strings."""
+    """The weight-k string of rank `r` in lex order of supports."""
     mask = 0
     c = 0
     for j in range(k):
@@ -82,12 +63,6 @@ def unrank_in_weight_class(r: int, n: int, k: int) -> int:
         mask |= 1 << c
         c += 1
     return mask
-
-
-def position_of(mask: int, n: int) -> int:
-    """Global position in the weight order over all 2^n strings."""
-    w = weight(mask)
-    return sum(comb(n, j) for j in range(w)) + rank_in_weight_class(mask, n)
 
 
 def unrank_position(pos: int, n: int) -> int:
@@ -114,26 +89,6 @@ def precedes(a: int, b: int | None) -> bool:
         return wa < wb
     d = a ^ b
     return bool(a & d & -d)  # a holds the lowest channel where they differ
-
-
-@dataclass
-class WeightOrderCursor:
-    """Strided cursor over the weight order; yields each assigned position once."""
-
-    n: int
-    position: int = 0
-    stride: int = 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.position >= (1 << self.n)
-
-    def next(self) -> int:
-        if self.exhausted:
-            raise StopIteration("cursor exhausted")
-        mask = unrank_position(self.position, self.n)
-        self.position += self.stride
-        return mask
 
 
 STRATEGIES = ("hamming", "split", "local-flip", "local-shift", "local-both")
@@ -166,31 +121,6 @@ def split_workers(plan: EnumerationPlan) -> tuple[int, int]:
     return (k + 1) // 2, k // 2
 
 
-def partition_workers(plan: EnumerationPlan, n: int) -> list[WeightOrderCursor]:
-    """Build one strided cursor per worker.
-
-    hamming: worker i takes order positions congruent to i mod k.  split:
-    the first ceil(k/2) workers stride from position 0 and the rest from
-    the first position of weight floor(d/2)+1; the low block eventually
-    reaches the high start, so the cursors overlap.  Taking one position
-    from each cursor in turn, and dropping positions already taken, gives
-    the visit order that `VisitOrder` produces in blocks.
-    """
-    k_low, k_high = split_workers(plan)
-    cursors = [WeightOrderCursor(n, position=i, stride=k_low) for i in range(k_low)]
-    if k_high:
-        start = first_position_of_weight(plan.distance_ansatz // 2 + 1, n)
-        cursors += [
-            WeightOrderCursor(n, position=start + i, stride=k_high) for i in range(k_high)
-        ]
-    return cursors
-
-
-def local_moves_flip(mask: int, n: int) -> set[int]:
-    """All strings at Hamming distance 1."""
-    return {mask ^ (1 << i) for i in range(n)}
-
-
 def local_moves_shift(mask: int, n: int) -> set[int]:
     """All nontrivial circular shifts, duplicates collapsed."""
     out = set()
@@ -210,22 +140,33 @@ class VisitedSet:
 
     Members are the first `prefix` positions, the positions [a, b) of a
     second in-order run `high` (the split strategy's high run), and an
-    explicit extras set for out-of-order visits.  `add` promotes extras
-    into the prefix as the prefix catches up, so extras never duplicate
-    the prefix.
+    explicit extras set for out-of-order visits.  A string is a member if
+    it precedes the string that ends the prefix, lies in `extras`, or lies
+    between the strings that bound the high run.  Those boundary strings
+    are unranked when first needed and kept until the next `set_prefix`,
+    the only way the prefix and the high run change.
     """
 
     n: int
     prefix: int = 0
     extras: set[int] = field(default_factory=set)
     high: tuple[int, int] = (0, 0)
+    # (end of prefix, start of high run or None if empty, end of high run)
+    _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, mask: int) -> bool:
-        if mask in self.extras:
-            return True
-        pos = position_of(mask, self.n)
+        stop, lo, hi = self._bounds or self._unrank_bounds()
+        return (precedes(mask, stop) or mask in self.extras
+                or lo is not None and not precedes(mask, lo) and precedes(mask, hi))
+
+    def _unrank_bounds(self) -> tuple:
+        def at(pos: int) -> int | None:
+            return unrank_position(pos, self.n) if pos < 1 << self.n else None
+
         a, b = self.high
-        return pos < self.prefix or a <= pos < b
+        lo, hi = (at(a), at(b)) if a < b else (None, None)
+        self._bounds = (at(self.prefix), lo, hi)
+        return self._bounds
 
     def set_prefix(self, count: int, high: tuple[int, int] = (0, 0)) -> None:
         """Make the first `count` positions of the weight order the in-order
@@ -234,64 +175,26 @@ class VisitedSet:
         a, b = high
         if count >= a:  # the runs meet
             count, a, b = max(count, b), 0, 0
-        self.prefix, self.high = count, (a, b)
-
-    def add(self, mask: int) -> None:
-        if mask in self:
-            raise ValueError(f"bitstring {bits_to_str(mask, self.n)} visited twice")
-        if position_of(mask, self.n) != self.prefix:
-            self.extras.add(mask)
-            return
-        self.prefix += 1
-        # promote any extras that now sit at the end of the prefix
-        while not self.covers_all and (m := unrank_position(self.prefix, self.n)) in self.extras:
-            self.extras.discard(m)
-            self.prefix += 1
+        self.prefix, self.high, self._bounds = count, (a, b), None
 
     def lowest_unvisited_weight(self) -> int:
-        """The lowest weight of any unvisited string (n + 1 if none).
-
-        Depends on membership alone: the in-order prefix is followed
-        through extras at its end and through the high run, whatever
-        layout built the set.  The set is not changed."""
-        pos, end = self.prefix, 1 << self.n
-        a, b = self.high
-        while pos < end:
+        """The lowest weight of any unvisited string (n + 1 if none): the
+        first non-member past the prefix, jumping over the high run.  The
+        set is not changed."""
+        pos, (a, b) = self.prefix, self.high
+        while pos < 1 << self.n:
             if a <= pos < b:
                 pos = b
-            elif unrank_position(pos, self.n) in self.extras:
-                pos += 1
-            else:
-                return weight(unrank_position(pos, self.n))
+                continue
+            mask = unrank_position(pos, self.n)
+            if mask not in self:
+                return weight(mask)
+            pos += 1
         return self.n + 1
-
-    def frozen_contains(self) -> Callable[[int], bool]:
-        """Membership in the set as it stands now, without ranking: a string
-        is compared with the strings that end the prefix and bound the high
-        run.  Valid until the set changes."""
-        def at(pos: int) -> int | None:
-            return unrank_position(pos, self.n) if pos < 1 << self.n else None
-
-        stop, extras = at(self.prefix), self.extras
-        a, b = self.high
-        if a >= b:
-            return lambda m: precedes(m, stop) or m in extras
-        lo, hi = at(a), at(b)
-        return lambda m: (precedes(m, stop) or m in extras
-                          or (not precedes(m, lo) and precedes(m, hi)))
-
-    @property
-    def complete_weight(self) -> int:
-        """Every string of lower weight lies in the prefix."""
-        return self.n + 1 if self.covers_all else weight(unrank_position(self.prefix, self.n))
 
     @property
     def covers_all(self) -> bool:
         return self.prefix == 1 << self.n
-
-    @property
-    def count(self) -> int:
-        return self.prefix + len(self.extras) + self.high[1] - self.high[0]
 
 
 def n_words(n: int) -> int:
@@ -425,8 +328,6 @@ class VisitOrder:
     other then continues alone.  For `split`, start is the first string of
     weight floor(d/2)+1; every other strategy, and `split` with one
     worker, has an empty high run and visits the weight order itself.
-    This is the order of taking one position from each `partition_workers`
-    cursor in turn and dropping repeats.
     """
 
     def __init__(self, plan: EnumerationPlan, n: int) -> None:

@@ -85,7 +85,7 @@ def sample_unseen_batch(v, visited: VisitedSet, rng, count: int,
     if c > varr.size:
         raise RejectionGuardExceeded("every bitstring is visited")
     lg = _tail_table(varr, c)
-    seen = visited.frozen_contains()
+    seen = visited.__contains__
     accepted: list[int] = []
     rejects = 0  # consecutive rejections since the last acceptance
     while len(accepted) < count:

@@ -14,14 +14,7 @@ import pytest
 from qecbound.compiler import DetectorErrorModel, parse_dem
 from qecbound.decoders import Decoder, build_greedy_decoder
 from qecbound.driver import RunConfig, run_accuracy, run_robustness
-from qecbound.errorspace import (
-    VisitedSet,
-    local_moves_flip,
-    local_moves_shift,
-    observable_of,
-    partition_workers,
-    syndrome_of,
-)
+from qecbound.errorspace import local_moves_shift, observable_of, syndrome_of
 from qecbound.polynomial import (
     FP_MARGIN,
     BoundAccumulators,
@@ -39,6 +32,7 @@ from qecbound.sampling import (
 )
 
 from conftest import random_model
+from reference import ReferenceVisitedSet, local_moves_flip, partition_workers
 
 STRATEGIES = [
     ("hamming", None),
@@ -102,7 +96,7 @@ class _ReferenceOrder:
         self.cursors = partition_workers(plan, n)
         self.moves = plan.local_moves
         self.n = n
-        self.visited = VisitedSet(n)
+        self.visited = ReferenceVisitedSet(n)
         self.pending = deque()
         self.turn = 0
 

@@ -134,6 +134,19 @@ def test_robustness_box_file_row_needs_two_numbers(program_file, tmp_path, text)
         main(["robustness", program_file, "--box-file", str(box)])
 
 
+@pytest.mark.parametrize("scale", ["0.9", "0.9,1.1,1.2", "a,b"])
+def test_robustness_box_scale_needs_two_numbers(program_file, scale):
+    with pytest.raises(SystemExit, match="--box-scale"):
+        main(["robustness", program_file, "--box-scale", scale])
+
+
+def test_negative_max_shots_is_an_error(program_file, capsys):
+    assert main(["accuracy", program_file, "--max-shots", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "max_shots" in err
+    assert "Traceback" not in err
+
+
 def test_negative_sample_count_is_an_error(program_file, capsys):
     assert main(["accuracy", program_file, "--samples", "-1"]) == 1
     err = capsys.readouterr().err

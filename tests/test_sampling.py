@@ -25,11 +25,13 @@ from qecbound.sampling import (
     sample_unseen_batch,
 )
 
+from reference import ReferenceVisitedSet
+
 
 def test_samples_avoid_visited_set():
     n = 6
     v = (0.3,) * n
-    visited = VisitedSet(n)
+    visited = ReferenceVisitedSet(n)
     for pos in range(20):
         visited.add(unrank_position(pos, n))
     rng = np.random.default_rng(0)
@@ -42,7 +44,7 @@ def test_sample_distribution_matches_conditional():
     """Empirical frequencies track p(e)/p(unseen) for a small space."""
     n = 4
     v = (0.25, 0.1, 0.4, 0.3)
-    visited = VisitedSet(n)
+    visited = ReferenceVisitedSet(n)
     for pos in range(5):  # weights 0 and 1 visited
         visited.add(unrank_position(pos, n))
     rng = np.random.default_rng(42)
@@ -102,16 +104,16 @@ def _layouts(n):
     """Three VisitedSets with one membership: the in-order visits 0..23
     (all of weights 0-2 and two weight-3 strings) and two more strings."""
     later = [unrank_position(p, n) for p in (30, 45)]
-    built = VisitedSet(n)
+    built = ReferenceVisitedSet(n)
     for p in range(24):
         built.add(unrank_position(p, n))
     for e in later:
         built.add(e)
-    ahead = VisitedSet(n)  # extras ahead of the prefix, as local moves leave them
+    ahead = ReferenceVisitedSet(n)  # extras ahead of the prefix, as local moves leave them
     ahead.set_prefix(10)
     ahead.extras.update(unrank_position(p, n) for p in range(10, 24))
     ahead.extras.update(later)
-    split = VisitedSet(n)  # the weight-3 strings as a high run
+    split = ReferenceVisitedSet(n)  # the weight-3 strings as a high run
     split.set_prefix(10, (22, 24))
     split.extras.update(unrank_position(p, n) for p in range(10, 22))
     split.extras.update(later)
@@ -151,7 +153,7 @@ def test_deep_tail_does_not_underflow():
 
 def test_single_sample_helper():
     n = 4
-    visited = VisitedSet(n)
+    visited = ReferenceVisitedSet(n)
     visited.add(0)
     s = sample_unseen(None, (0.2,) * n, visited, 3)
     assert s != 0
@@ -160,7 +162,7 @@ def test_single_sample_helper():
 def test_sampler_draws_the_last_unvisited_string():
     n = 3
     v = (0.01,) * n
-    visited = VisitedSet(n)
+    visited = ReferenceVisitedSet(n)
     for pos in range(7):  # everything but the all-ones string
         visited.add(unrank_position(pos, n))
     rng = np.random.default_rng(1)
@@ -171,7 +173,7 @@ def test_rejection_guard_trips_when_tail_nearly_visited():
     # Positions 0-2 are the prefix and the weight-2 strings extras, so only
     # 0b100 and 0b111 are unvisited: about 7e-10 of the tail weight >= 1.
     v = (0.5, 0.5, 1e-9)
-    visited = VisitedSet(3)
+    visited = ReferenceVisitedSet(3)
     for pos in range(3):
         visited.add(unrank_position(pos, 3))
     for e in (0b011, 0b101, 0b110):
@@ -187,7 +189,7 @@ def test_guard_resets_on_acceptance():
     # `guard` consecutive rejections
     n = 8
     v = (0.3,) * n
-    visited = VisitedSet(n)
+    visited = ReferenceVisitedSet(n)
     for pos in range(37):  # weights 0..2
         visited.add(unrank_position(pos, n))
     rng = np.random.default_rng(2)
@@ -258,7 +260,7 @@ def test_probabilistic_bounds_nest_inside_sound_interval():
 def test_replay_determinism():
     n = 6
     v = (0.2,) * n
-    visited = VisitedSet(n)
+    visited = ReferenceVisitedSet(n)
     visited.add(0)
     a = sample_unseen_batch(v, visited, np.random.default_rng(99), 200)
     b = sample_unseen_batch(v, visited, np.random.default_rng(99), 200)
