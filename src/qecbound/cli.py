@@ -23,6 +23,7 @@ from .compiler import (
     write_symbolic_dem,
 )
 from .decoders import (
+    ProtocolError,
     build_greedy_decoder,
     build_ml_decoder,
     connect_external_decoder,
@@ -98,7 +99,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--decoder", default="ml", help="ml | greedy | exec:<command>")
     p.add_argument("--strategy", default="hamming", choices=STRATEGIES)
     p.add_argument("--distance", type=int, default=None, help="distance ansatz for split")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-shots", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.add_argument("--seed", type=int, default=0)
@@ -109,7 +109,6 @@ def _run_config(args, **mode_fields) -> RunConfig:
     """A RunConfig from the flags both run commands share, plus `mode_fields`."""
     return RunConfig(
         strategy=args.strategy,
-        worker_count=args.workers,
         distance_ansatz=args.distance,
         max_shots=args.max_shots,
         time_limit=args.time_limit,
@@ -160,7 +159,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, DemParseError, CompileError, ValueError) as exc:
+    except (ParseError, DemParseError, CompileError, ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

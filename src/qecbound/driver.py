@@ -2,16 +2,16 @@
 
 One block core serves both modes.  The visit order is read in blocks of
 support rows from one `errorspace.VisitOrder`: `hamming` is the weight
-order itself, whatever `worker_count` is; `split` reads a low and a high
-run of the weight order, taking ceil(k/2) and floor(k/2) strings in turn
-until either run ends; `local-*` follows each logical error found in the
-weight order with its unvisited neighbours, in ascending bit-set order,
-before the order resumes, and only those detours are kept as extras in
-the visited set.  Each block gets its minterms with numpy, and its
-decoder verdicts from a `LogicalErrorClassifier` made for the run, which
-sends the unique syndromes it has not seen to one `decode_batch` call.
-Blocks end at the geometric shot checkpoints (1, 2, 4, ...) and after at
-most `BLOCK_ROWS` rows, so a time limit is overrun by at most one block.
+order itself; `split` reads a low and a high run of the weight order,
+taking one string from each in turn until either run ends; `local-*`
+follows each logical error found in the weight order with its unvisited
+neighbours, in ascending bit-set order, before the order resumes, and
+only those detours are kept as extras in the visited set.  Each block
+gets its minterms with numpy, and its decoder verdicts from a
+`LogicalErrorClassifier` made for the run, which sends the unique
+syndromes it has not seen to one `decode_batch` call.  Blocks end at the
+geometric shot checkpoints (1, 2, 4, ...) and after at most `BLOCK_ROWS`
+rows, so a time limit is overrun by at most one block.
 
 Both modes run one checkpoint loop, `_checkpoints`: it feeds each block
 to the mode's sink (Kahan-compensated accumulators in visit order, or the
@@ -45,7 +45,6 @@ from .errorspace import (
     local_moves_shift,
     n_words,
     precedes,
-    split_workers,
     supports_of_bits,
     words_of,
 )
@@ -74,7 +73,6 @@ TERM_CAP_DEFAULT = 10_000_000
 class RunConfig:
     mode: str = "accuracy"  # accuracy | robustness
     strategy: str = "hamming"
-    worker_count: int = 1
     distance_ansatz: int | None = None
     max_shots: int | None = None
     time_limit: float | None = None  # seconds
@@ -91,16 +89,16 @@ class RunConfig:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
         for name in ("max_shots", "time_limit", "sample_count", "f_max", "term_cap"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:  # NaN too
                 raise ValueError(f"{name} must be >= 0")
         if self.mode == "robustness" and self.sample_count:
             raise ValueError("sampling is supported in accuracy mode only")
         if self.sample_count and not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        split_workers(self.plan())
+        self.plan()  # checks the distance ansatz
 
     def plan(self) -> EnumerationPlan:
-        return EnumerationPlan(self.strategy, self.worker_count, self.distance_ansatz)
+        return EnumerationPlan(self.strategy, self.distance_ansatz)
 
 
 @dataclass(frozen=True)

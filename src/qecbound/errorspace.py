@@ -11,13 +11,13 @@ with n to the block's width.  `itertools.combinations(range(n), w)` yields
 weight class w in exactly the rank order above, so a `WeightRun` (a range
 of weight classes) needs no rank arithmetic.  Every visit order is read as
 runs of the weight order (`VisitOrder`): one run for most strategies, and
-for `split` a low and a high run taking turns until either ends.  The
-visited set is kept in the same terms, as a position prefix, the high
-run's positions and out-of-order extras.  `Footprints` holds every
-channel's detector, observable and channel bit sets as rows of
-ceil(width/64) uint64 words, with an empty row n, so a block's syndromes
-are the XOR of one gathered row per support column, for every detector
-count.
+for `split` a low and a high run taking turns, one string each, until
+either ends.  The visited set is kept in the same terms, as a position
+prefix, the high run's positions and out-of-order extras.  `Footprints`
+holds every channel's detector, observable and channel bit sets as rows
+of ceil(width/64) uint64 words, with an empty row n, so a block's
+syndromes are the XOR of one gathered row per support column, for every
+detector count.
 """
 
 from __future__ import annotations
@@ -97,8 +97,13 @@ STRATEGIES = ("hamming", "split", "local-flip", "local-shift", "local-both")
 @dataclass(frozen=True)
 class EnumerationPlan:
     strategy: str = "hamming"  # one of STRATEGIES
-    worker_count: int = 1
     distance_ansatz: int | None = None  # required for split
+
+    def __post_init__(self) -> None:
+        if self.distance_ansatz is not None and self.distance_ansatz < 0:
+            raise ValueError("distance_ansatz must be >= 0")
+        if self.strategy == "split" and self.distance_ansatz is None:
+            raise ValueError("split strategy requires a distance ansatz")
 
     @property
     def local_moves(self) -> tuple[str, ...]:
@@ -107,18 +112,6 @@ class EnumerationPlan:
             "local-shift": ("shift",),
             "local-both": ("flip", "shift"),
         }.get(self.strategy, ())
-
-
-def split_workers(plan: EnumerationPlan) -> tuple[int, int]:
-    """Validated (low, high) worker counts: (k, 0) unless the plan splits."""
-    k = plan.worker_count
-    if k < 1:
-        raise ValueError("worker_count must be >= 1")
-    if plan.strategy != "split":
-        return k, 0
-    if plan.distance_ansatz is None:
-        raise ValueError("split strategy requires a distance ansatz")
-    return (k + 1) // 2, k // 2
 
 
 def local_moves_shift(mask: int, n: int) -> set[int]:
@@ -323,19 +316,16 @@ class VisitOrder:
     """A plan's visit order, read in blocks of support rows.
 
     The weight order is cut into a low run [0, start) and a high run
-    [start, 2^n).  The two runs take turns, ceil(k/2) strings from the low
-    run and then floor(k/2) from the high one, until either ends; the
-    other then continues alone.  For `split`, start is the first string of
-    weight floor(d/2)+1; every other strategy, and `split` with one
-    worker, has an empty high run and visits the weight order itself.
+    [start, 2^n).  The two runs take turns, one string each and the low
+    run first, until either ends; the other then continues alone.  For
+    `split`, start is the first string of weight floor(d/2)+1; every other
+    strategy has an empty high run and visits the weight order itself.
     """
 
     def __init__(self, plan: EnumerationPlan, n: int) -> None:
-        k_low, k_high = split_workers(plan)
-        w = plan.distance_ansatz // 2 + 1 if k_high else n + 1
+        w = plan.distance_ansatz // 2 + 1 if plan.strategy == "split" else n + 1
         self.runs = (WeightRun(n, 0, w), WeightRun(n, w, n + 1))
-        self.chunks = (k_low, k_high)
-        self.phase = 0  # place of the next string in a round of k turns
+        self.phase = 0  # 0 when the low run gives the next string, else 1
         self.n = n
 
     def spans(self) -> tuple[int, tuple[int, int]]:
@@ -356,23 +346,17 @@ class VisitOrder:
         return _stack_rows(parts, self.n)
 
     def _turns(self, m: int) -> np.ndarray:
-        """The next at most m strings while both runs last: string s is the
-        low run's if its place in the round is below ceil(k/2)."""
+        """The next at most m strings while both runs last, alternating
+        from the phase's run: up to the string one of them no longer has."""
         low, high = self.runs
-        k = sum(self.chunks)
-        is_low = (self.phase + np.arange(m)) % k < self.chunks[0]
-        n_low = np.cumsum(is_low)
-        # run lengths clamped to m: beyond 62 channels they overflow int64
-        fits = np.where(is_low, n_low <= min(m, low.end - low.position),
-                        np.arange(1, m + 1) - n_low <= min(m, high.end - high.position))
-        used = m if fits.all() else int(np.argmin(fits))  # up to a string of an ended run
-        is_low = is_low[:used]
-        low_rows = low.take(int(np.count_nonzero(is_low)))
+        p = self.phase
+        used = min(m, 2 * (low.end - low.position) + p, 2 * (high.end - high.position) + 1 - p)
+        low_rows = low.take((used + 1 - p) // 2)
         high_rows = high.take(used - len(low_rows))
         rows = np.full((used, max(low_rows.shape[1], high_rows.shape[1])), self.n, dtype=np.intp)
-        rows[is_low, :low_rows.shape[1]] = low_rows
-        rows[~is_low, :high_rows.shape[1]] = high_rows
-        self.phase = (self.phase + used) % k
+        rows[p::2, :low_rows.shape[1]] = low_rows
+        rows[1 - p::2, :high_rows.shape[1]] = high_rows
+        self.phase = (p + used) % 2
         return rows
 
 

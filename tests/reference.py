@@ -2,7 +2,7 @@
 
 The library enumerates the weight order in blocks and keeps the visited
 set as positions; the helpers here do the same one string at a time:
-ranking a string to its position, strided worker cursors over the order,
+ranking a string to its position, one cursor per run of the visit order,
 flip neighbours, and a visited set fed by `add`.  The tests compare the
 library against them.
 """
@@ -17,7 +17,6 @@ from qecbound.errorspace import (
     VisitedSet,
     bits_to_str,
     first_position_of_weight,
-    split_workers,
     unrank_position,
     weight,
 )
@@ -54,11 +53,10 @@ def ranked_contains(vs: VisitedSet, mask: int) -> bool:
 
 @dataclass
 class WeightOrderCursor:
-    """Strided cursor over the weight order; yields each assigned position once."""
+    """Cursor over the weight order from `position`; yields each position once."""
 
     n: int
     position: int = 0
-    stride: int = 1
 
     @property
     def exhausted(self) -> bool:
@@ -68,28 +66,20 @@ class WeightOrderCursor:
         if self.exhausted:
             raise StopIteration("cursor exhausted")
         mask = unrank_position(self.position, self.n)
-        self.position += self.stride
+        self.position += 1
         return mask
 
 
-def partition_workers(plan: EnumerationPlan, n: int) -> list[WeightOrderCursor]:
-    """Build one strided cursor per worker.
-
-    hamming: worker i takes order positions congruent to i mod k.  split:
-    the first ceil(k/2) workers stride from position 0 and the rest from
-    the first position of weight floor(d/2)+1; the low block eventually
-    reaches the high start, so the cursors overlap.  Taking one position
-    from each cursor in turn, and dropping positions already taken, gives
-    the visit order that `VisitOrder` produces in blocks.
+def run_cursors(plan: EnumerationPlan, n: int) -> list[WeightOrderCursor]:
+    """One cursor from position 0 and one from the high start: the first
+    position of weight floor(d/2)+1 for `split`, the end of the order
+    otherwise.  The low cursor eventually reaches the high start, so the
+    cursors overlap.  Taking one position from each cursor in turn, and
+    dropping positions already taken, gives the visit order that
+    `VisitOrder` produces in blocks.
     """
-    k_low, k_high = split_workers(plan)
-    cursors = [WeightOrderCursor(n, position=i, stride=k_low) for i in range(k_low)]
-    if k_high:
-        start = first_position_of_weight(plan.distance_ansatz // 2 + 1, n)
-        cursors += [
-            WeightOrderCursor(n, position=start + i, stride=k_high) for i in range(k_high)
-        ]
-    return cursors
+    w = plan.distance_ansatz // 2 + 1 if plan.strategy == "split" else n + 1
+    return [WeightOrderCursor(n), WeightOrderCursor(n, first_position_of_weight(w, n))]
 
 
 def local_moves_flip(mask: int, n: int) -> set[int]:

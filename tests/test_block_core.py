@@ -1,9 +1,10 @@
 """The batched enumeration core against a per-shot reference.
 
-The reference below visits one bitstring at a time: strided worker cursors
-taken in turn, a FIFO of local-move detours, a VisitedSet fed by `add`, the
-scalar syndrome/observable functions and `decode`.  Every record the
-driver makes must equal the reference's bit for bit.
+The reference below visits one bitstring at a time: one cursor per run of
+the weight order, taken in turn, a FIFO of local-move detours, a
+VisitedSet fed by `add`, the scalar syndrome/observable functions and
+`decode`.  Every record the driver makes must equal the reference's bit
+for bit.
 """
 
 from collections import deque
@@ -32,7 +33,7 @@ from qecbound.sampling import (
 )
 
 from conftest import random_model
-from reference import ReferenceVisitedSet, local_moves_flip, partition_workers
+from reference import ReferenceVisitedSet, local_moves_flip, run_cursors
 
 STRATEGIES = [
     ("hamming", None),
@@ -47,14 +48,13 @@ STRATEGIES = [
 # d//2+1 > n), and, with 3-row blocks, runs end inside a block.
 SPLIT_DISTANCES = [0, 1, 3, 5, "2n+2"]
 ORDER_CASES = [
-    pytest.param(strategy, distance, workers, None, id=f"{strategy}-{distance}-{workers}")
-    for strategy, distance in STRATEGIES for workers in (1, 2, 3, 4)
+    pytest.param(strategy, distance, None, id=f"{strategy}-{distance}")
+    for strategy, distance in STRATEGIES
 ] + [
-    pytest.param("split", distance, workers, rows,
-                 id=f"split-{distance}-{workers}" + (f"-rows{rows}" if rows else ""))
-    for distance in SPLIT_DISTANCES
-    for workers, rows in [(k, None) for k in range(1, 7)] + [(5, 3)]
-    if not (distance == 3 and workers <= 4 and rows is None)
+    pytest.param("split", distance, rows,
+                 id=f"split-{distance}" + (f"-rows{rows}" if rows else ""))
+    for distance in SPLIT_DISTANCES for rows in (None, 3)
+    if not (distance == 3 and rows is None)
 ]
 
 
@@ -89,11 +89,11 @@ class CountingDecoder(Decoder):
 
 
 class _ReferenceOrder:
-    """Per-shot visit order: worker cursors in turn plus the detour FIFO."""
+    """Per-shot visit order: run cursors in turn plus the detour FIFO."""
 
     def __init__(self, config, n):
         plan = config.plan()
-        self.cursors = partition_workers(plan, n)
+        self.cursors = run_cursors(plan, n)
         self.moves = plan.local_moves
         self.n = n
         self.visited = ReferenceVisitedSet(n)
@@ -268,8 +268,8 @@ def _model(n):
 
 @pytest.mark.parametrize("n,max_shots", [(7, None), (9, None), (66, 700)])
 @pytest.mark.parametrize("decoder_kind", ["zero", "greedy"])
-@pytest.mark.parametrize("strategy,distance,workers,block_rows", ORDER_CASES)
-def test_accuracy_records_match_per_shot_reference(strategy, distance, workers, block_rows,
+@pytest.mark.parametrize("strategy,distance,block_rows", ORDER_CASES)
+def test_accuracy_records_match_per_shot_reference(strategy, distance, block_rows,
                                                    decoder_kind, n, max_shots, monkeypatch):
     import qecbound.driver as driver
 
@@ -283,8 +283,7 @@ def test_accuracy_records_match_per_shot_reference(strategy, distance, workers, 
         dec = ZeroDecoder(model.n_detectors, model.n_observables)
     else:
         dec = build_greedy_decoder(model)
-    config = RunConfig(strategy=strategy, worker_count=workers,
-                       distance_ansatz=distance, max_shots=max_shots)
+    config = RunConfig(strategy=strategy, distance_ansatz=distance, max_shots=max_shots)
     trace = run_accuracy(model, dec, v, config)
     records, final = reference_accuracy(model, dec, v, config)
     assert _strip(trace) == records
@@ -292,13 +291,12 @@ def test_accuracy_records_match_per_shot_reference(strategy, distance, workers, 
 
 
 @pytest.mark.parametrize("n", [7, 66])
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
-def test_hybrid_records_match_per_shot_reference(strategy, distance, workers, n):
+def test_hybrid_records_match_per_shot_reference(strategy, distance, n):
     model = _model(n)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
-    config = RunConfig(strategy=strategy, worker_count=workers, distance_ansatz=distance,
+    config = RunConfig(strategy=strategy, distance_ansatz=distance,
                        max_shots=40, sample_count=60, seed=5)
     trace = run_accuracy(model, dec, v, config)
     records, final = reference_accuracy(model, dec, v, config)
@@ -308,16 +306,14 @@ def test_hybrid_records_match_per_shot_reference(strategy, distance, workers, n)
 
 
 @pytest.mark.parametrize("n,max_shots", [(7, None), (66, 96)])
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
-def test_robustness_records_match_per_shot_reference(strategy, distance, workers,
-                                                     n, max_shots):
+def test_robustness_records_match_per_shot_reference(strategy, distance, n, max_shots):
     model = _model(n)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
     box = Hyperrectangle.scaled(v, 0.9, 1.1)
-    config = RunConfig(mode="robustness", strategy=strategy, worker_count=workers,
-                       distance_ansatz=distance, max_shots=max_shots, f_max=8)
+    config = RunConfig(mode="robustness", strategy=strategy, distance_ansatz=distance,
+                       max_shots=max_shots, f_max=8)
     trace = run_robustness(model, dec, box, config)
     expect = reference_robustness(model, dec, box, config)
     # the driver's records keep the best bounds so far
@@ -335,9 +331,8 @@ def test_robustness_records_match_per_shot_reference(strategy, distance, workers
 @pytest.mark.parametrize("n,max_shots,term_cap,scale", [
     (7, None, None, 1.0), (66, 96, None, 1.0), (7, None, 20, 1.0), (66, 96, 40, 1.0),
     (7, None, None, 1e-12)])
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
-def test_robustness_final_matches_per_shot_reference(strategy, distance, workers,
+def test_robustness_final_matches_per_shot_reference(strategy, distance,
                                                      n, max_shots, term_cap, scale):
     model = _model(n)
     model = model.with_probabilities([p * scale for p in model.concrete_probabilities()])
@@ -345,8 +340,8 @@ def test_robustness_final_matches_per_shot_reference(strategy, distance, workers
     dec = build_greedy_decoder(model)
     box = Hyperrectangle.scaled(v, 0.9, 1.1)
     cap = {} if term_cap is None else {"term_cap": term_cap}
-    config = RunConfig(mode="robustness", strategy=strategy, worker_count=workers,
-                       distance_ansatz=distance, max_shots=max_shots, f_max=8, **cap)
+    config = RunConfig(mode="robustness", strategy=strategy, distance_ansatz=distance,
+                       max_shots=max_shots, f_max=8, **cap)
     final = run_robustness(model, dec, box, config).final
     assert final == reference_robustness_final(model, dec, box, config)
     assert final["upper_frozen"] == (term_cap is not None)

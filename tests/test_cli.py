@@ -1,6 +1,8 @@
 """Command-line interface behavior."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -84,7 +86,7 @@ def test_accuracy_run_with_trace(program_file, tmp_path, capsys):
 def test_accuracy_greedy_and_flags(program_file, capsys):
     rc = main([
         "accuracy", program_file, "--decoder", "greedy",
-        "--strategy", "split", "--distance", "3", "--workers", "2",
+        "--strategy", "split", "--distance", "3",
         "--max-shots", "4", "--seed", "5",
     ])
     assert rc == 0
@@ -152,6 +154,35 @@ def test_negative_sample_count_is_an_error(program_file, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "sample_count" in err
     assert "Traceback" not in err
+
+
+def test_nan_time_limit_is_an_error(program_file, capsys):
+    assert main(["accuracy", program_file, "--time-limit", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "time_limit" in err
+    assert "Traceback" not in err
+
+
+def test_negative_distance_is_an_error(program_file, capsys):
+    assert main(["accuracy", program_file, "--strategy", "split", "--distance", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "distance_ansatz" in err
+
+
+def test_serve_ml_dimension_mismatch_is_an_error(program_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("INIT 7 1\n"))
+    assert main(["serve-ml", program_file]) == 1
+    captured = capsys.readouterr()
+    assert "error: dimension mismatch" in captured.err
+    assert captured.out == ""  # no READY
+
+
+def test_failed_exec_handshake_is_an_error(program_file, tmp_path, capsys):
+    stub = tmp_path / "stub.py"
+    stub.write_text("import sys\nsys.stdin.readline()\nprint('NOPE', flush=True)\n")
+    assert main(["accuracy", program_file, "--decoder", f"exec:{sys.executable} {stub}"]) == 1
+    err = capsys.readouterr().err
+    assert "error: expected READY" in err
 
 
 def test_unknown_decoder_rejected(program_file):

@@ -1,5 +1,5 @@
-"""End-to-end runs: soundness under interruption, worker independence,
-strategy equivalence, trace plumbing."""
+"""End-to-end runs: soundness under interruption, strategy equivalence,
+trace plumbing."""
 
 import io
 import itertools
@@ -95,14 +95,13 @@ def test_sound_records_bracket_exact_rate_and_are_monotone(repetition_model):
     ("local-shift", None),
     ("local-both", None),
 ])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_strategies_and_workers_agree_at_exhaustion(strategy, distance, workers):
+def test_strategies_agree_at_exhaustion(strategy, distance):
     rng = np.random.default_rng(5)
     model = random_model(rng, n_channels=9, n_det=4)
     v = model.concrete_probabilities()
     dec = build_ml_decoder(model, v)
     exact = exact_rate(model, dec, v)
-    config = RunConfig(strategy=strategy, worker_count=workers, distance_ansatz=distance)
+    config = RunConfig(strategy=strategy, distance_ansatz=distance)
     trace = run_accuracy(model, dec, v, config)
     assert trace.final["exhausted"]
     assert trace.final["shots"] == 1 << model.n_channels
@@ -408,11 +407,15 @@ def test_config_validation():
     for name in ("max_shots", "time_limit", "term_cap", "f_max"):
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: -1})
+    with pytest.raises(ValueError, match="time_limit"):
+        RunConfig(time_limit=float("nan"))
     RunConfig(max_shots=0, time_limit=0.0)
-    with pytest.raises(ValueError, match="worker_count"):
-        RunConfig(worker_count=0)
     with pytest.raises(ValueError, match="distance"):
-        RunConfig(strategy="split", worker_count=2)
+        RunConfig(strategy="split")
+    for distance in (-1, -5):
+        with pytest.raises(ValueError, match="distance_ansatz"):
+            RunConfig(strategy="split", distance_ansatz=distance)
+    RunConfig(strategy="split", distance_ansatz=0)
 
 
 def test_run_functions_reject_the_other_mode(repetition_model):

@@ -1,4 +1,4 @@
-"""Weight-order enumeration, ranking, worker partitions, visited set."""
+"""Weight-order enumeration, ranking, the visit order's runs, visited set."""
 
 from math import comb
 
@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qecbound.driver import RunConfig
 from qecbound.errorspace import (
     EnumerationPlan,
     VisitedSet,
+    VisitOrder,
     bits_to_str,
     first_position_of_weight,
     local_moves_shift,
@@ -23,10 +25,10 @@ from reference import (
     ReferenceVisitedSet,
     WeightOrderCursor,
     local_moves_flip,
-    partition_workers,
     position_of,
     rank_in_weight_class,
     ranked_contains,
+    run_cursors,
 )
 
 
@@ -87,38 +89,52 @@ def test_cursor_enumerates_everything_once():
         cur.next()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
-def test_hamming_partition_covers_space(k):
+def test_hamming_partition_covers_space():
     n = 7
-    plan = EnumerationPlan("hamming", k)
     seen = []
-    for cur in partition_workers(plan, n):
+    for cur in run_cursors(EnumerationPlan("hamming"), n):
         while not cur.exhausted:
             seen.append(cur.next())
     assert sorted(seen) == list(range(1 << n))
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_split_partition_covers_space_with_overlap(k):
+def test_split_partition_covers_space_with_overlap():
     n = 7
-    plan = EnumerationPlan("split", k, distance_ansatz=3)
+    plan = EnumerationPlan("split", distance_ansatz=3)
     seen = set()
-    for cur in partition_workers(plan, n):
+    for cur in run_cursors(plan, n):
         while not cur.exhausted:
             seen.add(cur.next())
     assert seen == set(range(1 << n))
 
 
 def test_split_requires_distance():
-    with pytest.raises(ValueError):
-        partition_workers(EnumerationPlan("split", 2), 5)
+    with pytest.raises(ValueError, match="distance ansatz"):
+        EnumerationPlan("split")
 
 
 def test_split_high_block_starts_at_expected_weight():
     n = 8
-    cursors = partition_workers(EnumerationPlan("split", 2, distance_ansatz=4), n)
+    cursors = run_cursors(EnumerationPlan("split", distance_ansatz=4), n)
     first_high = cursors[1].next()
     assert weight(first_high) == 3  # floor(4/2) + 1
+
+
+def test_split_alternates_low_and_high_strings():
+    """Weight 0, the first weight-2 string, the first weight-1 string, and
+    so on, one from each run, until the low run ends; blocks of any size
+    continue the alternation where the last one stopped."""
+    n = 5
+    order = brute_force_order(n)
+    low, high = order[:1 + n], order[1 + n:]  # d = 3: the high run starts at weight 2
+    expect = [m for pair in zip(low, high) for m in pair] + high[len(low):]
+    assert expect[:3] == [0b00000, 0b00011, 0b00001]
+    visits = VisitOrder(RunConfig(strategy="split", distance_ansatz=3).plan(), n)
+    got = []
+    for m in (1, 2, 3, 1, 4, 7, 100):
+        rows = visits.take(m)
+        got += [sum(1 << int(c) for c in row if c < n) for row in rows]
+    assert got == expect
 
 
 def test_local_moves_flip():
