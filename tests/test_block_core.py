@@ -45,16 +45,18 @@ STRATEGIES = [
 
 # More split inputs: the low run reaches the high start before the high
 # run takes anything (d = 0), the high run is empty (d = 2n+2, so that
-# d//2+1 > n), and, with 3-row blocks, runs end inside a block.
+# d//2+1 > n), and, with 3-row blocks, runs end inside a block.  Each
+# order runs on several random models (the `variant` of `_model`).
 SPLIT_DISTANCES = [0, 1, 3, 5, "2n+2"]
 ORDER_CASES = [
-    pytest.param(strategy, distance, None, id=f"{strategy}-{distance}")
-    for strategy, distance in STRATEGIES
+    pytest.param(strategy, distance, variant, None, id=f"{strategy}-{distance}-{variant}")
+    for strategy, distance in STRATEGIES for variant in (1, 2, 3, 4)
 ] + [
-    pytest.param("split", distance, rows,
-                 id=f"split-{distance}" + (f"-rows{rows}" if rows else ""))
-    for distance in SPLIT_DISTANCES for rows in (None, 3)
-    if not (distance == 3 and rows is None)
+    pytest.param("split", distance, variant, rows,
+                 id=f"split-{distance}-{variant}" + (f"-rows{rows}" if rows else ""))
+    for distance in SPLIT_DISTANCES
+    for variant, rows in [(k, None) for k in range(1, 7)] + [(5, 3)]
+    if not (distance == 3 and variant <= 4 and rows is None)
 ]
 
 
@@ -249,8 +251,8 @@ def _final(trace):
     return f["shots"], f["exhausted"], f["lower"], f["upper"]
 
 
-def _model(n):
-    rng = np.random.default_rng(1000 + n)
+def _model(n, variant=1):
+    rng = np.random.default_rng(1000 * variant + n)
     if n <= 64:
         return random_model(rng, n_channels=n, n_det=4, n_obs=2)
     # more than 64 detectors and channels: two-word syndromes and masks
@@ -268,8 +270,8 @@ def _model(n):
 
 @pytest.mark.parametrize("n,max_shots", [(7, None), (9, None), (66, 700)])
 @pytest.mark.parametrize("decoder_kind", ["zero", "greedy"])
-@pytest.mark.parametrize("strategy,distance,block_rows", ORDER_CASES)
-def test_accuracy_records_match_per_shot_reference(strategy, distance, block_rows,
+@pytest.mark.parametrize("strategy,distance,variant,block_rows", ORDER_CASES)
+def test_accuracy_records_match_per_shot_reference(strategy, distance, variant, block_rows,
                                                    decoder_kind, n, max_shots, monkeypatch):
     import qecbound.driver as driver
 
@@ -277,7 +279,7 @@ def test_accuracy_records_match_per_shot_reference(strategy, distance, block_row
         distance = 2 * n + 2
     if block_rows is not None:
         monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
-    model = _model(n)
+    model = _model(n, variant)
     v = model.concrete_probabilities()
     if decoder_kind == "zero":
         dec = ZeroDecoder(model.n_detectors, model.n_observables)
@@ -291,9 +293,10 @@ def test_accuracy_records_match_per_shot_reference(strategy, distance, block_row
 
 
 @pytest.mark.parametrize("n", [7, 66])
+@pytest.mark.parametrize("variant", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
-def test_hybrid_records_match_per_shot_reference(strategy, distance, n):
-    model = _model(n)
+def test_hybrid_records_match_per_shot_reference(strategy, distance, variant, n):
+    model = _model(n, variant)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
     config = RunConfig(strategy=strategy, distance_ansatz=distance,
@@ -306,9 +309,11 @@ def test_hybrid_records_match_per_shot_reference(strategy, distance, n):
 
 
 @pytest.mark.parametrize("n,max_shots", [(7, None), (66, 96)])
+@pytest.mark.parametrize("variant", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
-def test_robustness_records_match_per_shot_reference(strategy, distance, n, max_shots):
-    model = _model(n)
+def test_robustness_records_match_per_shot_reference(strategy, distance, variant,
+                                                     n, max_shots):
+    model = _model(n, variant)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
     box = Hyperrectangle.scaled(v, 0.9, 1.1)
@@ -331,10 +336,11 @@ def test_robustness_records_match_per_shot_reference(strategy, distance, n, max_
 @pytest.mark.parametrize("n,max_shots,term_cap,scale", [
     (7, None, None, 1.0), (66, 96, None, 1.0), (7, None, 20, 1.0), (66, 96, 40, 1.0),
     (7, None, None, 1e-12)])
+@pytest.mark.parametrize("variant", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
-def test_robustness_final_matches_per_shot_reference(strategy, distance,
+def test_robustness_final_matches_per_shot_reference(strategy, distance, variant,
                                                      n, max_shots, term_cap, scale):
-    model = _model(n)
+    model = _model(n, variant)
     model = model.with_probabilities([p * scale for p in model.concrete_probabilities()])
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)

@@ -89,8 +89,8 @@ def test_cursor_enumerates_everything_once():
         cur.next()
 
 
-def test_hamming_partition_covers_space():
-    n = 7
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_hamming_partition_covers_space(n):
     seen = []
     for cur in run_cursors(EnumerationPlan("hamming"), n):
         while not cur.exhausted:
@@ -98,9 +98,10 @@ def test_hamming_partition_covers_space():
     assert sorted(seen) == list(range(1 << n))
 
 
-def test_split_partition_covers_space_with_overlap():
+@pytest.mark.parametrize("distance", [2, 3, 5])
+def test_split_partition_covers_space_with_overlap(distance):
     n = 7
-    plan = EnumerationPlan("split", distance_ansatz=3)
+    plan = EnumerationPlan("split", distance_ansatz=distance)
     seen = set()
     for cur in run_cursors(plan, n):
         while not cur.exhausted:
