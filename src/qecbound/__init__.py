@@ -35,7 +35,7 @@ from .driver import (
     run_accuracy,
     run_robustness,
 )
-from .errorspace import VisitedSet, observable_of, syndrome_of
+from .errorspace import VisitOrder, observable_of, syndrome_of
 from .frontend import ParseError, QecProgram, parse_program, parse_symbolic_program
 from .polynomial import (
     Hyperrectangle,
@@ -75,7 +75,7 @@ __all__ = [
     "emit_trace",
     "run_accuracy",
     "run_robustness",
-    "VisitedSet",
+    "VisitOrder",
     "observable_of",
     "syndrome_of",
     "ParseError",

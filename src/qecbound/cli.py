@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .compiler import (
     CompileError,
@@ -117,12 +118,9 @@ def _run_config(args, **mode_fields) -> RunConfig:
     )
 
 
-def _emit(trace, path: str | None) -> None:
-    if path is None or path == "-":
-        emit_trace(trace, sys.stdout)
-    else:
-        with open(path, "w") as f:
-            emit_trace(trace, f)
+def _open_trace(path: str | None):
+    """The trace sink, opened before the run so that a bad path fails early."""
+    return nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w")
 
 
 def _report(trace) -> None:
@@ -159,7 +157,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, DemParseError, CompileError, ProtocolError, ValueError) as exc:
+    except (ParseError, DemParseError, CompileError, ProtocolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -192,34 +190,27 @@ def _dispatch(args) -> int:
         return 0
 
     model = load_model(args.model)
-
     if args.command == "accuracy":
         v = model.concrete_probabilities()
         config = _run_config(args, mode="accuracy", sample_count=args.samples, alpha=args.alpha)
+        point_or_box, run = v, run_accuracy
+    elif args.command == "robustness":
+        point_or_box = _parse_box(args, model)
+        v = tuple(0.5 * (lo + hi) for lo, hi in zip(point_or_box.lower, point_or_box.upper))
+        model = model.with_probabilities(v) if model.is_symbolic else model
+        config = _run_config(args, mode="robustness")
+        run = run_robustness
+    else:
+        raise SystemExit(f"unknown command {args.command!r}")
+    with _open_trace(args.trace) as sink:
         decoder = _build_decoder(args.decoder, model, v)
         try:
-            trace = run_accuracy(model, decoder, v, config)
+            trace = run(model, decoder, point_or_box, config)
         finally:
             decoder.close()
-        _emit(trace, args.trace)
-        _report(trace)
-        return 0
-
-    if args.command == "robustness":
-        box = _parse_box(args, model)
-        v0 = tuple(0.5 * (lo + hi) for lo, hi in zip(box.lower, box.upper))
-        work_model = model.with_probabilities(v0) if model.is_symbolic else model
-        config = _run_config(args, mode="robustness")
-        decoder = _build_decoder(args.decoder, work_model, v0)
-        try:
-            trace = run_robustness(work_model, decoder, box, config)
-        finally:
-            decoder.close()
-        _emit(trace, args.trace)
-        _report(trace)
-        return 0
-
-    raise SystemExit(f"unknown command {args.command!r}")
+        emit_trace(trace, sink)
+    _report(trace)
+    return 0
 
 
 if __name__ == "__main__":

@@ -5,13 +5,16 @@ support rows from one `errorspace.VisitOrder`: `hamming` is the weight
 order itself; `split` reads a low and a high run of the weight order,
 taking one string from each in turn until either run ends; `local-*`
 follows each logical error found in the weight order with its unvisited
-neighbours, in ascending bit-set order, before the order resumes, and
-only those detours are kept as extras in the visited set.  Each block
-gets its minterms with numpy, and its decoder verdicts from a
-`LogicalErrorClassifier` made for the run, which sends the unique
-syndromes it has not seen to one `decode_batch` call.  Blocks end at the
-geometric shot checkpoints (1, 2, 4, ...) and after at most `BLOCK_ROWS`
-rows, so a time limit is overrun by at most one block.
+neighbours, in ascending bit-set order, before the order resumes.  The
+order is also the visited set: it knows what it gave, and the walk adds
+its detours as extras and holds back the rows it has not reached.  No
+string is visited twice, so a run is exhausted once it has visited 2^n
+strings.  Each block gets its minterms with numpy, and its decoder
+verdicts from a `LogicalErrorClassifier` made for the run, which sends
+the unique syndromes it has not seen to one `decode_batch` call.  Blocks
+end at the geometric shot checkpoints (1, 2, 4, ...) and after at most
+`BLOCK_ROWS` rows, so a time limit is overrun by at most one block, and
+the tail sampler draws no batch past it.
 
 Both modes run one checkpoint loop, `_checkpoints`: it feeds each block
 to the mode's sink (Kahan-compensated accumulators in visit order, or the
@@ -38,7 +41,6 @@ from .decoders import Decoder, LogicalErrorClassifier
 from .errorspace import (
     STRATEGIES,
     EnumerationPlan,
-    VisitedSet,
     VisitOrder,
     bits_of,
     ints_of,
@@ -174,24 +176,21 @@ class _Rows:
 
 
 class _BlockCore:
-    """One run's visit order as evaluated blocks, and its visited set."""
+    """One run's visit order as evaluated blocks."""
 
     def __init__(self, model: DetectorErrorModel, decoder: Decoder,
                  plan: EnumerationPlan, evaluator: MintermEvaluator | None) -> None:
         self.n = model.n_channels
         self.classify = LogicalErrorClassifier(model, decoder)
         self.evaluator = evaluator
-        self.visited = VisitedSet(self.n)
         self.order = VisitOrder(plan, self.n)
         self.moves = plan.local_moves
         self.pending: deque[int] = deque()  # detour still to visit
         # In-order rows evaluated ahead; local moves take them piecewise.
         self.rows: _Rows | None = None
-        self.base = 0  # weight-order position of rows[0]
         self.cursor = 0  # rows[:cursor] are visited
         self.ints: list[int] = []
         self.flags: list[bool] = []
-        self.exhausted = False  # next_block found the space used up
 
     def evaluate(self, supp: np.ndarray) -> _Rows:
         """Evaluate padded support rows."""
@@ -203,23 +202,13 @@ class _BlockCore:
     def evaluate_masks(self, masks: list[int]) -> _Rows:
         return self.evaluate(supports_of_bits(bits_of(words_of(masks, n_words(self.n)), self.n)))
 
-    def next_block(self, limit: int) -> _Rows | None:
+    def next_block(self, limit: int) -> _Rows:
         """The next at most `limit` bitstrings of the visit order, now marked
-        visited (possibly none); None once the space is exhausted."""
+        visited (possibly none; at least one while any is unvisited)."""
         if not self.moves:
-            supp = self.order.take(limit)
-            if not len(supp):
-                self.exhausted = True
-                return None
-            self.visited.set_prefix(*self.order.spans())
-            return self.evaluate(supp)
+            return self.evaluate(self.order.take(limit))
         if self.cursor == len(self.ints) and not self.pending:
-            self.base = self.order.spans()[0]
-            supp = self.order.take(limit)
-            if not len(supp):
-                self.exhausted = True
-                return None
-            self.rows, self.cursor = self.evaluate(supp), 0
+            self.rows, self.cursor = self.evaluate(self.order.take(limit)), 0
             self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
         picked, detours = self._walk(limit)
         picked = np.array(picked, dtype=np.intp)
@@ -238,7 +227,7 @@ class _BlockCore:
         logical error in the weight order queues its unvisited neighbours,
         which go before the next in-order row; rows a detour visited are
         skipped."""
-        extras = self.visited.extras
+        extras = self.order.extras
         picked: list[int] = []
         detours: list[int] = []
         while len(picked) < limit:
@@ -259,7 +248,7 @@ class _BlockCore:
             picked.append(i)
             if self.flags[i]:
                 self.pending.extend(self._detour(m))
-        self.visited.set_prefix(self.base + self.cursor)
+        self.order.hold(len(self.ints) - self.cursor)
         return picked, detours
 
     def _detour(self, mask: int) -> list[int]:
@@ -268,7 +257,7 @@ class _BlockCore:
         as an extra (local moves keep no high run).  A flip that clears a
         bit lands inside the prefix and one that sets a bit lands past it;
         a shift lies in the prefix when it precedes `mask`."""
-        extras = self.visited.extras
+        extras = self.order.extras
         neighbors: set[int] = set()
         if "flip" in self.moves:
             neighbors.update(e for i in range(self.n)
@@ -282,15 +271,13 @@ class _BlockCore:
 def _checkpoints(core: _BlockCore, config: RunConfig, t0: float, sink):
     """Feed the visit order to `sink` in blocks, yielding the enumerated
     shots at 1, 2, 4, ... and, when enumeration advanced past the last
-    checkpoint, once more at the end.  Afterwards `core.exhausted` tells
-    whether the space ran out before `max_shots` or the time limit."""
-    max_shots = math.inf if config.max_shots is None else config.max_shots
+    checkpoint, once more at the end.  Enumeration stops at `max_shots`,
+    at the time limit, or once all 2^n strings are visited (exhausted)."""
+    max_shots = 1 << core.n if config.max_shots is None else min(config.max_shots, 1 << core.n)
     time_limit = math.inf if config.time_limit is None else config.time_limit
     shots, next_cp = 0, 1
     while shots < max_shots and time.monotonic() - t0 <= time_limit:
         rows = core.next_block(min(BLOCK_ROWS, next_cp - shots, max_shots - shots))
-        if rows is None:
-            break
         sink(rows)
         shots += len(rows)
         if shots == next_cp:
@@ -350,6 +337,8 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
     # Made only when sampling: the generator costs megabytes of RSS.
     rng = np.random.default_rng(config.seed) if config.sample_count else None
     t0 = time.monotonic()
+    # The tail sampler stops drawing here too.
+    deadline = None if config.time_limit is None else t0 + config.time_limit
     trace = BoundsTrace(header=_header(model, config))
     sampled = 0
 
@@ -358,11 +347,14 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
 
     for shots in _checkpoints(core, config, t0, sink):
         _sound_record(trace, shots + sampled, *accuracy_bounds(acc), t0)
-        if not config.sample_count or core.visited.covers_all:
+        if not config.sample_count or shots == 1 << core.n:
             continue
         try:
-            samples = sample_unseen_batch(v, core.visited, rng, config.sample_count)
+            samples = sample_unseen_batch(v, core.order, rng, config.sample_count,
+                                          deadline=deadline)
         except RejectionGuardExceeded:
+            continue
+        if not samples:  # the time limit passed before the first batch
             continue
         hits = int(np.count_nonzero(core.evaluate_masks(samples).logical))
         sampled += len(samples)
@@ -371,8 +363,8 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
         trace.records.append(TraceRecord(shots + sampled, plo, phi, False,
                                          time.monotonic() - t0, alpha=alpha))
     # At exhaustion sum_L is the exact rate.
-    return _finish(trace, shots + sampled, core.exhausted,
-                   acc.sum_l.total if core.exhausted else None)
+    exhausted = shots == 1 << core.n
+    return _finish(trace, shots + sampled, exhausted, acc.sum_l.total if exhausted else None)
 
 
 def run_robustness(model: DetectorErrorModel, decoder: Decoder,
@@ -412,7 +404,8 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
                          lower_exact=rb.lower_exact, upper_exact=rb.upper_exact):
             witness = rb.witness_vertex
     # Exhausted with exact optimization, the maximum of p_L is the worst-case rate.
-    exact = core.exhausted and rb.lower_exact and rb.upper_exact
-    return _finish(trace, shots, core.exhausted, rb.lower if exact else None,
+    exhausted = shots == 1 << n
+    exact = exhausted and rb.lower_exact and rb.upper_exact
+    return _finish(trace, shots, exhausted, rb.lower if exact else None,
                    witness_vertex=None if witness is None else list(witness),
                    exact=[rb.lower_exact, rb.upper_exact], upper_frozen=frozen)

@@ -12,17 +12,17 @@ weight class w in exactly the rank order above, so a `WeightRun` (a range
 of weight classes) needs no rank arithmetic.  Every visit order is read as
 runs of the weight order (`VisitOrder`): one run for most strategies, and
 for `split` a low and a high run taking turns, one string each, until
-either ends.  The visited set is kept in the same terms, as a position
-prefix, the high run's positions and out-of-order extras.  `Footprints`
-holds every channel's detector, observable and channel bit sets as rows
-of ceil(width/64) uint64 words, with an empty row n, so a block's
-syndromes are the XOR of one gathered row per support column, for every
-detector count.
+either ends.  The order is also the visited set: what each run has
+given, which is a prefix of that run, plus the local walk's out-of-order
+extras.  `Footprints` holds every channel's detector, observable and
+channel bit sets as rows of ceil(width/64) uint64 words, with an empty
+row n, so a block's syndromes are the XOR of one gathered row per
+support column, for every detector count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -79,11 +79,8 @@ def first_position_of_weight(w: int, n: int) -> int:
     return sum(comb(n, j) for j in range(w))
 
 
-def precedes(a: int, b: int | None) -> bool:
-    """Whether string `a` comes before `b` in the weight order; None stands
-    for the end of the order."""
-    if b is None:
-        return True
+def precedes(a: int, b: int) -> bool:
+    """Whether string `a` comes before `b` in the weight order."""
     wa, wb = a.bit_count(), b.bit_count()
     if wa != wb:
         return wa < wb
@@ -124,70 +121,6 @@ def local_moves_shift(mask: int, n: int) -> set[int]:
         if m != mask:
             out.add(m)
     return out
-
-
-@dataclass
-class VisitedSet:
-    """Membership structure for enumerated bitstrings, kept as positions in
-    the weight order.
-
-    Members are the first `prefix` positions, the positions [a, b) of a
-    second in-order run `high` (the split strategy's high run), and an
-    explicit extras set for out-of-order visits.  A string is a member if
-    it precedes the string that ends the prefix, lies in `extras`, or lies
-    between the strings that bound the high run.  Those boundary strings
-    are unranked when first needed and kept until the next `set_prefix`,
-    the only way the prefix and the high run change.
-    """
-
-    n: int
-    prefix: int = 0
-    extras: set[int] = field(default_factory=set)
-    high: tuple[int, int] = (0, 0)
-    # (end of prefix, start of high run or None if empty, end of high run)
-    _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __contains__(self, mask: int) -> bool:
-        stop, lo, hi = self._bounds or self._unrank_bounds()
-        return (precedes(mask, stop) or mask in self.extras
-                or lo is not None and not precedes(mask, lo) and precedes(mask, hi))
-
-    def _unrank_bounds(self) -> tuple:
-        def at(pos: int) -> int | None:
-            return unrank_position(pos, self.n) if pos < 1 << self.n else None
-
-        a, b = self.high
-        lo, hi = (at(a), at(b)) if a < b else (None, None)
-        self._bounds = (at(self.prefix), lo, hi)
-        return self._bounds
-
-    def set_prefix(self, count: int, high: tuple[int, int] = (0, 0)) -> None:
-        """Make the first `count` positions of the weight order the in-order
-        prefix, and `high` the second run.  The prefix only grows; extras
-        it swallows must already be gone from `extras`."""
-        a, b = high
-        if count >= a:  # the runs meet
-            count, a, b = max(count, b), 0, 0
-        self.prefix, self.high, self._bounds = count, (a, b), None
-
-    def lowest_unvisited_weight(self) -> int:
-        """The lowest weight of any unvisited string (n + 1 if none): the
-        first non-member past the prefix, jumping over the high run.  The
-        set is not changed."""
-        pos, (a, b) = self.prefix, self.high
-        while pos < 1 << self.n:
-            if a <= pos < b:
-                pos = b
-                continue
-            mask = unrank_position(pos, self.n)
-            if mask not in self:
-                return weight(mask)
-            pos += 1
-        return self.n + 1
-
-    @property
-    def covers_all(self) -> bool:
-        return self.prefix == 1 << self.n
 
 
 def n_words(n: int) -> int:
@@ -313,28 +246,69 @@ def _stack_rows(parts, n: int) -> np.ndarray:
 
 
 class VisitOrder:
-    """A plan's visit order, read in blocks of support rows.
+    """A plan's visit order, read in blocks of support rows, and the set of
+    strings it has visited.
 
     The weight order is cut into a low run [0, start) and a high run
     [start, 2^n).  The two runs take turns, one string each and the low
     run first, until either ends; the other then continues alone.  For
-    `split`, start is the first string of weight floor(d/2)+1; every other
-    strategy has an empty high run and visits the weight order itself.
+    `split`, start is the first string of weight w = floor(d/2)+1; every
+    other strategy has an empty high run and visits the weight order
+    itself.
+
+    The visited strings are those `take` returned, less the last `held`
+    of them (rows the local walk has taken but not yet visited), plus
+    `extras` (the walk's out-of-order visits).  Each run's visited part
+    starts at a weight boundary, so a string is visited if it precedes the
+    low run's visited end, lies in `extras`, or has weight >= w and
+    precedes the high run's end.  The two end strings are unranked at the
+    first query after a `take` or `hold`.
     """
 
     def __init__(self, plan: EnumerationPlan, n: int) -> None:
-        w = plan.distance_ansatz // 2 + 1 if plan.strategy == "split" else n + 1
-        self.runs = (WeightRun(n, 0, w), WeightRun(n, w, n + 1))
+        self.w = plan.distance_ansatz // 2 + 1 if plan.strategy == "split" else n + 1
+        self.runs = (WeightRun(n, 0, self.w), WeightRun(n, self.w, n + 1))
         self.phase = 0  # 0 when the low run gives the next string, else 1
         self.n = n
+        self.extras: set[int] = set()
+        self.held = 0
+        # (low run's visited end, high run's end or None while it gave nothing)
+        self._ends: tuple | None = None
 
-    def spans(self) -> tuple[int, tuple[int, int]]:
-        """The visited positions: the low run's prefix and the high run's."""
+    def __contains__(self, mask: int) -> bool:
+        lo, hi = self._ends or self._unrank_ends()
+        return (precedes(mask, lo) or mask in self.extras
+                or hi is not None and mask.bit_count() >= self.w and precedes(mask, hi))
+
+    def _unrank_ends(self) -> tuple:
+        def at(pos: int) -> int:
+            # Past the end: the all-ones string of n + 1 bits, which every string precedes.
+            return unrank_position(pos, self.n) if pos < 1 << self.n else (2 << self.n) - 1
+
         low, high = self.runs
-        return low.position, (high.start, high.position)
+        self._ends = (at(low.position - self.held),
+                      at(high.position) if high.position > high.start else None)
+        return self._ends
+
+    def hold(self, count: int) -> None:
+        """Mark the last `count` strings taken as not yet visited."""
+        self.held, self._ends = count, None
+
+    def lowest_unvisited_weight(self) -> int:
+        """The lowest weight of any unvisited string (n + 1 if none): in
+        each run, the first string past its visited end not in `extras`."""
+        low, high = self.runs
+        lowest = self.n + 1
+        for pos, end in ((low.position - self.held, low.end), (high.position, high.end)):
+            for mask in (unrank_position(p, self.n) for p in range(pos, end)):
+                if mask not in self.extras:
+                    lowest = min(lowest, mask.bit_count())
+                    break
+        return lowest
 
     def take(self, m: int) -> np.ndarray:
         """The next m strings of the order (fewer at its end)."""
+        self._ends = None
         parts = []
         while m:
             live = [run for run in self.runs if run.position < run.end]

@@ -14,12 +14,13 @@ Chernoff bound by bisection.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoders import LogicalErrorClassifier
-from .errorspace import VisitedSet, ints_of, n_words, supports_of_bits
+from .errorspace import VisitOrder, ints_of, n_words, supports_of_bits
 from .polynomial import BoundAccumulators
 
 REJECTION_GUARD = 1_000_000
@@ -72,13 +73,18 @@ def _draw_tail(v: np.ndarray, lg: np.ndarray, rng: np.random.Generator,
     return ints_of(words)
 
 
-def sample_unseen_batch(v, visited: VisitedSet, rng, count: int,
-                        guard: int = REJECTION_GUARD) -> list[int]:
+def sample_unseen_batch(v, visited: VisitOrder, rng, count: int,
+                        guard: int = REJECTION_GUARD,
+                        deadline: float | None = None) -> list[int]:
     """Draw `count` bitstrings from the model distribution conditioned on
-    the complement of `visited`.  Draws come from the tail weight >= c,
-    with c the lowest unvisited weight, and visited strings of that tail
-    are redrawn.  Raises RejectionGuardExceeded after `guard` consecutive
-    rejections, or at once when every string is visited."""
+    the complement of `visited`, which answers `e in visited` and
+    `visited.lowest_unvisited_weight()` (a run passes its `VisitOrder`).
+    Draws come from the tail weight >= c, with c the lowest unvisited
+    weight, and visited strings of that tail are redrawn.  Once `deadline`
+    (a `time.monotonic()` value) has passed, no further batch is drawn and
+    the samples accepted so far, possibly none, are returned.  Raises
+    RejectionGuardExceeded after `guard` consecutive rejections, or at
+    once when every string is visited."""
     rng = _as_rng(rng)
     varr = np.asarray(v, dtype=float)
     c = visited.lowest_unvisited_weight()
@@ -89,6 +95,8 @@ def sample_unseen_batch(v, visited: VisitedSet, rng, count: int,
     accepted: list[int] = []
     rejects = 0  # consecutive rejections since the last acceptance
     while len(accepted) < count:
+        if deadline is not None and time.monotonic() > deadline:
+            break
         # Twice the shortfall, and more after rejections, so that a nearly
         # visited tail reaches the guard in a few batches.
         size = min(_BATCH, 2 * (count - len(accepted)) + rejects)
@@ -108,7 +116,7 @@ def sample_unseen_batch(v, visited: VisitedSet, rng, count: int,
     return accepted
 
 
-def sample_unseen(model, v, visited: VisitedSet, rng) -> int:
+def sample_unseen(model, v, visited: VisitOrder, rng) -> int:
     """Single conditioned draw; see sample_unseen_batch."""
     return sample_unseen_batch(v, visited, rng, 1)[0]
 

@@ -1,20 +1,20 @@
 """Per-shot reference for the error-space layer, used only by the tests.
 
-The library enumerates the weight order in blocks and keeps the visited
-set as positions; the helpers here do the same one string at a time:
-ranking a string to its position, one cursor per run of the visit order,
-flip neighbours, and a visited set fed by `add`.  The tests compare the
-library against them.
+The library enumerates the weight order in blocks, and its visit order
+answers membership from the strings it gave; the helpers here do the same
+one string at a time: ranking a string to its position, one cursor per
+run of the visit order, flip neighbours, and a visited set fed by `add`
+whose membership ranks the string.  The tests compare the library against
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from qecbound.errorspace import (
     EnumerationPlan,
-    VisitedSet,
     bits_to_str,
     first_position_of_weight,
     unrank_position,
@@ -42,13 +42,6 @@ def rank_in_weight_class(mask: int, n: int) -> int:
 def position_of(mask: int, n: int) -> int:
     """Global position in the weight order over all 2^n strings."""
     return first_position_of_weight(weight(mask), n) + rank_in_weight_class(mask, n)
-
-
-def ranked_contains(vs: VisitedSet, mask: int) -> bool:
-    """Membership in `vs` by ranking `mask`: the oracle for `in vs`."""
-    pos = position_of(mask, vs.n)
-    a, b = vs.high
-    return mask in vs.extras or pos < vs.prefix or a <= pos < b
 
 
 @dataclass
@@ -87,10 +80,24 @@ def local_moves_flip(mask: int, n: int) -> set[int]:
     return {mask ^ (1 << i) for i in range(n)}
 
 
-class ReferenceVisitedSet(VisitedSet):
-    """A visited set fed one string at a time.  `add` promotes extras into
-    the prefix as the prefix catches up, so extras never duplicate the
-    prefix.  Membership is the library's."""
+@dataclass
+class ReferenceVisitedSet:
+    """A visited set kept as positions in the weight order: the first
+    `prefix` positions, the positions [a, b) of a second run `high`, and
+    explicit `extras`.  Membership ranks the string.  `add` visits one
+    string at a time and promotes extras into the prefix as the prefix
+    catches up, so extras never duplicate the prefix; layouts with a high
+    run are built with the constructor."""
+
+    n: int
+    prefix: int = 0
+    extras: set[int] = field(default_factory=set)
+    high: tuple[int, int] = (0, 0)
+
+    def __contains__(self, mask: int) -> bool:
+        pos = position_of(mask, self.n)
+        a, b = self.high
+        return mask in self.extras or pos < self.prefix or a <= pos < b
 
     def add(self, mask: int) -> None:
         if mask in self:
@@ -98,12 +105,24 @@ class ReferenceVisitedSet(VisitedSet):
         if position_of(mask, self.n) != self.prefix:
             self.extras.add(mask)
             return
-        prefix = self.prefix + 1
+        self.prefix += 1
         # promote any extras that now sit at the end of the prefix
-        while prefix < 1 << self.n and (m := unrank_position(prefix, self.n)) in self.extras:
+        while not self.covers_all and (m := unrank_position(self.prefix, self.n)) in self.extras:
             self.extras.discard(m)
-            prefix += 1
-        self.set_prefix(prefix, self.high)
+            self.prefix += 1
+
+    def lowest_unvisited_weight(self) -> int:
+        """The weight of the first non-member in the weight order (n + 1
+        if none)."""
+        for pos in range(self.prefix, 1 << self.n):
+            mask = unrank_position(pos, self.n)
+            if mask not in self:
+                return weight(mask)
+        return self.n + 1
+
+    @property
+    def covers_all(self) -> bool:
+        return self.prefix == 1 << self.n
 
     @property
     def complete_weight(self) -> int:

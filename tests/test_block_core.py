@@ -2,9 +2,10 @@
 
 The reference below visits one bitstring at a time: one cursor per run of
 the weight order, taken in turn, a FIFO of local-move detours, a
-VisitedSet fed by `add`, the scalar syndrome/observable functions and
-`decode`.  Every record the driver makes must equal the reference's bit
-for bit.
+`ReferenceVisitedSet` fed by `add` (membership by rank, not the library's
+rule), the scalar syndrome/observable functions and `decode`.  A run is
+exhausted once it has visited all 2^n strings.  Every record the driver
+makes must equal the reference's bit for bit.
 """
 
 from collections import deque
@@ -128,15 +129,14 @@ class _ReferenceOrder:
 
 
 def _reference_walk(model, decoder, config, visit, checkpoint):
-    """Visit strings one by one; checkpoint at 1, 2, 4, ... and at the end."""
+    """Visit strings one by one; checkpoint at 1, 2, 4, ... and at the end.
+    Returns the shots and whether all 2^n strings were visited."""
     order = _ReferenceOrder(config, model.n_channels)
-    shots, cp_shots, next_cp, exhausted = 0, None, 1, False
-    while config.max_shots is None or shots < config.max_shots:
-        item = order.next()
-        if item is None:
-            exhausted = True
-            break
-        e, planned = item
+    size = 1 << model.n_channels
+    stop = size if config.max_shots is None else min(size, config.max_shots)
+    shots, cp_shots, next_cp = 0, None, 1
+    while shots < stop:
+        e, planned = order.next()
         order.visited.add(e)
         is_log = decoder.decode(syndrome_of(model, e)) != observable_of(model, e)
         visit(e, is_log)
@@ -148,7 +148,7 @@ def _reference_walk(model, decoder, config, visit, checkpoint):
             cp_shots, next_cp = shots, next_cp * 2
     if shots != cp_shots:
         checkpoint(shots, order.visited)
-    return shots, exhausted
+    return shots, shots == size
 
 
 def reference_accuracy(model, decoder, v, config):
@@ -165,7 +165,7 @@ def reference_accuracy(model, decoder, v, config):
         best[0] = max(best[0], max(0.0, lo - FP_MARGIN))
         best[1] = min(best[1], min(1.0, hi + FP_MARGIN))
         records.append((shots + sampled, best[0], best[1], True))
-        if config.sample_count and not visited.covers_all:
+        if config.sample_count and shots < 1 << model.n_channels:
             try:
                 samples = sample_unseen_batch(v, visited, rng, config.sample_count)
             except RejectionGuardExceeded:

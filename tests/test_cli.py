@@ -188,3 +188,31 @@ def test_failed_exec_handshake_is_an_error(program_file, tmp_path, capsys):
 def test_unknown_decoder_rejected(program_file):
     with pytest.raises(SystemExit):
         main(["accuracy", program_file, "--decoder", "wizard"])
+
+
+def test_missing_model_file_is_an_error(tmp_path, capsys):
+    assert main(["accuracy", str(tmp_path / "nope.dem")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.dem" in err
+    assert "Traceback" not in err
+
+
+def test_missing_box_file_is_an_error(program_file, tmp_path, capsys):
+    assert main(["robustness", program_file, "--box-file", str(tmp_path / "nope")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope" in err
+
+
+def test_bad_trace_path_fails_before_the_run(program_file, tmp_path, monkeypatch, capsys):
+    """The trace file is opened before the decoder is built, so a bad path
+    costs no run."""
+    import qecbound.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_build_decoder", lambda *a: calls.append("build"))
+    monkeypatch.setattr(cli, "run_accuracy", lambda *a: calls.append("run"))
+    trace = tmp_path / "missing" / "x.jsonl"
+    assert main(["accuracy", program_file, "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x.jsonl" in err
+    assert calls == []

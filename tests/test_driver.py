@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -154,6 +156,25 @@ def test_sampling_records_nest_in_sound_records(repetition_model):
         assert rec.alpha == 0.01
 
 
+def test_tail_sampler_stops_at_the_time_limit():
+    """The tail sampler draws no batch past the time limit: two million
+    samples per checkpoint at a 0.05 s limit end within about a second,
+    with every probabilistic record nested in the sound one before it."""
+    model = parse_dem((resources.files("qecbound") / "data" / "scaling_demo.dem").read_text())
+    v = model.concrete_probabilities()
+    dec = build_greedy_decoder(model, v)
+    t0 = time.monotonic()
+    trace = run_accuracy(model, dec, v, RunConfig(time_limit=0.05, sample_count=2_000_000))
+    assert time.monotonic() - t0 < 1.0
+    assert not trace.final["exhausted"]
+    assert trace.records[0].sound
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        if not rec.sound:
+            assert prev.sound and prev.lower <= rec.lower and rec.upper <= prev.upper
+            assert prev.shots < rec.shots < prev.shots + 2_000_000
+    assert trace.final["shots"] == trace.records[-1].shots
+
+
 def test_sampling_shots_counted(repetition_model):
     v = repetition_model.concrete_probabilities()
     dec = build_ml_decoder(repetition_model, v)
@@ -245,6 +266,31 @@ def test_exhausted_finals_give_one_exact_value(repetition_program_text, p):
     worst = max(_exact_logical_rate(model, dec, vertex)
                 for vertex in itertools.product(*zip(box.lower, box.upper)))
     assert abs(Fraction(final["lower"]) - worst) <= math.ulp(float(worst))
+
+
+@pytest.mark.parametrize("strategy,distance", [("hamming", None), ("split", 1),
+                                               ("local-flip", None)])
+def test_run_stopped_at_two_to_the_n_shots_is_exhausted(strategy, distance):
+    """A run stopped by `max_shots` = 2^n has visited every string: its
+    final is exhausted and gives the exact rate on both sides, as a run
+    with no shot limit does, in both modes."""
+    model = parse_dem("dem 2 1\nerror(0.1) D0 L0\nerror(0.1) D0 D1\nerror(0.1) D1\n")
+    v = model.concrete_probabilities()
+    dec = build_ml_decoder(model, v)
+    plan = {"strategy": strategy, "distance_ansatz": distance}
+    final = run_accuracy(model, dec, v, RunConfig(max_shots=8, **plan)).final
+    assert final["shots"] == 8 and final["exhausted"]
+    unlimited = run_accuracy(model, dec, v, RunConfig(**plan)).final
+    assert final["lower"] == final["upper"] == unlimited["lower"]
+    # Each minterm is a product of n = 3 rounded factors.
+    exact = _exact_logical_rate(model, dec, v)
+    assert abs(Fraction(final["lower"]) - exact) <= 4 * math.ulp(float(exact))
+
+    box = Hyperrectangle.scaled(v, 0.9, 1.1)
+    final = run_robustness(model, dec, box, RunConfig(mode="robustness", max_shots=8, **plan)).final
+    assert final["shots"] == 8 and final["exhausted"] and final["exact"] == [True, True]
+    unlimited = run_robustness(model, dec, box, RunConfig(mode="robustness", **plan)).final
+    assert final["lower"] == final["upper"] == unlimited["lower"]
 
 
 def test_robustness_degenerate_box_equals_accuracy(repetition_model):

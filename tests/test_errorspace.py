@@ -1,4 +1,5 @@
-"""Weight-order enumeration, ranking, the visit order's runs, visited set."""
+"""Weight-order enumeration, ranking, the visit order's runs and its
+membership, and the reference visited set."""
 
 from math import comb
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from qecbound.driver import RunConfig
 from qecbound.errorspace import (
     EnumerationPlan,
-    VisitedSet,
     VisitOrder,
     bits_to_str,
     first_position_of_weight,
@@ -27,7 +27,6 @@ from reference import (
     local_moves_flip,
     position_of,
     rank_in_weight_class,
-    ranked_contains,
     run_cursors,
 )
 
@@ -210,7 +209,7 @@ def test_precedes_is_the_weight_order():
     n = 5
     order = [unrank_position(p, n) for p in range(1 << n)]
     for i, a in enumerate(order):
-        assert precedes(a, None)
+        assert precedes(a, (2 << n) - 1)  # the order's end marker
         for j, b in enumerate(order):
             assert precedes(a, b) == (i < j)
 
@@ -218,43 +217,67 @@ def test_precedes_is_the_weight_order():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_frozen_membership_and_lowest_unvisited_weight(seed, n):
-    """Any layout: a prefix, an optional high run, extras anywhere else
-    (also at the frontier, as local moves leave them)."""
+    """Any reference layout: a prefix, an optional high run, extras
+    anywhere else (also at the frontier, as local moves leave them).  The
+    reference's own position walk finds the lowest unvisited weight and
+    leaves the layout alone."""
     rng = np.random.default_rng(seed)
     size = 1 << n
     prefix = int(rng.integers(0, size + 1))
-    vs = ReferenceVisitedSet(n)
+    vs = ReferenceVisitedSet(n, prefix)
     if rng.random() < 0.5 and prefix < size:
         a = int(rng.integers(prefix, size))
-        b = int(rng.integers(a, size + 1))
-        vs.set_prefix(prefix, (a, b))
-    else:
-        vs.set_prefix(prefix)
+        vs.high = (a, int(rng.integers(a, size + 1)))
     a, b = vs.high
-    outside = [p for p in range(vs.count - (b - a), size) if not a <= p < b]
+    outside = [p for p in range(prefix, size) if not a <= p < b]
     vs.extras.update(unrank_position(p, n) for p in outside if rng.random() < 0.5)
     before = repr(vs)
-    unvisited = [m for m in range(size) if not ranked_contains(vs, m)]
-    assert [m in vs for m in range(size)] == [ranked_contains(vs, m) for m in range(size)]
+    unvisited = [m for m in range(size) if m not in vs]
     assert vs.lowest_unvisited_weight() == min((weight(m) for m in unvisited), default=n + 1)
     assert repr(vs) == before
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-@settings(max_examples=60, deadline=None)
-def test_membership_follows_set_prefix(seed, n):
-    """Membership is asked, the prefix and high run grow on the same set,
-    and membership is asked again: both answers match the ranked oracle,
-    so boundary strings kept from before `set_prefix` would fail."""
-    rng = np.random.default_rng(seed)
-    size = 1 << n
-    vs = VisitedSet(n)
-    vs.extras.update(m for m in range(size) if rng.random() < 0.2)
-    count = 0
-    for _ in range(4):
-        count = int(rng.integers(count, size + 1))
-        a = int(rng.integers(count, size + 1))
-        vs.set_prefix(count, (a, int(rng.integers(a, size + 1))))
-        assert [m in vs for m in range(size)] == [ranked_contains(vs, m) for m in range(size)]
-        assert vs.lowest_unvisited_weight() == min(
-            (weight(m) for m in range(size) if not ranked_contains(vs, m)), default=n + 1)
+def _mask(row, n):
+    return sum(1 << int(c) for c in row if c < n)
+
+
+def _assert_visited(order, n, visited):
+    assert [m in order for m in range(1 << n)] == [m in visited for m in range(1 << n)]
+    assert order.lowest_unvisited_weight() == min(
+        (weight(m) for m in range(1 << n) if m not in visited), default=n + 1)
+
+
+# Every strategy, and split over the distances of test_block_core.
+ORDER_PLANS = [(s, None) for s in ("hamming", "local-flip", "local-shift", "local-both")] + [
+    ("split", d) for d in (0, 1, 3, 5, "2n+2")]
+
+
+@pytest.mark.parametrize("strategy,distance", ORDER_PLANS,
+                         ids=[f"{s}-{d}" if d is not None else s for s, d in ORDER_PLANS])
+def test_order_membership_matches_taken_strings(strategy, distance):
+    """The order is the visited set: the strings `take` returned, less the
+    last `held` of them, plus the extras.  Takes of random size (0 too),
+    random holds (the local walk's; `split` never holds) and random extras
+    for `local-*`; membership of every string and the lowest unvisited
+    weight are asked after each `take` and each `hold`, so ends kept from
+    before either would fail."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 11))
+        d = 2 * n + 2 if distance == "2n+2" else distance
+        order = VisitOrder(EnumerationPlan(strategy, d), n)
+        taken: list[int] = []
+        held = 0
+        while len(taken) < 1 << n:
+            rows = order.take(int(rng.integers(0, 2 + (1 << n) // 6)))
+            taken += [_mask(row, n) for row in rows]
+            _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)
+            if strategy == "split":
+                continue
+            held = int(rng.integers(0, len(rows) + 1))
+            order.hold(held)
+            if strategy.startswith("local"):
+                order.extras.clear()
+                order.extras.update(int(m) for m in np.flatnonzero(rng.random(1 << n) < 0.1))
+            _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)
+        assert sorted(taken) == list(range(1 << n))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qecbound.errorspace import (
-    VisitedSet,
+    EnumerationPlan,
+    VisitOrder,
     first_position_of_weight,
     unrank_position,
     weight,
@@ -92,8 +93,7 @@ def test_sample_distribution_with_extras_and_high_run():
     n = 6
     v = (0.3, 0.15, 0.45, 0.2, 0.35, 0.25)
     high = first_position_of_weight(3, n)
-    visited = VisitedSet(n)
-    visited.set_prefix(10, (high, high + 5))  # weight 2 partly visited
+    visited = ReferenceVisitedSet(n, 10, high=(high, high + 5))  # weight 2 partly visited
     visited.extras.update(unrank_position(p, n) for p in (12, 15, 50))
     assert visited.lowest_unvisited_weight() == 2
     samples = sample_unseen_batch(v, visited, np.random.default_rng(4), 40_000)
@@ -101,20 +101,19 @@ def test_sample_distribution_with_extras_and_high_run():
 
 
 def _layouts(n):
-    """Three VisitedSets with one membership: the in-order visits 0..23
-    (all of weights 0-2 and two weight-3 strings) and two more strings."""
+    """Three reference layouts with one membership: the in-order visits
+    0..23 (all of weights 0-2 and two weight-3 strings) and two more
+    strings."""
     later = [unrank_position(p, n) for p in (30, 45)]
     built = ReferenceVisitedSet(n)
     for p in range(24):
         built.add(unrank_position(p, n))
     for e in later:
         built.add(e)
-    ahead = ReferenceVisitedSet(n)  # extras ahead of the prefix, as local moves leave them
-    ahead.set_prefix(10)
+    ahead = ReferenceVisitedSet(n, 10)  # extras ahead of the prefix, as local moves leave them
     ahead.extras.update(unrank_position(p, n) for p in range(10, 24))
     ahead.extras.update(later)
-    split = ReferenceVisitedSet(n)  # the weight-3 strings as a high run
-    split.set_prefix(10, (22, 24))
+    split = ReferenceVisitedSet(n, 10, high=(22, 24))  # the weight-3 strings as a high run
     split.extras.update(unrank_position(p, n) for p in range(10, 22))
     split.extras.update(later)
     return built, ahead, split
@@ -137,11 +136,32 @@ def test_visited_layouts_give_identical_draws():
     _assert_frequencies_match(v, layouts[0], draws[0])
 
 
+def test_order_draws_like_its_reference_layout():
+    """A run hands the sampler its VisitOrder: mid-way through a `split`
+    order, and through a held-back local walk with extras, it gives the
+    same members, lowest unvisited weight and draws as the reference
+    layout of the same positions."""
+    n = 6
+    v = (0.3, 0.15, 0.45, 0.2, 0.35, 0.25)
+    split = VisitOrder(EnumerationPlan("split", 3), n)
+    split.take(10)  # positions 0-4 of the low run, 7-11 of the high run
+    walk = VisitOrder(EnumerationPlan("local-flip"), n)
+    walk.take(30)
+    walk.hold(6)  # positions 0-23 visited in order
+    walk.extras.update(unrank_position(p, n) for p in (26, 45))
+    for order, layout in [(split, ReferenceVisitedSet(n, 5, high=(7, 12))),
+                          (walk, ReferenceVisitedSet(n, 24, {unrank_position(p, n)
+                                                             for p in (26, 45)}))]:
+        assert [e in order for e in range(1 << n)] == [e in layout for e in range(1 << n)]
+        assert order.lowest_unvisited_weight() == layout.lowest_unvisited_weight()
+        assert (sample_unseen_batch(v, order, np.random.default_rng(8), 500)
+                == sample_unseen_batch(v, layout, np.random.default_rng(8), 500))
+
+
 def test_deep_tail_does_not_underflow():
     n, c = 48, 40
     v = (1e-9,) * n
-    visited = VisitedSet(n)
-    visited.set_prefix(first_position_of_weight(c, n))
+    visited = ReferenceVisitedSet(n, first_position_of_weight(c, n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lg = _tail_table(np.asarray(v), c)
