@@ -12,6 +12,23 @@ line-oriented subprocess protocol:
     decoder  -> k lines of n_obs chars from {0,1}
     analyzer -> QUIT
 
+The server reads a whole `DECODE k` batch before it answers it.
+
+The ML table.  `build_ml_decoder` sums each (syndrome, observable)
+class's minterms over all 2^n bitstrings in array passes.  The classes
+are the GF(2) span of the channels' (detector, observable) words; in a
+basis of it, each class is an integer coordinate and each channel XORs
+a fixed coordinate in.  The strings over channels 0..i then extend those
+over channels 0..i-1 by subset doubling: one XOR of channel i's
+coordinate and one multiply by its ratio.  A low table of the lowest k
+channels is built this way once; each chunk of high channels XORs its
+coordinate into the low classes and scales their minterms, with no sort
+and no per-class Python loop.  Each class still sums its minterms in
+ascending bitstring order, with every minterm bit-identical to
+`MintermEvaluator`'s, so the table equals a sequential loop's entry for
+entry, ties included.  One lexsort then picks each syndrome's heaviest
+class.
+
 Batched decoding.  The enumeration core and the samplers classify whole
 blocks of bitstrings with `LogicalErrorClassifier`: the block's unique
 syndromes that are not yet in its syndrome -> prediction cache go to one
@@ -35,7 +52,6 @@ from .compiler import DetectorErrorModel
 from .polynomial import MintermEvaluator
 from .errorspace import (
     Footprints,
-    bit_columns,
     bits_of,
     bits_to_str,
     ints_of,
@@ -49,7 +65,8 @@ import numpy as np
 
 ML_CHANNEL_CAP = 24
 EXTERNAL_BATCH = 1024
-# The ML table is built from at most this many bitstrings at a time.
+# Bitstrings in the ML build's low table: the strings of its lowest
+# channels, which each chunk of the build extends by its high channels.
 ML_CHUNK = 1 << 16
 # Syndromes a LogicalErrorClassifier caches at most: its inserts copy the
 # cache, and a long run can see a new syndrome in nearly every string.
@@ -64,11 +81,6 @@ CLOSE_TIMEOUT = 10.0
 
 class ProtocolError(RuntimeError):
     pass
-
-
-def _obs_sort_key(mask: int, n_obs: int):
-    # lexicographic on the textual rendering, bit 0 leftmost
-    return tuple(mask >> i & 1 for i in range(n_obs))
 
 
 class Decoder:
@@ -106,48 +118,80 @@ class MlDecoder(Decoder):
         return self.table.get(syndrome, 0)
 
 
-def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(words, axis=0, return_inverse=True), by a lexsort of the
-    columns (several times faster than sorting rows as opaque bytes)."""
-    order = np.lexsort(words.T[::-1])
-    rows = words[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    inv = np.empty(len(rows), dtype=np.intp)
-    inv[order] = np.cumsum(first) - 1
-    return rows[first], inv
+def _span_coordinates(vectors: list[int]) -> tuple[list[int], list[int]]:
+    """A basis of the GF(2) span of `vectors` (Python-int bit sets), and
+    each vector's coordinates: the bit set of the basis vectors whose XOR
+    it is."""
+    basis: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit -> basis index
+    coords = []
+    for x in vectors:
+        c = 0
+        while x:
+            j = pivots.setdefault(x.bit_length() - 1, len(basis))
+            c ^= 1 << j
+            if j == len(basis):
+                basis.append(x)
+                break
+            x ^= basis[j]
+        coords.append(c)
+    return basis, coords
+
+
+def _doubled(first, steps, combine) -> np.ndarray:
+    """Rows [2^i, 2^(i+1)) are combine(rows [0, 2^i), steps[i]), for each
+    step in order: row e combines `first` with the steps of e's set bits,
+    in ascending bit order."""
+    out = np.empty((1 << len(steps), *np.shape(first)), dtype=np.asarray(first).dtype)
+    out[0] = first
+    for i, step in enumerate(steps):
+        combine(out[:1 << i], step, out=out[1 << i:2 << i])
+    return out
 
 
 def build_ml_decoder(model: DetectorErrorModel, v) -> MlDecoder:
     """Sum each (syndrome, observable) class's mass over all 2^n bitstrings,
-    in ascending bitstring order, and keep each syndrome's heaviest class."""
+    in ascending bitstring order, and keep each syndrome's heaviest class.
+
+    A class is named by its coordinates in a basis of the span of the
+    channels' (detector, observable) words, so the 2^r classes are the
+    indices of one dense mass array.  Bitstring h * 2^k + l is read as
+    chunk h, low string l, with 2^k the smaller of 2^n and `ML_CHUNK`.
+    The low strings' classes and minterms are built once by doubling (see
+    `_doubled`); chunk h XORs the low classes with its high channels'
+    class and multiplies the low minterms by its high channels' ratios one
+    at a time.  Every minterm is thus the product of `base` and its
+    channels' ratios in ascending channel order, as `MintermEvaluator`
+    computes it, and `np.add.at` adds each chunk in index order, so each
+    class sums its minterms in ascending bitstring order, as a sequential
+    loop would."""
     n = model.n_channels
     if n > ML_CHANNEL_CAP:
         raise ValueError(f"{n} channels exceeds the ML enumeration cap {ML_CHANNEL_CAP}")
     evaluator = MintermEvaluator(v)
-    fp = Footprints(model)
-    wd = fp.det.shape[1]
-    slots: dict[tuple[int, int], int] = {}  # (syndrome, observable) -> slot in mass
-    mass = np.zeros(0)
-    chunk = min(1 << n, ML_CHUNK)
-    for e0 in range(0, 1 << n, chunk):
-        e = np.arange(e0, e0 + chunk, dtype=np.uint64)
-        cols = bit_columns(bits_of(e[:, None], n))
-        uniq, inv = _unique_rows(np.hstack((fp.xor(fp.det, cols), fp.xor(fp.obs, cols))))
-        ids = np.array([slots.setdefault(key, len(slots))
-                        for key in zip(ints_of(uniq[:, :wd]), ints_of(uniq[:, wd:]))])
-        mass = np.concatenate((mass, np.zeros(len(slots) - mass.size)))
-        # unbuffered and in index order: each class adds its masses in
-        # ascending bitstring order, as a sequential loop would
-        np.add.at(mass, ids[inv], evaluator.block(cols))
-    best: dict[int, tuple] = {}
-    table = {}
-    for (s, o), m in zip(slots, mass.tolist()):
-        key = (-m, o != 0, _obs_sort_key(o, model.n_observables))
-        if s not in best or key < best[s]:
-            best[s] = key
-            table[s] = o
-    return MlDecoder(model.n_detectors, model.n_observables, table)
+    wd, wo = n_words(model.n_detectors), n_words(model.n_observables)
+    basis, coords = _span_coordinates([d | o << 64 * wd for d, o in
+                                       zip(model.det_footprints, model.obs_footprints)])
+    k = min(n, ML_CHUNK.bit_length() - 1)
+    low = _doubled(0, coords[:k], np.bitwise_xor)
+    low_prob = _doubled(evaluator.base, evaluator.ratio[:k], np.multiply)
+    mass = np.zeros(1 << len(basis))
+    for h, c in enumerate(_doubled(0, coords[k:], np.bitwise_xor).tolist()):
+        prob = low_prob
+        for j in range(n - k):
+            if h >> j & 1:
+                prob = prob * evaluator.ratio[k + j]
+        np.add.at(mass, low ^ c, prob)
+    # per syndrome, the heaviest class; ties go lexicographically on the
+    # observable bits, bit 0 first, which puts all-zeros first
+    words = _doubled(np.zeros(wd + wo, dtype=np.uint64), words_of(basis, wd + wo), np.bitwise_xor)
+    syn, obs = words[:, :wd], words[:, wd:]
+    order = np.lexsort((*bits_of(obs, model.n_observables).T[::-1], -mass, *syn.T))
+    syn, obs = syn[order], obs[order]
+    first = np.ones(len(syn), dtype=bool)
+    first[1:] = (syn[1:] != syn[:-1]).any(axis=1)
+    return MlDecoder(model.n_detectors, model.n_observables,
+                     dict(zip(ints_of(syn[first]), ints_of(obs[first]))))
 
 
 @dataclass
@@ -367,7 +411,12 @@ def _command(line: str, name: str, n_args: int) -> list[int] | None:
 
 def serve(decoder: Decoder, stdin, stdout) -> None:
     """Server side of the wire protocol (used by `qecbound serve-ml`).  A
-    malformed line raises ProtocolError naming it."""
+    malformed line raises ProtocolError naming it.
+
+    Each `DECODE k` batch is read whole before it is answered, with one
+    `decode_batch` call and one write: a client may write the whole batch
+    before it reads, and replies sent line by line could fill the reply
+    pipe while that client is still writing."""
     line = stdin.readline()
     init = _command(line, "INIT", 2)
     if init is None:
@@ -387,10 +436,12 @@ def serve(decoder: Decoder, stdin, stdout) -> None:
         count = _command(line, "DECODE", 1)
         if count is None:
             raise ProtocolError(f"unexpected command {line!r}")
+        syndromes = []
         for _ in range(count[0]):
             s = stdin.readline().strip()
             if len(s) != n_det or set(s) - {"0", "1"}:
                 raise ProtocolError(f"malformed syndrome {s!r}")
-            pred = decoder.decode(str_to_bits(s))
-            stdout.write(bits_to_str(pred, n_obs) + "\n")
+            syndromes.append(str_to_bits(s))
+        stdout.write("".join(bits_to_str(pred, n_obs) + "\n"
+                             for pred in decoder.decode_batch(syndromes)))
         stdout.flush()

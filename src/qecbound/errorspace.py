@@ -168,22 +168,13 @@ def supports_of_bits(bits: np.ndarray) -> np.ndarray:
     return np.where(np.arange(width) < count[:, None], first, n)
 
 
-def bit_columns(bits: np.ndarray) -> np.ndarray:
-    """Support columns of [B, n] bool rows, one per channel: column i holds
-    i where bit i is set and n (no channel) elsewhere."""
-    n = bits.shape[1]
-    idx = np.arange(n + 1, dtype=np.min_scalar_type(n))
-    return np.where(bits.T, idx[:n, None], idx[n])
-
-
 class Footprints:
     """The detector (`det`), observable (`obs`) and channel (`chan`) bit sets
     of every channel as [n + 1, words] uint64 tables; row n is empty.
 
     A block of bitstrings is given as support columns: an index array of
     shape [k, B] whose column b lists the channels of bitstring b, padded
-    with n.  Padded support rows (transposed) and `bit_columns` are both
-    such arrays."""
+    with n.  Padded support rows, transposed, are such an array."""
 
     def __init__(self, model: DetectorErrorModel) -> None:
         n = model.n_channels

@@ -1,11 +1,12 @@
-"""Per-shot reference for the error-space layer, used only by the tests.
+"""Reference implementations, used only by the tests.
 
 The library enumerates the weight order in blocks, and its visit order
 answers membership from the strings it gave; the helpers here do the same
 one string at a time: ranking a string to its position, one cursor per
 run of the visit order, flip neighbours, and a visited set fed by `add`
-whose membership ranks the string.  The tests compare the library against
-them.
+whose membership ranks the string.  `reference_ml_table` builds the ML
+table from chunks of bitstrings, each rebuilt from its bits.  The tests
+compare the library against them.
 """
 
 from __future__ import annotations
@@ -13,13 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+import numpy as np
+
 from qecbound.errorspace import (
     EnumerationPlan,
+    Footprints,
+    bits_of,
     bits_to_str,
     first_position_of_weight,
+    ints_of,
     unrank_position,
     weight,
 )
+from qecbound.polynomial import MintermEvaluator
 
 
 def support(mask: int) -> tuple[int, ...]:
@@ -132,3 +139,48 @@ class ReferenceVisitedSet:
     @property
     def count(self) -> int:
         return self.prefix + len(self.extras) + self.high[1] - self.high[0]
+
+
+def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(words, axis=0, return_inverse=True), by a lexsort of the
+    columns."""
+    order = np.lexsort(words.T[::-1])
+    rows = words[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inv = np.empty(len(rows), dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return rows[first], inv
+
+
+def reference_ml_table(model, v) -> dict[int, int]:
+    """The ML table built chunk by chunk: each chunk of 2^16 bitstrings
+    gets its support columns from its bits, its syndromes, observables and
+    minterms from them, and a slot per new (syndrome, observable) class;
+    `np.add.at` sums each class in ascending bitstring order.  Each
+    syndrome keeps its heaviest class, ties going to the all-zeros
+    observable, then lexicographically with bit 0 first."""
+    n = model.n_channels
+    evaluator = MintermEvaluator(v)
+    fp = Footprints(model)
+    wd = fp.det.shape[1]
+    idx = np.arange(n + 1)
+    slots: dict[tuple[int, int], int] = {}  # (syndrome, observable) -> slot in mass
+    mass = np.zeros(0)
+    chunk = min(1 << n, 1 << 16)
+    for e0 in range(0, 1 << n, chunk):
+        e = np.arange(e0, e0 + chunk, dtype=np.uint64)
+        cols = np.where(bits_of(e[:, None], n).T, idx[:n, None], idx[n])
+        uniq, inv = _unique_rows(np.hstack((fp.xor(fp.det, cols), fp.xor(fp.obs, cols))))
+        ids = np.array([slots.setdefault(key, len(slots))
+                        for key in zip(ints_of(uniq[:, :wd]), ints_of(uniq[:, wd:]))])
+        mass = np.concatenate((mass, np.zeros(len(slots) - mass.size)))
+        np.add.at(mass, ids[inv], evaluator.block(cols))
+    best: dict[int, tuple] = {}
+    table = {}
+    for (s, o), m in zip(slots, mass.tolist()):
+        key = (-m, o != 0, tuple(o >> i & 1 for i in range(model.n_observables)))
+        if s not in best or key < best[s]:
+            best[s] = key
+            table[s] = o
+    return table

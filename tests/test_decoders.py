@@ -2,12 +2,13 @@
 
 import io
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qecbound.compiler import DetectorErrorModel, compile_to_dem, write_dem
+from qecbound.compiler import DetectorErrorModel, compile_to_dem, parse_dem, write_dem
 from qecbound.decoders import (
     GreedyDecoder,
     MlDecoder,
@@ -22,6 +23,7 @@ from qecbound.frontend import parse_program
 from qecbound.polynomial import MintermEvaluator
 
 from conftest import exact_rate, random_model
+from reference import reference_ml_table
 
 
 @pytest.fixture
@@ -259,6 +261,79 @@ def test_ml_table_matches_brute_force(seed, monkeypatch):
     assert build_ml_decoder(model, v).table == expect
     monkeypatch.setattr(decoders, "ML_CHUNK", 8)  # several chunks
     assert build_ml_decoder(model, v).table == expect
+
+
+@pytest.mark.parametrize("seed, n, n_det", [(0, 12, 6), (1, 14, 70), (2, 16, 6),
+                                           (3, 18, 70), (4, 20, 6), (5, 20, 70)])
+def test_ml_table_matches_the_chunked_reference(seed, n, n_det, monkeypatch):
+    """The doubling build equals the chunk-by-chunk reference, ties
+    included, on tied models with one and two detector words, for low
+    tables of 2, 8 and the default number of strings (the small ones only
+    where they give at most 2^15 chunks)."""
+    import qecbound.decoders as decoders
+
+    rng = np.random.default_rng(seed)
+    model = _footprint_model(rng, n, n_det, int(rng.integers(1, 4)), [0.05, 0.1, 0.3])
+    v = model.concrete_probabilities()
+    expect = reference_ml_table(model, v)
+    for chunk in (2, 8, decoders.ML_CHUNK):
+        if (1 << n) // chunk <= 1 << 15:
+            monkeypatch.setattr(decoders, "ML_CHUNK", chunk)
+            assert build_ml_decoder(model, v).table == expect
+
+
+def test_ml_table_at_the_channel_cap():
+    """Eight independent 3-channel chains (`D_a L0`, `D_a D_b`, `D_b`) give
+    24 channels.  Each chain's most likely explanation flips L0 only for
+    its syndrome (1, 0), so the ML prediction is the parity of the number
+    of chains showing (1, 0), for every one of the 2^16 syndromes."""
+    rng = np.random.default_rng(24)
+    det, obs = [], []
+    for a in range(0, 16, 2):
+        det += [1 << a, 1 << a | 1 << a + 1, 1 << a + 1]
+        obs += [1, 0, 0]
+    model = DetectorErrorModel(
+        n_channels=24,
+        n_detectors=16,
+        n_observables=1,
+        probabilities=tuple(float(0.01 * np.exp(x)) for x in rng.uniform(-0.2, 0.2, 24)),
+        det_footprints=tuple(det),
+        obs_footprints=tuple(obs),
+    )
+    dec = build_ml_decoder(model, model.concrete_probabilities())
+    assert len(dec.table) == 1 << 16
+    for s in range(1 << 16):
+        ones = sum((s >> a & 3) == 1 for a in range(0, 16, 2))
+        assert dec.decode(s) == ones % 2, s
+
+
+def test_serve_reads_the_whole_batch_before_it_answers(tmp_path):
+    """A 300-detector model's 1024-syndrome batch is about 300 KB, and the
+    client writes all of it before it reads.  Replies sent line by line
+    (about 100 KB) would fill the reply pipe and stall the server, and
+    with it the client.  The batch runs in a thread, so a stall fails the
+    test instead of hanging it."""
+    text = "dem 300 100\nerror(0.01) D0 L0\nerror(0.01) D0 D299\nerror(0.01) D299 L99\n"
+    dem_path = tmp_path / "model.dem"
+    dem_path.write_text(text)
+    model = parse_dem(text)
+    local = build_ml_decoder(model, model.concrete_probabilities())
+    rng = np.random.default_rng(300)
+    syndromes = [int.from_bytes(rng.bytes(38), "little") >> 4 for _ in range(1024)]
+    syndromes[:4] = [0, 1, 1 | 1 << 299, 1 << 299]
+    remote = connect_external_decoder(_serve_command(dem_path), 300, 100)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(remote.decode_batch(syndromes)),
+                              daemon=True)
+    try:
+        worker.start()
+        worker.join(timeout=30)
+        if worker.is_alive():
+            remote._proc.kill()
+            pytest.fail("decode_batch did not return within 30 s")
+        assert got == [local.decode_batch(syndromes)]
+    finally:
+        remote.close()
 
 
 def test_external_decode_batch_sends_one_payload_per_chunk(repetition_model, tmp_path, monkeypatch):
