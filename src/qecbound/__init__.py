@@ -42,14 +42,12 @@ from .polynomial import (
     accuracy_bounds,
     maximize,
     minimize,
-    minterm_eval,
     robustness_bounds,
 )
 from .sampling import (
     ConfidenceInterval,
     kl_confidence_interval,
     probabilistic_bounds,
-    sample_unseen,
 )
 
 __all__ = [
@@ -86,12 +84,10 @@ __all__ = [
     "accuracy_bounds",
     "maximize",
     "minimize",
-    "minterm_eval",
     "robustness_bounds",
     "ConfidenceInterval",
     "kl_confidence_interval",
     "probabilistic_bounds",
-    "sample_unseen",
 ]
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@
 One block core serves both modes.  The visit order is read in blocks of
 support rows from one `errorspace.VisitOrder`: `hamming` is the weight
 order itself; `split` reads a low and a high run of the weight order,
-taking one string from each in turn until either run ends; `local-*`
+taking one string from each in turn until either run ends; `local-flip`
 follows each logical error found in the weight order with its unvisited
-neighbours, in ascending bit-set order, before the order resumes.  The
+one-bit flips, in ascending bit-set order, before the order resumes.  The
 order is also the visited set: it knows what it gave, and the walk adds
 its detours as extras and holds back the rows it has not reached.  No
 string is visited twice, so a run is exhausted once it has visited 2^n
@@ -40,13 +40,10 @@ from .compiler import DetectorErrorModel, write_symbolic_dem
 from .decoders import Decoder, LogicalErrorClassifier
 from .errorspace import (
     STRATEGIES,
-    EnumerationPlan,
     VisitOrder,
     bits_of,
     ints_of,
-    local_moves_shift,
     n_words,
-    precedes,
     supports_of_bits,
     words_of,
 )
@@ -75,7 +72,7 @@ TERM_CAP_DEFAULT = 10_000_000
 class RunConfig:
     mode: str = "accuracy"  # accuracy | robustness
     strategy: str = "hamming"
-    distance_ansatz: int | None = None
+    distance_ansatz: int | None = None  # split only
     max_shots: int | None = None
     time_limit: float | None = None  # seconds
     sample_count: int = 0  # per-checkpoint samples; accuracy mode only
@@ -89,7 +86,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
-        for name in ("max_shots", "time_limit", "sample_count", "f_max", "term_cap"):
+        for name in ("distance_ansatz", "max_shots", "time_limit", "sample_count", "f_max",
+                     "term_cap"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN too
                 raise ValueError(f"{name} must be >= 0")
@@ -97,10 +95,10 @@ class RunConfig:
             raise ValueError("sampling is supported in accuracy mode only")
         if self.sample_count and not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        self.plan()  # checks the distance ansatz
-
-    def plan(self) -> EnumerationPlan:
-        return EnumerationPlan(self.strategy, self.distance_ansatz)
+        if self.strategy == "split" and self.distance_ansatz is None:
+            raise ValueError("split strategy requires a distance ansatz")
+        if self.strategy != "split" and self.distance_ansatz is not None:
+            raise ValueError(f"distance_ansatz is used by split only, not {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -179,14 +177,14 @@ class _BlockCore:
     """One run's visit order as evaluated blocks."""
 
     def __init__(self, model: DetectorErrorModel, decoder: Decoder,
-                 plan: EnumerationPlan, evaluator: MintermEvaluator | None) -> None:
+                 config: RunConfig, evaluator: MintermEvaluator | None) -> None:
         self.n = model.n_channels
         self.classify = LogicalErrorClassifier(model, decoder)
         self.evaluator = evaluator
-        self.order = VisitOrder(plan, self.n)
-        self.moves = plan.local_moves
+        self.order = VisitOrder(self.n, config.distance_ansatz)
+        self.walks = config.strategy == "local-flip"
         self.pending: deque[int] = deque()  # detour still to visit
-        # In-order rows evaluated ahead; local moves take them piecewise.
+        # In-order rows evaluated ahead; the walk takes them piecewise.
         self.rows: _Rows | None = None
         self.cursor = 0  # rows[:cursor] are visited
         self.ints: list[int] = []
@@ -205,7 +203,7 @@ class _BlockCore:
     def next_block(self, limit: int) -> _Rows:
         """The next at most `limit` bitstrings of the visit order, now marked
         visited (possibly none; at least one while any is unvisited)."""
-        if not self.moves:
+        if not self.walks:
             return self.evaluate(self.order.take(limit))
         if self.cursor == len(self.ints) and not self.pending:
             self.rows, self.cursor = self.evaluate(self.order.take(limit)), 0
@@ -222,11 +220,11 @@ class _BlockCore:
         return block
 
     def _walk(self, limit: int) -> tuple[list[int], list[int]]:
-        """Local moves: the next at most `limit` visits, as buffer row indices
-        with -1 for a detour string, plus the detour strings in order.  A
-        logical error in the weight order queues its unvisited neighbours,
-        which go before the next in-order row; rows a detour visited are
-        skipped."""
+        """The `local-flip` walk: the next at most `limit` visits, as buffer
+        row indices with -1 for a detour string, plus the detour strings in
+        order.  A logical error in the weight order queues its unvisited
+        neighbours, which go before the next in-order row; rows a detour
+        visited are skipped."""
         extras = self.order.extras
         picked: list[int] = []
         detours: list[int] = []
@@ -252,20 +250,13 @@ class _BlockCore:
         return picked, detours
 
     def _detour(self, mask: int) -> list[int]:
-        """The unvisited neighbours of `mask`, the last string of the
-        in-order prefix.  A neighbour outside the prefix is visited only
-        as an extra (local moves keep no high run).  A flip that clears a
-        bit lands inside the prefix and one that sets a bit lands past it;
-        a shift lies in the prefix when it precedes `mask`."""
+        """The unvisited one-bit flips of `mask`, the last string of the
+        in-order prefix, in ascending order.  A flip that clears a bit lands
+        inside the prefix, so only those that set a bit are left; they lie
+        past it and are visited as extras (the walk keeps no high run)."""
         extras = self.order.extras
-        neighbors: set[int] = set()
-        if "flip" in self.moves:
-            neighbors.update(e for i in range(self.n)
-                             if not mask >> i & 1 and (e := mask | 1 << i) not in extras)
-        if "shift" in self.moves:
-            neighbors.update(e for e in local_moves_shift(mask, self.n)
-                             if not precedes(e, mask) and e not in extras)
-        return sorted(neighbors)
+        return [e for i in range(self.n)
+                if not mask >> i & 1 and (e := mask | 1 << i) not in extras]
 
 
 def _checkpoints(core: _BlockCore, config: RunConfig, t0: float, sink):
@@ -332,7 +323,7 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
         raise ValueError(f"run_accuracy needs mode 'accuracy', not {config.mode!r}")
     v = tuple(float(x) for x in v)
     evaluator = MintermEvaluator(v)  # validates v in (0,1)^n
-    core = _BlockCore(model, decoder, config.plan(), evaluator)
+    core = _BlockCore(model, decoder, config, evaluator)
     acc = BoundAccumulators()
     # Made only when sampling: the generator costs megabytes of RSS.
     rng = np.random.default_rng(config.seed) if config.sample_count else None
@@ -381,7 +372,7 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
     n = model.n_channels
     if box.n != n:
         raise ValueError("box dimension must equal the channel count")
-    core = _BlockCore(model, decoder, config.plan(), None)
+    core = _BlockCore(model, decoder, config, None)
     t0 = time.monotonic()
     # Vertex search stops here too; a truncated search is flagged inexact.
     deadline = None if config.time_limit is None else t0 + config.time_limit

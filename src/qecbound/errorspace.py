@@ -10,19 +10,18 @@ rows: row r lists the channels of one bitstring in ascending order, padded
 with n to the block's width.  `itertools.combinations(range(n), w)` yields
 weight class w in exactly the rank order above, so a `WeightRun` (a range
 of weight classes) needs no rank arithmetic.  Every visit order is read as
-runs of the weight order (`VisitOrder`): one run for most strategies, and
-for `split` a low and a high run taking turns, one string each, until
-either ends.  The order is also the visited set: what each run has
-given, which is a prefix of that run, plus the local walk's out-of-order
-extras.  `Footprints` holds every channel's detector, observable and
-channel bit sets as rows of ceil(width/64) uint64 words, with an empty
-row n, so a block's syndromes are the XOR of one gathered row per
-support column, for every detector count.
+runs of the weight order (`VisitOrder`): one run, or for `split` a low and
+a high run taking turns, one string each, until either ends.  The order is
+also the visited set: what each run has given, which is a prefix of that
+run, plus the `local-flip` walk's out-of-order extras.  `Footprints` holds
+every channel's detector, observable and channel bit sets as rows of
+ceil(width/64) uint64 words, with an empty row n, so a block's syndromes
+are the XOR of one gathered row per support column, for every detector
+count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -88,39 +87,7 @@ def precedes(a: int, b: int) -> bool:
     return bool(a & d & -d)  # a holds the lowest channel where they differ
 
 
-STRATEGIES = ("hamming", "split", "local-flip", "local-shift", "local-both")
-
-
-@dataclass(frozen=True)
-class EnumerationPlan:
-    strategy: str = "hamming"  # one of STRATEGIES
-    distance_ansatz: int | None = None  # required for split
-
-    def __post_init__(self) -> None:
-        if self.distance_ansatz is not None and self.distance_ansatz < 0:
-            raise ValueError("distance_ansatz must be >= 0")
-        if self.strategy == "split" and self.distance_ansatz is None:
-            raise ValueError("split strategy requires a distance ansatz")
-
-    @property
-    def local_moves(self) -> tuple[str, ...]:
-        return {
-            "local-flip": ("flip",),
-            "local-shift": ("shift",),
-            "local-both": ("flip", "shift"),
-        }.get(self.strategy, ())
-
-
-def local_moves_shift(mask: int, n: int) -> set[int]:
-    """All nontrivial circular shifts, duplicates collapsed."""
-    out = set()
-    full = (1 << n) - 1
-    m = mask
-    for _ in range(n - 1):
-        m = ((m << 1) | (m >> (n - 1))) & full
-        if m != mask:
-            out.add(m)
-    return out
+STRATEGIES = ("hamming", "split", "local-flip")
 
 
 def n_words(n: int) -> int:
@@ -237,15 +204,15 @@ def _stack_rows(parts, n: int) -> np.ndarray:
 
 
 class VisitOrder:
-    """A plan's visit order, read in blocks of support rows, and the set of
+    """A run's visit order, read in blocks of support rows, and the set of
     strings it has visited.
 
     The weight order is cut into a low run [0, start) and a high run
     [start, 2^n).  The two runs take turns, one string each and the low
-    run first, until either ends; the other then continues alone.  For
-    `split`, start is the first string of weight w = floor(d/2)+1; every
-    other strategy has an empty high run and visits the weight order
-    itself.
+    run first, until either ends; the other then continues alone.  Given
+    a distance d (`split`), start is the first string of weight
+    w = floor(d/2)+1; without one the high run is empty and the order is
+    the weight order itself.
 
     The visited strings are those `take` returned, less the last `held`
     of them (rows the local walk has taken but not yet visited), plus
@@ -256,8 +223,8 @@ class VisitOrder:
     first query after a `take` or `hold`.
     """
 
-    def __init__(self, plan: EnumerationPlan, n: int) -> None:
-        self.w = plan.distance_ansatz // 2 + 1 if plan.strategy == "split" else n + 1
+    def __init__(self, n: int, distance: int | None = None) -> None:
+        self.w = n + 1 if distance is None else distance // 2 + 1
         self.runs = (WeightRun(n, 0, self.w), WeightRun(n, self.w, n + 1))
         self.phase = 0  # 0 when the low run gives the next string, else 1
         self.n = n

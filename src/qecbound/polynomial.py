@@ -89,14 +89,8 @@ class _KahanSum:
         self.total = 0.0
         self._c = 0.0
 
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
     def add_all(self, xs) -> None:
-        """add(x) for each x in turn."""
+        """Add each x in turn."""
         total, c = self.total, self._c
         for x in xs:
             y = x - c
@@ -175,11 +169,6 @@ class MintermEvaluator:
         return p
 
 
-def minterm_eval(mask: int, v) -> float:
-    """Probability of the bitstring `mask` under channel rates `v`."""
-    return MintermEvaluator(v)(mask)
-
-
 @dataclass
 class BoundAccumulators:
     """Running sums over enumerated bitstrings (Kahan-compensated)."""
@@ -187,14 +176,9 @@ class BoundAccumulators:
     sum_l: _KahanSum = field(default_factory=_KahanSum)
     sum_s: _KahanSum = field(default_factory=_KahanSum)
 
-    def accumulate(self, mask: int, is_logical_error: bool, evaluator: MintermEvaluator) -> None:
-        p = evaluator(mask)
-        self.sum_s.add(p)
-        if is_logical_error:
-            self.sum_l.add(p)
-
     def accumulate_block(self, probs: np.ndarray, logical: np.ndarray) -> None:
-        """accumulate() for a block of minterm values in visit order."""
+        """Add a block's minterms, in visit order, to sum_S, and those of its
+        logical errors to sum_L."""
         self.sum_s.add_all(probs.tolist())
         self.sum_l.add_all(probs[logical].tolist())
 

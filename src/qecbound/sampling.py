@@ -116,11 +116,6 @@ def sample_unseen_batch(v, visited: VisitOrder, rng, count: int,
     return accepted
 
 
-def sample_unseen(model, v, visited: VisitOrder, rng) -> int:
-    """Single conditioned draw; see sample_unseen_batch."""
-    return sample_unseen_batch(v, visited, rng, 1)[0]
-
-
 @dataclass(frozen=True)
 class ConfidenceInterval:
     alpha: float

@@ -66,6 +66,24 @@ def children_import_checkout():
 
 
 @pytest.fixture
+def detours(monkeypatch) -> list[int]:
+    """The detour strings that `local-flip` walks queue during the test,
+    recorded by wrapping `_BlockCore._detour`."""
+    import qecbound.driver as driver
+
+    queued: list[int] = []
+    detour = driver._BlockCore._detour
+
+    def recording(core, mask):
+        out = detour(core, mask)
+        queued.extend(out)
+        return out
+
+    monkeypatch.setattr(driver._BlockCore, "_detour", recording)
+    return queued
+
+
+@pytest.fixture
 def repetition_program_text() -> str:
     return REPETITION_PROGRAM
 

@@ -4,9 +4,10 @@ The library enumerates the weight order in blocks, and its visit order
 answers membership from the strings it gave; the helpers here do the same
 one string at a time: ranking a string to its position, one cursor per
 run of the visit order, flip neighbours, and a visited set fed by `add`
-whose membership ranks the string.  `reference_ml_table` builds the ML
-table from chunks of bitstrings, each rebuilt from its bits.  The tests
-compare the library against them.
+whose membership ranks the string.  The per-shot helpers evaluate one
+minterm, accumulate one string and draw one unseen string.
+`reference_ml_table` builds the ML table from chunks of bitstrings, each
+rebuilt from its bits.  The tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from math import comb
 import numpy as np
 
 from qecbound.errorspace import (
-    EnumerationPlan,
     Footprints,
     bits_of,
     bits_to_str,
@@ -26,7 +26,8 @@ from qecbound.errorspace import (
     unrank_position,
     weight,
 )
-from qecbound.polynomial import MintermEvaluator
+from qecbound.polynomial import BoundAccumulators, MintermEvaluator
+from qecbound.sampling import sample_unseen_batch
 
 
 def support(mask: int) -> tuple[int, ...]:
@@ -70,21 +71,38 @@ class WeightOrderCursor:
         return mask
 
 
-def run_cursors(plan: EnumerationPlan, n: int) -> list[WeightOrderCursor]:
+def run_cursors(n: int, distance: int | None = None) -> list[WeightOrderCursor]:
     """One cursor from position 0 and one from the high start: the first
-    position of weight floor(d/2)+1 for `split`, the end of the order
-    otherwise.  The low cursor eventually reaches the high start, so the
-    cursors overlap.  Taking one position from each cursor in turn, and
-    dropping positions already taken, gives the visit order that
-    `VisitOrder` produces in blocks.
+    position of weight floor(d/2)+1 given a distance d (`split`), the end
+    of the order otherwise.  The low cursor eventually reaches the high
+    start, so the cursors overlap.  Taking one position from each cursor
+    in turn, and dropping positions already taken, gives the visit order
+    that `VisitOrder` produces in blocks.
     """
-    w = plan.distance_ansatz // 2 + 1 if plan.strategy == "split" else n + 1
+    w = n + 1 if distance is None else distance // 2 + 1
     return [WeightOrderCursor(n), WeightOrderCursor(n, first_position_of_weight(w, n))]
 
 
 def local_moves_flip(mask: int, n: int) -> set[int]:
     """All strings at Hamming distance 1."""
     return {mask ^ (1 << i) for i in range(n)}
+
+
+def minterm_eval(mask: int, v) -> float:
+    """Probability of the bitstring `mask` under channel rates `v`."""
+    return MintermEvaluator(v)(mask)
+
+
+def accumulate(acc: BoundAccumulators, mask: int, is_logical_error: bool,
+               evaluator: MintermEvaluator) -> None:
+    """Add one string's minterm to `acc`: a one-row block."""
+    acc.accumulate_block(np.array([evaluator(mask)]), np.array([is_logical_error]))
+
+
+def sample_unseen(v, visited, rng) -> int:
+    """One draw from the model conditioned on the strings not in
+    `visited`; see `sample_unseen_batch`."""
+    return sample_unseen_batch(v, visited, rng, 1)[0]
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """The batched enumeration core against a per-shot reference.
 
 The reference below visits one bitstring at a time: one cursor per run of
-the weight order, taken in turn, a FIFO of local-move detours, a
+the weight order, taken in turn, a FIFO of `local-flip` detours, a
 `ReferenceVisitedSet` fed by `add` (membership by rank, not the library's
 rule), the scalar syndrome/observable functions and `decode`.  A run is
 exhausted once it has visited all 2^n strings.  Every record the driver
@@ -16,7 +16,7 @@ import pytest
 from qecbound.compiler import DetectorErrorModel, parse_dem
 from qecbound.decoders import Decoder, build_greedy_decoder
 from qecbound.driver import RunConfig, run_accuracy, run_robustness
-from qecbound.errorspace import local_moves_shift, observable_of, syndrome_of
+from qecbound.errorspace import observable_of, syndrome_of
 from qecbound.polynomial import (
     FP_MARGIN,
     BoundAccumulators,
@@ -34,14 +34,12 @@ from qecbound.sampling import (
 )
 
 from conftest import random_model
-from reference import ReferenceVisitedSet, local_moves_flip, run_cursors
+from reference import ReferenceVisitedSet, accumulate, local_moves_flip, run_cursors
 
 STRATEGIES = [
     ("hamming", None),
     ("split", 3),
     ("local-flip", None),
-    ("local-shift", None),
-    ("local-both", None),
 ]
 
 # More split inputs: the low run reaches the high start before the high
@@ -95,9 +93,8 @@ class _ReferenceOrder:
     """Per-shot visit order: run cursors in turn plus the detour FIFO."""
 
     def __init__(self, config, n):
-        plan = config.plan()
-        self.cursors = run_cursors(plan, n)
-        self.moves = plan.local_moves
+        self.cursors = run_cursors(n, config.distance_ansatz)
+        self.walks = config.strategy == "local-flip"
         self.n = n
         self.visited = ReferenceVisitedSet(n)
         self.pending = deque()
@@ -120,12 +117,7 @@ class _ReferenceOrder:
         return None
 
     def push_neighbors(self, mask):
-        neighbors = set()
-        if "flip" in self.moves:
-            neighbors |= local_moves_flip(mask, self.n)
-        if "shift" in self.moves:
-            neighbors |= local_moves_shift(mask, self.n)
-        self.pending.extend(sorted(neighbors))
+        self.pending.extend(sorted(local_moves_flip(mask, self.n)))
 
 
 def _reference_walk(model, decoder, config, visit, checkpoint):
@@ -140,7 +132,7 @@ def _reference_walk(model, decoder, config, visit, checkpoint):
         order.visited.add(e)
         is_log = decoder.decode(syndrome_of(model, e)) != observable_of(model, e)
         visit(e, is_log)
-        if is_log and planned and order.moves:
+        if is_log and planned and order.walks:
             order.push_neighbors(e)
         shots += 1
         if shots == next_cp:
@@ -178,7 +170,7 @@ def reference_accuracy(model, decoder, v, config):
             records.append((shots + sampled, plo, phi, False))
 
     shots, exhausted = _reference_walk(
-        model, decoder, config, lambda e, is_log: acc.accumulate(e, is_log, evaluator),
+        model, decoder, config, lambda e, is_log: accumulate(acc, e, is_log, evaluator),
         checkpoint)
     lo, hi = accuracy_bounds(acc)
     final = (shots + sampled, exhausted) + ((lo, lo) if exhausted else tuple(best))
@@ -393,15 +385,17 @@ def test_full_cache_decodes_again_with_same_records(monkeypatch):
     assert capped.syndromes > dec.syndromes
 
 
-def test_block_rows_cap_and_checkpoints(monkeypatch):
-    """Small blocks give the same records as the default cap."""
+def test_block_rows_cap_and_checkpoints(monkeypatch, detours):
+    """Small blocks give the same records as the default cap, also while
+    the walk makes detours."""
     import qecbound.driver as driver
 
     model = _model(9)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
-    config = RunConfig(strategy="local-both")
+    config = RunConfig(strategy="local-flip")
     full = _strip(run_accuracy(model, dec, v, config))
+    assert detours
     monkeypatch.setattr(driver, "BLOCK_ROWS", 3)
     assert _strip(run_accuracy(model, dec, v, config)) == full
 

@@ -169,6 +169,16 @@ def test_negative_distance_is_an_error(program_file, capsys):
     assert "error:" in err and "distance_ansatz" in err
 
 
+def test_distance_without_split_is_an_error(program_file, capsys):
+    argv = ["accuracy", program_file, "--decoder", "greedy", "--strategy", "hamming",
+            "--distance", "3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error: distance_ansatz is used by split only, not 'hamming'" in captured.err
+    assert captured.out == ""  # no trace
+    assert "Traceback" not in captured.err
+
+
 def test_serve_ml_dimension_mismatch_is_an_error(program_file, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("INIT 7 1\n"))
     assert main(["serve-ml", program_file]) == 1

@@ -94,8 +94,6 @@ def test_sound_records_bracket_exact_rate_and_are_monotone(repetition_model):
     ("hamming", None),
     ("split", 3),
     ("local-flip", None),
-    ("local-shift", None),
-    ("local-both", None),
 ])
 # The name and the leading id (1, 2, 4) predate the removal of worker
 # counts and are kept so the case ids stay stable; the id now picks the
@@ -130,12 +128,13 @@ def test_max_shots_interruption_is_sound():
             assert rec.lower <= exact <= rec.upper
 
 
-def test_shot_accounting_counts_detours_once():
+def test_shot_accounting_counts_detours_once(detours):
     rng = np.random.default_rng(3)
     model = random_model(rng, n_channels=8, n_det=4)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
-    trace = run_accuracy(model, dec, v, RunConfig(strategy="local-both"))
+    trace = run_accuracy(model, dec, v, RunConfig(strategy="local-flip"))
+    assert detours
     assert trace.final["shots"] == 1 << model.n_channels
 
 
@@ -466,6 +465,16 @@ def test_config_validation():
         with pytest.raises(ValueError, match="distance_ansatz"):
             RunConfig(strategy="split", distance_ansatz=distance)
     RunConfig(strategy="split", distance_ansatz=0)
+
+
+@pytest.mark.parametrize("strategy", ["hamming", "local-flip"])
+def test_distance_without_split_is_rejected(strategy):
+    """A distance ansatz only places split's high run; any other strategy
+    rejects it instead of running as if it were not given."""
+    message = f"distance_ansatz is used by split only, not '{strategy}'"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(strategy=strategy, distance_ansatz=3)
+    RunConfig(strategy=strategy)
 
 
 def test_run_functions_reject_the_other_mode(repetition_model):

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from qecbound.driver import RunConfig
 from qecbound.errorspace import (
-    EnumerationPlan,
+    STRATEGIES,
     VisitOrder,
     bits_to_str,
     first_position_of_weight,
-    local_moves_shift,
     precedes,
     str_to_bits,
     unrank_in_weight_class,
@@ -91,7 +90,7 @@ def test_cursor_enumerates_everything_once():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_hamming_partition_covers_space(n):
     seen = []
-    for cur in run_cursors(EnumerationPlan("hamming"), n):
+    for cur in run_cursors(n):
         while not cur.exhausted:
             seen.append(cur.next())
     assert sorted(seen) == list(range(1 << n))
@@ -100,22 +99,23 @@ def test_hamming_partition_covers_space(n):
 @pytest.mark.parametrize("distance", [2, 3, 5])
 def test_split_partition_covers_space_with_overlap(distance):
     n = 7
-    plan = EnumerationPlan("split", distance_ansatz=distance)
     seen = set()
-    for cur in run_cursors(plan, n):
+    for cur in run_cursors(n, distance):
         while not cur.exhausted:
             seen.add(cur.next())
     assert seen == set(range(1 << n))
 
 
 def test_split_requires_distance():
-    with pytest.raises(ValueError, match="distance ansatz"):
-        EnumerationPlan("split")
+    with pytest.raises(ValueError, match="split strategy requires a distance ansatz"):
+        RunConfig(strategy="split")
+    with pytest.raises(ValueError, match="distance_ansatz must be >= 0"):
+        RunConfig(strategy="split", distance_ansatz=-1)
 
 
 def test_split_high_block_starts_at_expected_weight():
     n = 8
-    cursors = run_cursors(EnumerationPlan("split", distance_ansatz=4), n)
+    cursors = run_cursors(n, 4)
     first_high = cursors[1].next()
     assert weight(first_high) == 3  # floor(4/2) + 1
 
@@ -129,7 +129,7 @@ def test_split_alternates_low_and_high_strings():
     low, high = order[:1 + n], order[1 + n:]  # d = 3: the high run starts at weight 2
     expect = [m for pair in zip(low, high) for m in pair] + high[len(low):]
     assert expect[:3] == [0b00000, 0b00011, 0b00001]
-    visits = VisitOrder(RunConfig(strategy="split", distance_ansatz=3).plan(), n)
+    visits = VisitOrder(n, 3)
     got = []
     for m in (1, 2, 3, 1, 4, 7, 100):
         rows = visits.take(m)
@@ -141,18 +141,8 @@ def test_local_moves_flip():
     assert local_moves_flip(0b000, 3) == {0b001, 0b010, 0b100}
 
 
-def test_local_moves_shift():
-    # "110" shifts to "011" and "101"
-    m = str_to_bits("110")
-    assert {bits_to_str(x, 3) for x in local_moves_shift(m, 3)} == {"011", "101"}
-    # all-ones is shift invariant
-    assert local_moves_shift(0b111, 3) == set()
-
-
-def test_plan_local_moves():
-    assert EnumerationPlan("hamming").local_moves == ()
-    assert EnumerationPlan("local-flip").local_moves == ("flip",)
-    assert EnumerationPlan("local-both").local_moves == ("flip", "shift")
+def test_strategies():
+    assert STRATEGIES == ("hamming", "split", "local-flip")
 
 
 def test_visited_set_in_order():
@@ -248,7 +238,7 @@ def _assert_visited(order, n, visited):
 
 
 # Every strategy, and split over the distances of test_block_core.
-ORDER_PLANS = [(s, None) for s in ("hamming", "local-flip", "local-shift", "local-both")] + [
+ORDER_PLANS = [(s, None) for s in ("hamming", "local-flip")] + [
     ("split", d) for d in (0, 1, 3, 5, "2n+2")]
 
 
@@ -258,14 +248,14 @@ def test_order_membership_matches_taken_strings(strategy, distance):
     """The order is the visited set: the strings `take` returned, less the
     last `held` of them, plus the extras.  Takes of random size (0 too),
     random holds (the local walk's; `split` never holds) and random extras
-    for `local-*`; membership of every string and the lowest unvisited
+    for `local-flip`; membership of every string and the lowest unvisited
     weight are asked after each `take` and each `hold`, so ends kept from
     before either would fail."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
         d = 2 * n + 2 if distance == "2n+2" else distance
-        order = VisitOrder(EnumerationPlan(strategy, d), n)
+        order = VisitOrder(n, d)
         taken: list[int] = []
         held = 0
         while len(taken) < 1 << n:
@@ -276,7 +266,7 @@ def test_order_membership_matches_taken_strings(strategy, distance):
                 continue
             held = int(rng.integers(0, len(rows) + 1))
             order.hold(held)
-            if strategy.startswith("local"):
+            if strategy == "local-flip":
                 order.extras.clear()
                 order.extras.update(int(m) for m in np.flatnonzero(rng.random(1 << n) < 0.1))
             _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)

@@ -19,12 +19,13 @@ from qecbound.polynomial import (
     evaluate_terms,
     maximize,
     minimize,
-    minterm_eval,
     minterm_term,
     partial_derivative_simplified,
     robustness_bounds,
     terms_from_bitstrings,
 )
+
+from reference import accumulate, minterm_eval
 
 BOX3 = Hyperrectangle((0.009,) * 3, (0.011,) * 3)
 
@@ -59,7 +60,7 @@ def test_accumulators_and_sandwich():
     logical = {0b111, 0b011, 0b110, 0b101}
     exact = sum(ev(m) for m in logical)
     for m in range(8):
-        acc.accumulate(m, m in logical, ev)
+        accumulate(acc, m, m in logical, ev)
         lo, hi = accuracy_bounds(acc)
         assert lo - 1e-15 <= exact <= hi + 1e-15
     lo, hi = accuracy_bounds(acc)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qecbound.errorspace import (
-    EnumerationPlan,
     VisitOrder,
     first_position_of_weight,
     unrank_position,
@@ -22,11 +21,10 @@ from qecbound.sampling import (
     kl_confidence_interval,
     probabilistic_bounds,
     _tail_table,
-    sample_unseen,
     sample_unseen_batch,
 )
 
-from reference import ReferenceVisitedSet
+from reference import ReferenceVisitedSet, accumulate, sample_unseen
 
 
 def test_samples_avoid_visited_set():
@@ -143,9 +141,9 @@ def test_order_draws_like_its_reference_layout():
     layout of the same positions."""
     n = 6
     v = (0.3, 0.15, 0.45, 0.2, 0.35, 0.25)
-    split = VisitOrder(EnumerationPlan("split", 3), n)
+    split = VisitOrder(n, 3)
     split.take(10)  # positions 0-4 of the low run, 7-11 of the high run
-    walk = VisitOrder(EnumerationPlan("local-flip"), n)
+    walk = VisitOrder(n)
     walk.take(30)
     walk.hold(6)  # positions 0-23 visited in order
     walk.extras.update(unrank_position(p, n) for p in (26, 45))
@@ -175,7 +173,7 @@ def test_single_sample_helper():
     n = 4
     visited = ReferenceVisitedSet(n)
     visited.add(0)
-    s = sample_unseen(None, (0.2,) * n, visited, 3)
+    s = sample_unseen((0.2,) * n, visited, 3)
     assert s != 0
 
 
@@ -268,7 +266,7 @@ def test_probabilistic_bounds_nest_inside_sound_interval():
     acc = BoundAccumulators()
     logical = {0b111, 0b011, 0b110, 0b101}
     for m in [0b000, 0b001, 0b010, 0b100]:
-        acc.accumulate(m, m in logical, ev)
+        accumulate(acc, m, m in logical, ev)
     ci = kl_confidence_interval(0.5, 100, 0.01)
     lo, hi, alpha = probabilistic_bounds(acc, ci)
     assert alpha == 0.01
