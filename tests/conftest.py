@@ -83,6 +83,17 @@ def detours(monkeypatch) -> list[int]:
     return queued
 
 
+def kept_case(strategy: str, variant: int) -> tuple[str, int]:
+    """The strategy and the random-model variant that a parametrized case
+    runs.  `local-both` was the `local-flip` walk plus shift moves; the
+    shift moves are gone, but its case ids are kept so they stay stable,
+    and such a case runs `local-flip` on variant + 4, a model that no
+    `local-flip` case uses."""
+    if strategy == "local-both":
+        return "local-flip", variant + 4
+    return strategy, variant
+
+
 @pytest.fixture
 def repetition_program_text() -> str:
     return REPETITION_PROGRAM

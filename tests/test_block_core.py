@@ -33,13 +33,14 @@ from qecbound.sampling import (
     sample_unseen_batch,
 )
 
-from conftest import random_model
+from conftest import kept_case, random_model
 from reference import ReferenceVisitedSet, accumulate, local_moves_flip, run_cursors
 
 STRATEGIES = [
     ("hamming", None),
     ("split", 3),
     ("local-flip", None),
+    ("local-both", None),  # runs local-flip on other models: see kept_case
 ]
 
 # More split inputs: the low run reaches the high start before the high
@@ -271,6 +272,7 @@ def test_accuracy_records_match_per_shot_reference(strategy, distance, variant, 
         distance = 2 * n + 2
     if block_rows is not None:
         monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
+    strategy, variant = kept_case(strategy, variant)
     model = _model(n, variant)
     v = model.concrete_probabilities()
     if decoder_kind == "zero":
@@ -288,6 +290,7 @@ def test_accuracy_records_match_per_shot_reference(strategy, distance, variant, 
 @pytest.mark.parametrize("variant", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
 def test_hybrid_records_match_per_shot_reference(strategy, distance, variant, n):
+    strategy, variant = kept_case(strategy, variant)
     model = _model(n, variant)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
@@ -305,6 +308,7 @@ def test_hybrid_records_match_per_shot_reference(strategy, distance, variant, n)
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
 def test_robustness_records_match_per_shot_reference(strategy, distance, variant,
                                                      n, max_shots):
+    strategy, variant = kept_case(strategy, variant)
     model = _model(n, variant)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
@@ -332,6 +336,7 @@ def test_robustness_records_match_per_shot_reference(strategy, distance, variant
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
 def test_robustness_final_matches_per_shot_reference(strategy, distance, variant,
                                                      n, max_shots, term_cap, scale):
+    strategy, variant = kept_case(strategy, variant)
     model = _model(n, variant)
     model = model.with_probabilities([p * scale for p in model.concrete_probabilities()])
     v = model.concrete_probabilities()

@@ -26,7 +26,7 @@ from qecbound.driver import (
 from qecbound.frontend import parse_program
 from qecbound.polynomial import Hyperrectangle
 
-from conftest import exact_rate, random_model
+from conftest import exact_rate, kept_case, random_model
 
 
 class ZeroDecoder(Decoder):
@@ -94,12 +94,14 @@ def test_sound_records_bracket_exact_rate_and_are_monotone(repetition_model):
     ("hamming", None),
     ("split", 3),
     ("local-flip", None),
+    ("local-both", None),
 ])
 # The name and the leading id (1, 2, 4) predate the removal of worker
 # counts and are kept so the case ids stay stable; the id now picks the
-# random model.
+# random model.  The `local-both` ids are kept the same way (see kept_case).
 @pytest.mark.parametrize("variant", [1, 2, 4])
 def test_strategies_and_workers_agree_at_exhaustion(strategy, distance, variant):
+    strategy, variant = kept_case(strategy, variant)
     rng = np.random.default_rng(4 + variant)
     model = random_model(rng, n_channels=9, n_det=4)
     v = model.concrete_probabilities()

@@ -20,6 +20,7 @@ from qecbound.errorspace import (
     weight,
 )
 
+from conftest import kept_case
 from reference import (
     ReferenceVisitedSet,
     WeightOrderCursor,
@@ -237,8 +238,9 @@ def _assert_visited(order, n, visited):
         (weight(m) for m in range(1 << n) if m not in visited), default=n + 1)
 
 
-# Every strategy, and split over the distances of test_block_core.
-ORDER_PLANS = [(s, None) for s in ("hamming", "local-flip")] + [
+# Every strategy, and split over the distances of test_block_core; the
+# `local-both` id runs `local-flip` on other seeds (see kept_case).
+ORDER_PLANS = [(s, None) for s in ("hamming", "local-flip", "local-both")] + [
     ("split", d) for d in (0, 1, 3, 5, "2n+2")]
 
 
@@ -251,7 +253,8 @@ def test_order_membership_matches_taken_strings(strategy, distance):
     for `local-flip`; membership of every string and the lowest unvisited
     weight are asked after each `take` and each `hold`, so ends kept from
     before either would fail."""
-    for seed in range(10):
+    strategy, variant = kept_case(strategy, 1)
+    for seed in range(10 * variant - 10, 10 * variant):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
         d = 2 * n + 2 if distance == "2n+2" else distance
