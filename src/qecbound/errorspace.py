@@ -97,6 +97,8 @@ def n_words(n: int) -> int:
 
 def words_of(masks, n_words: int) -> np.ndarray:
     """Python-int bit sets as a [len(masks), n_words] uint64 array."""
+    if n_words == 1:
+        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
     out = np.empty((len(masks), n_words), dtype=np.uint64)
     for w in range(n_words):
         out[:, w] = np.fromiter(((m >> 64 * w) & _WORD_MASK for m in masks),

@@ -39,9 +39,16 @@ rounding of the products (Higham, Accuracy and Stability of Numerical
 Algorithms, 4.2); only a variable inside that bound (or every variable,
 when a product could underflow) takes the per-variable
 `derivative(i).termwise`, so the decisions equal that reference's.  The
-pass works on chunks of rows of at most _VERTEX_BLOCK // 16 (variable,
-row) values; across chunks it keeps one bit set per row and one partner
-coefficient per positive literal.
+pass is a running sum over rows (`_SignPass`), fed chunks of at most
+_VERTEX_BLOCK // 16 (variable, row) values.  In its error bound, A
+counts the operands that any one variable's sum took: the rows fed, plus
+the operands taken back when a row meets its matching partner only in a
+later update.  A taken-back operand cancels exactly, and its absolute
+value stays in the bound.  `certify` feeds a fresh pass every row at
+once, so A is the number of rows.  A `MintermStore` keeps the pass of the
+last box it was asked about, so round 1 of a robustness checkpoint adds
+only the rows stored since the previous one; later rounds certify the
+substituted terms afresh.
 
 Summation.  Per-term products multiply their factors in variable order.
 Termwise bounds and point evaluations sum the terms with `math.fsum`
@@ -237,8 +244,8 @@ def _chunk_rows(width: int) -> int:
 def _others(f: np.ndarray) -> np.ndarray:
     """Row k of the result is prod_{j != k} f[j], as a prefix times a
     suffix product (no division: a factor may be 0).  Overwrites f."""
-    if len(f) == 1:
-        f[0] = 1.0
+    if len(f) <= 1:
+        f[:] = 1.0
         return f
     pre = np.multiply.accumulate(f[:-1], axis=0)  # pre[j] = f[0] ... f[j]
     suf = np.multiply.accumulate(f[:0:-1], axis=0)[::-1]  # suf[j] = f[j+1] ... f[-1]
@@ -375,93 +382,14 @@ class TermArray:
         Returns (variables, lo_sign, hi_sign): the sorted variables that
         occur in some row and, for each, the signs (-1, 0 or 1) of d_lo and
         d_hi in `self.derivative(var).termwise(lo, hi)`.  Rows must be
-        merged (no (pos, neg) twice).
-
-        Each row's product of its other factors at the box ends is a prefix
-        times a suffix product along the variables (no division: a factor
-        may be 0).  Per variable the values are added in any order, and the
-        sign of the sum s is trusted where |s| > gamma_m * sum|x| with
-        m = 2 (T + V + 2) for T rows and V live variables: that bounds the
-        summation error plus the rounding by which these products differ
-        from the reference's (Higham, section 4.2), so the sign is that of
-        the reference's correctly rounded `math.fsum`.  A variable in doubt,
-        and every variable when a product could underflow, takes the
-        reference itself.  Rows go in chunks of `_chunk_rows` rows."""
-        live = np.array(self.variables(), dtype=np.intp)
-        if not live.size:
-            return live, live, live
-        n = int(live[-1]) + 1
-        rows = _chunk_rows(n)
-        chunks = range(0, len(self), rows)
-        mate, partner_coef = self._partners(rows, n)
-        l_lo, l_hi = lo[live][:, None], hi[live][:, None]
-        sums = np.zeros((2, live.size))  # d_lo, d_hi
-        mags = np.zeros((2, live.size))  # sums of |term|
-        for r0, p_coef in zip(chunks, partner_coef):
-            p = _bits(self.pos[r0:r0 + rows], n)[live]
-            q = _bits(self.neg[r0:r0 + rows], n)[live]
-            lone = q & ~_bits(mate[r0:r0 + rows], n)[live]
-            c = self.coef[r0:r0 + rows]
-            # merged derivative coefficients: c_p - c_q at x_var, -c_q at a
-            # 1 - x_var without partner, 0 at one with a partner
-            d = np.where(p, c, np.where(lone, -c, 0.0))
-            d.T[p.T] -= p_coef
-            at_max = _others(np.where(p, l_hi, np.where(q, 1.0 - l_lo, 1.0)))
-            at_min = _others(np.where(p, l_lo, np.where(q, 1.0 - l_hi, 1.0)))
-            negative = d < 0.0
-            for side, (a, b) in enumerate(((at_min, at_max), (at_max, at_min))):
-                val = np.where(negative, b, a)
-                val *= d
-                sums[side] += val.sum(axis=1)
-                np.abs(val, out=val)
-                mags[side] += val.sum(axis=1)
-
-        m = 2 * (len(self) + live.size + 2)
-        u = np.finfo(float).eps / 2
-        doubt = ((np.abs(sums) <= m * u / (1.0 - m * u) * mags) & (mags > 0.0)).any(axis=0)
-        # A product of other factors is at least the product of every
-        # variable's smallest nonzero factor, and a nonzero derivative
-        # coefficient at least the smallest |coefficient| times 2^-53.
-        ends = np.concatenate((l_lo, l_hi, 1.0 - l_lo, 1.0 - l_hi), axis=1)
-        floor = np.log2(np.where(ends > 0.0, ends, 1.0).min(axis=1)).sum()
-        if floor + np.log2(np.abs(self.coef).min()) - 53 < -1000:
-            doubt[:] = True
-        signs = np.sign(sums)
-        for k in np.flatnonzero(doubt):
-            signs[:, k] = np.sign(self.derivative(int(live[k])).termwise(lo, hi))
-        return live, signs[0], signs[1]
-
-    def _partners(self, rows: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Matching rows for `certify`, chunk by chunk.  A row holding x_var
-        merges in d/dx_var with its partner: the row with the same other
-        literals and 1 - x_var.  Returns bit sets with bit var set in each
-        row that is the partner of some row at var, and per chunk the
-        partner coefficients (0 without partner) of the positive literals
-        in row-major order."""
-        w_count = self.pos.shape[1]
-        keys = row_keys(np.hstack((self.pos, self.neg)))
-        order = np.argsort(keys)
-        keys = keys[order]
-        mate = np.zeros_like(self.pos)
-        partner_coef = []
-        for r0 in range(0, len(self), rows):
-            t, var = np.nonzero(_bits_of(self.pos[r0:r0 + rows], n))
-            t += r0
-            w = var // 64
-            bit = np.left_shift(np.uint64(1), (var % 64).astype(np.uint64))
-            query = np.hstack((self.pos[t], self.neg[t]))
-            k = np.arange(t.size)
-            query[k, w] ^= bit
-            query[k, w_count + w] ^= bit
-            query = row_keys(query)
-            at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-            hit = keys[at] == query
-            q = order[at[hit]]
-            np.bitwise_or.at(mate, (q, w[hit]), bit[hit])
-            coef = np.zeros(t.size)
-            coef[hit] = self.coef[q]
-            partner_coef.append(coef)
-        return mate, partner_coef
+        merged (no (pos, neg) twice).  This is a fresh `_SignPass` fed every
+        row at once."""
+        if not self.variables():
+            return (np.zeros(0, dtype=np.intp),) * 3
+        sign_pass = _SignPass(lo, hi, self.pos.shape[1])
+        if not sign_pass.update(self):
+            raise ValueError("certify needs merged rows")
+        return sign_pass.signs(self)
 
     def termwise(self, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
         """Sound interval for the sum over the box [lo, hi]: the sum of
@@ -520,19 +448,236 @@ class TermArray:
         return total
 
 
+def _row_key(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """One sortable key per (pos, neg) row."""
+    return row_keys(np.hstack((pos, neg)))
+
+
+def _partner_key(rows: TermArray, t: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Keys of rows t with variable var moved between pos and neg."""
+    k, w = np.arange(t.size), var // 64
+    bit = np.left_shift(np.uint64(1), (var % 64).astype(np.uint64))
+    pos, neg = rows.pos[t], rows.neg[t]
+    pos[k, w] ^= bit
+    neg[k, w] ^= bit
+    return _row_key(pos, neg)
+
+
+def _set_bits(words: np.ndarray, row: np.ndarray, var: np.ndarray) -> None:
+    """Set bit var of row `row`, for each (row, var) pair."""
+    np.bitwise_or.at(words, (row, var // 64),
+                     np.left_shift(np.uint64(1), (var % 64).astype(np.uint64)))
+
+
+class _SignPass:
+    """`TermArray.certify` as a running sum over rows.
+
+    For the box [lo, hi] it keeps, per variable and per side (d_lo and
+    d_hi of the variable's merged derivative, bounded termwise), the
+    running sum of operands and the sum of their absolute values.  An
+    operand is a derivative coefficient times the product of the row's
+    other factors at the box ends that the coefficient's sign selects.  It
+    also keeps A, a bound on the number of operands any one variable's sum
+    took; the variables that occur and the smallest |coefficient|; and the
+    rows' (pos, neg) keys, sorted, with their coefficients.  `update` adds
+    rows and `signs` reads the signs off the sums.
+
+    A row holding x_var merges in d/dx_var with its partner, the row with
+    the same other literals and 1 - x_var.  Both have the same other
+    factors, so a pair adds one operand, c_pos - c_neg times them.  A row
+    without partner adds its lone operand, c_pos or -c_neg times them.  When
+    the partner arrives in a later update, that operand is taken back (the
+    same value, subtracted) and the pair's operand is added.  A taken-back
+    operand cancels exactly in exact arithmetic, and it stays in the sum of
+    absolute values and in A, so the error bound of `signs` still covers it.
+
+    Each positive literal looks its partner up by key.  Those left without
+    one wait in `open_*`, keyed by the partner they miss, so that a
+    negative literal that arrives later finds its old partner through one
+    lookup of its row's key.  Each update sorts the stored and the new
+    keys together.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, n_words: int) -> None:
+        self.lo, self.hi = lo, hi
+        self.sums = np.zeros((2, lo.size))  # d_lo, d_hi
+        self.mags = np.zeros((2, lo.size))  # sums of |operand|
+        self.count = 0  # A
+        # per variable, log2 of its smallest nonzero factor (see `signs`)
+        ends = np.stack((lo, hi, 1.0 - lo, 1.0 - hi))
+        self.log_floor = np.log2(np.where(ends > 0.0, ends, 1.0).min(axis=0))
+        self.occur = np.zeros(n_words, dtype=np.uint64)
+        self.min_coef = math.inf
+        empty = np.zeros((0, n_words), dtype=np.uint64)
+        self.keys, self.coef = _row_key(empty, empty), np.zeros(0)
+        # positive literals without partner: the partner's key, the
+        # variable and the row's coefficient, sorted by key
+        self.open_keys, self.open_var, self.open_coef = self.keys, np.zeros(0, np.intp), self.coef
+
+    def update(self, rows: TermArray) -> bool:
+        """Add rows; False, with nothing added, when a row's key is in the
+        pass already or repeats among them.  Rows go in chunks of
+        `_chunk_rows` rows."""
+        size = len(rows)
+        if not size:
+            return True
+        n = self.lo.size
+        keys = _row_key(rows.pos, rows.neg)
+        old = len(self.keys)
+        all_keys = np.concatenate((self.keys, keys))
+        order = np.argsort(all_keys)
+        all_keys = all_keys[order]
+        if (all_keys[1:] == all_keys[:-1]).any():
+            return False
+        all_coef = np.concatenate((self.coef, rows.coef))[order]
+        occur = np.bitwise_or.reduce(rows.pos | rows.neg, axis=0)
+        live = np.flatnonzero(_bits(occur[None, :], n)[:, 0])
+        step = _chunk_rows(max(live.size, 1))
+        # bit var set: the row's 1 - x_var has a partner
+        mate = np.zeros_like(rows.pos)
+
+        # 1 - x_var in a new row whose partner is an old open x_var: the
+        # row, the variable and the partner's coefficient, in row order
+        first = np.searchsorted(self.open_keys, keys, "left")
+        found = np.searchsorted(self.open_keys, keys, "right") - first
+        q_row = np.repeat(np.arange(size), found)
+        at = np.arange(q_row.size) + np.repeat(first - np.cumsum(found) + found, found)
+        q_var, q_coef = self.open_var[at], self.open_coef[at]
+        _set_bits(mate, q_row, q_var)
+        still_open = np.ones(len(self.open_keys), dtype=bool)
+        still_open[at] = False
+        opened = [(self.open_keys[still_open], self.open_var[still_open],
+                   self.open_coef[still_open])]
+        # operands taken back, per variable
+        taken = np.bincount(q_var, minlength=n)
+
+        # x_var in a new row, chunk by chunk in row-major order: the
+        # partner's coefficient (0 without partner) and whether it is old
+        partner_coef, partner_old = [], []
+        for r0 in range(0, size, step):
+            t, var = np.divmod(np.flatnonzero(_bits_of(rows.pos[r0:r0 + step], n)), n)
+            t += r0
+            query = _partner_key(rows, t, var)
+            at = np.minimum(np.searchsorted(all_keys, query), len(all_keys) - 1)
+            hit = all_keys[at] == query
+            j = order[at] - old  # >= 0: a new row
+            partner_coef.append(np.where(hit, all_coef[at], 0.0))
+            partner_old.append(hit & (j < 0))
+            taken += np.bincount(var[partner_old[-1]], minlength=n)
+            new = hit & (j >= 0)
+            _set_bits(mate, j[new], var[new])
+            opened.append((query[~hit], var[~hit], rows.coef[t[~hit]]))
+
+        slot = np.zeros(n, dtype=np.intp)
+        slot[live] = np.arange(live.size)
+        l_lo, l_hi = self.lo[live][:, None], self.hi[live][:, None]
+        sums = np.zeros((2, live.size))
+        mags = np.zeros((2, live.size))
+        for r0, p_coef, p_old in zip(range(0, size, step), partner_coef, partner_old):
+            r1 = min(r0 + step, size)
+            p_rows = _bits_of(rows.pos[r0:r1], n)
+            pt, pv = np.divmod(np.flatnonzero(p_rows), n)  # the x_var, as p_coef
+            pv = slot[pv]
+            p = np.ascontiguousarray(p_rows.T)[live]
+            q = _bits(rows.neg[r0:r1], n)[live]
+            lone = q & ~_bits(mate[r0:r1], n)[live]
+            at_max = _others(np.where(p, l_hi, np.where(q, 1.0 - l_lo, 1.0)))
+            at_min = _others(np.where(p, l_lo, np.where(q, 1.0 - l_hi, 1.0)))
+            c = rows.coef[r0:r1]
+            # merged derivative coefficients: c_pos - c_neg at x_var; at
+            # 1 - x_var, -c_neg without partner, 0 with a new partner (its
+            # x_var holds the pair) and c_pos - c_neg with an old one
+            d = np.subtract(p, lone, dtype=float)
+            d *= c
+            d[pv, pt] -= p_coef
+            i0, i1 = np.searchsorted(q_row, (r0, r1))
+            qt, qv = q_row[i0:i1] - r0, slot[q_var[i0:i1]]
+            d[qv, qt] = q_coef[i0:i1] - c[qt]
+            # taken back: an old partner's lone operand, -c_neg at an old
+            # 1 - x_var and c_pos at an old open x_var
+            bt = np.concatenate((pt[p_old], qt))
+            bv = np.concatenate((pv[p_old], qv))
+            bd = np.concatenate((-p_coef[p_old], q_coef[i0:i1]))
+            negative = d < 0.0
+            for side, (a, b) in enumerate(((at_min, at_max), (at_max, at_min))):
+                val = np.where(negative, b, a)
+                val *= d
+                back = np.where(bd < 0.0, b[bv, bt], a[bv, bt]) * bd
+                sums[side] += val.sum(axis=1) - np.bincount(bv, back, live.size)
+                np.abs(val, out=val)
+                mags[side] += val.sum(axis=1) + np.bincount(bv, np.abs(back), live.size)
+            # the next chunk's arrays take the place of this one's
+            del at_max, at_min, d, val
+
+        self.sums[:, live] += sums
+        self.mags[:, live] += mags
+        self.count += size + int(taken.max(initial=0))
+        self.occur |= occur
+        self.min_coef = min(self.min_coef, float(np.abs(rows.coef).min()))
+        self.keys, self.coef = all_keys, all_coef
+        open_keys, open_var, open_coef = (np.concatenate(x) for x in zip(*opened))
+        by_key = np.argsort(open_keys)
+        self.open_keys, self.open_var, self.open_coef = (
+            open_keys[by_key], open_var[by_key], open_coef[by_key])
+        return True
+
+    def signs(self, terms: TermArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`terms.certify(lo, hi)`, where `terms` holds the rows fed so far,
+        merged.  The sign of a sum s is trusted where |s| > gamma_m * sum|x|
+        with m = 2 (A + V + 2) for V live variables: that bounds the
+        summation error plus the rounding by which the operands differ from
+        the reference's (Higham, section 4.2), so the sign is that of the
+        reference's correctly rounded `math.fsum`.  A variable in doubt,
+        and every variable when a product could underflow, takes the
+        reference, `terms.derivative(var).termwise`, itself."""
+        live = np.flatnonzero(_bits(self.occur[None, :], self.lo.size)[:, 0])
+        if not live.size:
+            return live, live, live
+        sums, mags = self.sums[:, live], self.mags[:, live]
+        m = 2 * (self.count + live.size + 2)
+        u = np.finfo(float).eps / 2
+        doubt = ((np.abs(sums) <= m * u / (1.0 - m * u) * mags) & (mags > 0.0)).any(axis=0)
+        # A product of other factors is at least the product of every
+        # variable's smallest nonzero factor, and a nonzero derivative
+        # coefficient at least the smallest |coefficient| times 2^-53.
+        if self.log_floor[live].sum() + np.log2(self.min_coef) - 53 < -1000:
+            doubt[:] = True
+        signs = np.sign(sums)
+        for k in np.flatnonzero(doubt):
+            signs[:, k] = np.sign(terms.derivative(int(live[k])).termwise(self.lo, self.hi))
+        return live, signs[0], signs[1]
+
+
 class MintermStore:
     """A growing list of bitstrings over n channels, each standing for its
-    minterm with coefficient 1."""
+    minterm with coefficient 1.
+
+    The store keeps the first pruning round of the last box it was asked
+    about as a `_SignPass`, so `first_round` feeds it only the rows added
+    since the previous call.  It starts over for another box, and from the
+    merged rows when a bitstring repeats."""
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._words = [_words_of([], _n_words(n))]  # [T, ceil(n/64)] bit sets
+        self._full = _words_of([(1 << n) - 1], _n_words(n))  # [1, ceil(n/64)]
+        self._words = [self._full[:0]]  # [T, ceil(n/64)] bit sets
         self._len = 0
+        self._box: Hyperrectangle | None = None
+        self._pass: _SignPass | None = None
+        self._fed = 0  # rows the pass holds
 
     def append(self, mask: int) -> None:
+        if not 0 <= mask < 1 << self.n:
+            raise ValueError(f"bitstring {mask} does not fit a store of width {self.n}")
         self.extend(_words_of([mask], _n_words(self.n)))
 
     def extend(self, words: np.ndarray) -> None:
+        w = self._full.shape[1]
+        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != w:
+            raise ValueError(f"rows of a store of width {self.n} are [rows, {w}] uint64 "
+                             f"words, not {words.dtype} of shape {words.shape}")
+        if (words & ~self._full).any():
+            raise ValueError(f"a row has bits at or above {self.n}, in a store of width {self.n}")
         self._words.append(words)
         self._len += len(words)
 
@@ -542,13 +687,32 @@ class MintermStore:
     def terms(self) -> TermArray:
         pos = self._words[0] = np.concatenate(self._words)
         del self._words[1:]
-        return TermArray(np.ones(len(pos)), pos, pos ^ _words_of([(1 << self.n) - 1], pos.shape[1]))
+        return TermArray(np.ones(len(pos)), pos, pos ^ self._full)
+
+    def first_round(self, box: Hyperrectangle) -> tuple[TermArray, tuple]:
+        """The terms, merged, and their `certify` over the box."""
+        if box.n < self.n:
+            raise ValueError(f"a box of dimension {box.n} does not cover a store of width {self.n}")
+        terms = self.terms()
+        if box != self._box:
+            self._box, self._fed = box, 0
+        if not self._fed or not self._pass.update(
+                TermArray(terms.coef[self._fed:], terms.pos[self._fed:], terms.neg[self._fed:])):
+            self._pass = _SignPass(*_box_arrays(box), self._full.shape[1])
+            self._pass.update(terms.merged())
+        self._fed = len(terms)
+        if len(self._pass.keys) < len(terms):  # a bitstring repeats
+            terms = terms.merged()
+        return terms, self._pass.signs(terms)
 
 
 def _as_terms(terms, n: int) -> TermArray:
-    """A MintermStore or a sequence of SignedTerm, as a TermArray."""
+    """A MintermStore, a TermArray or a sequence of SignedTerm, as a
+    TermArray."""
     if isinstance(terms, MintermStore):
         return terms.terms()
+    if isinstance(terms, TermArray):
+        return terms
     return TermArray.from_signed(terms, n)
 
 
@@ -589,23 +753,29 @@ class OptimizationResult:
     exact: bool
 
 
-def _optimize(terms: TermArray, box: Hyperrectangle, sense: int, f_max: int,
+def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
               deadline: float | None = None) -> tuple[OptimizationResult, TermArray]:
-    """sense=+1 maximizes, sense=-1 minimizes.  Also returns the terms left
+    """sense=+1 maximizes, sense=-1 minimizes; `terms` is a sequence of
+    SignedTerm, a MintermStore or a TermArray.  Also returns the terms left
     after pruning, whose free variables the vertex search covered.
 
     Pruning runs in rounds (see the module docstring for why it is sound):
     one `certify` pass over the live variables, then one substitution of
     every certified variable at its better end, until a pass certifies
-    none.  Vertex search stops at `deadline` (see `vertex_values`) and then
-    takes the truncation path."""
+    none.  A MintermStore gives the first pass from its running sum
+    (`first_round`).  Vertex search stops at `deadline` (see
+    `vertex_values`) and then takes the truncation path."""
     lo, hi = _box_arrays(box)
-    terms = terms.merged()
+    if isinstance(terms, MintermStore):
+        terms, signs = terms.first_round(box)
+    else:
+        terms = _as_terms(terms, box.n).merged()
+        signs = terms.certify(lo, hi)
     fixed: dict[int, float] = {}
     # the better end of a variable whose derivative is > 0, resp. < 0
     rising, falling = (box.upper, box.lower) if sense > 0 else (box.lower, box.upper)
     while True:
-        live, lo_sign, hi_sign = terms.certify(lo, hi)
+        live, lo_sign, hi_sign = signs
         up, down = lo_sign > 0, hi_sign < 0
         if not (up.any() or down.any()):
             break
@@ -613,6 +783,7 @@ def _optimize(terms: TermArray, box: Hyperrectangle, sense: int, f_max: int,
         choice.update((var, falling[var]) for var in live[down].tolist())
         fixed.update(choice)
         terms = terms.substitute(choice)
+        signs = terms.certify(lo, hi)
 
     free = live.tolist()
     vals = terms.vertex_values(lo, hi, free, deadline) if free and len(free) <= f_max else None
@@ -639,13 +810,13 @@ def _optimize(terms: TermArray, box: Hyperrectangle, sense: int, f_max: int,
 def maximize(terms, box: Hyperrectangle, f_max: int = F_MAX_DEFAULT) -> OptimizationResult:
     """Exact box maximum of a sum of signed terms (multilinear); `terms` is
     a sequence of SignedTerm or a MintermStore."""
-    return _optimize(_as_terms(terms, box.n), box, +1, f_max)[0]
+    return _optimize(terms, box, +1, f_max)[0]
 
 
 def minimize(terms, box: Hyperrectangle, f_max: int = F_MAX_DEFAULT) -> OptimizationResult:
     """Exact box minimum of a sum of signed terms (multilinear); `terms` is
     a sequence of SignedTerm or a MintermStore."""
-    return _optimize(_as_terms(terms, box.n), box, -1, f_max)[0]
+    return _optimize(terms, box, -1, f_max)[0]
 
 
 @dataclass(frozen=True)
@@ -670,9 +841,9 @@ def robustness_bounds(l_terms, s_not_l_terms, box: Hyperrectangle,
     value) has passed.  With `s_not_l_terms` None the upper side is not
     optimized and is reported as the trivial bound 1, flagged inexact.
     """
-    lo = _optimize(_as_terms(l_terms, box.n), box, +1, f_max, deadline)[0]
+    lo = _optimize(l_terms, box, +1, f_max, deadline)[0]
     if s_not_l_terms is None:
         return RobustnessBounds(lo.value, 1.0, lo.exact, False, lo.vertex)
-    hi, rest = _optimize(_as_terms(s_not_l_terms, box.n), box, -1, f_max, deadline)
+    hi, rest = _optimize(s_not_l_terms, box, -1, f_max, deadline)
     s_min = hi.value if hi.exact else rest.termwise(*_box_arrays(box))[0]
     return RobustnessBounds(lo.value, 1.0 - s_min, lo.exact, hi.exact, lo.vertex)

@@ -1,6 +1,7 @@
 """Weight-order enumeration, ranking, the visit order's runs and its
 membership, and the reference visited set."""
 
+import random
 from math import comb
 
 import numpy as np
@@ -13,11 +14,13 @@ from qecbound.errorspace import (
     VisitOrder,
     bits_to_str,
     first_position_of_weight,
+    ints_of,
     precedes,
     str_to_bits,
     unrank_in_weight_class,
     unrank_position,
     weight,
+    words_of,
 )
 
 from conftest import kept_case
@@ -36,6 +39,23 @@ def test_bits_round_trip():
     assert str_to_bits("011") == 0b110
     for m in range(32):
         assert str_to_bits(bits_to_str(m, 5)) == m
+
+
+def word_by_word(masks, k):
+    """[len(masks), k] uint64 words, one Python int per word."""
+    rows = [[(m >> 64 * w) & ((1 << 64) - 1) for w in range(k)] for m in masks]
+    return np.array(rows, dtype=np.uint64).reshape(-1, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_words_of_matches_word_by_word(k):
+    rng = random.Random(k)
+    masks = [rng.getrandbits(64 * k) for _ in range(200)] + [0, (1 << 64) - 1, (1 << 64 * k) - 1]
+    for ms in (masks, []):
+        got = words_of(ms, k)
+        assert got.dtype == np.uint64 and got.shape == (len(ms), k)
+        np.testing.assert_array_equal(got, word_by_word(ms, k))
+        assert ints_of(got) == ms
 
 
 def brute_force_order(n):
