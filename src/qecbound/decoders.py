@@ -41,6 +41,7 @@ scores every distinct residual once against every channel in one
 
 from __future__ import annotations
 
+import select
 import shlex
 import subprocess
 from dataclasses import dataclass, field
@@ -326,8 +327,12 @@ class ExternalDecoder(Decoder):
     def decode_batch(self, syndromes) -> list[int]:
         out: list[int] = []
         syndromes = list(syndromes)
-        for start in range(0, len(syndromes), self.batch_size):
-            chunk = syndromes[start : start + self.batch_size]
+        # A chunk's replies fit in the reply pipe, which holds at least
+        # PIPE_BUF bytes, so a decoder that answers each syndrome as it
+        # reads it can read the whole chunk while the client writes.
+        step = max(1, min(self.batch_size, select.PIPE_BUF // (self.n_obs + 1)))
+        for start in range(0, len(syndromes), step):
+            chunk = syndromes[start : start + step]
             self._send("\n".join([f"DECODE {len(chunk)}",
                                    *(bits_to_str(s, self.n_det) for s in chunk)]))
             for _ in chunk:

@@ -48,6 +48,7 @@ from .errorspace import (
     words_of,
 )
 from .polynomial import (
+    F_MAX_DEFAULT,
     FP_MARGIN,
     BoundAccumulators,
     Hyperrectangle,
@@ -78,7 +79,7 @@ class RunConfig:
     sample_count: int = 0  # per-checkpoint samples; accuracy mode only
     alpha: float = 0.01
     seed: int = 0
-    f_max: int = 24
+    f_max: int = F_MAX_DEFAULT
     term_cap: int = TERM_CAP_DEFAULT
 
     def __post_init__(self) -> None:

@@ -47,8 +47,9 @@ later update.  A taken-back operand cancels exactly, and its absolute
 value stays in the bound.  `certify` feeds a fresh pass every row at
 once, so A is the number of rows.  A `MintermStore` keeps the pass of the
 last box it was asked about, so round 1 of a robustness checkpoint adds
-only the rows stored since the previous one; later rounds certify the
-substituted terms afresh.
+only the rows stored since the previous one.  A pass takes rows in weight
+order, as `hamming` stores them, and the store starts a fresh one when a
+row comes out of order; later rounds certify the substituted terms afresh.
 
 Summation.  Per-term products multiply their factors in variable order.
 Termwise bounds and point evaluations sum the terms with `math.fsum`
@@ -463,12 +464,6 @@ def _partner_key(rows: TermArray, t: np.ndarray, var: np.ndarray) -> np.ndarray:
     return _row_key(pos, neg)
 
 
-def _set_bits(words: np.ndarray, row: np.ndarray, var: np.ndarray) -> None:
-    """Set bit var of row `row`, for each (row, var) pair."""
-    np.bitwise_or.at(words, (row, var // 64),
-                     np.left_shift(np.uint64(1), (var % 64).astype(np.uint64)))
-
-
 class _SignPass:
     """`TermArray.certify` as a running sum over rows.
 
@@ -485,17 +480,14 @@ class _SignPass:
     A row holding x_var merges in d/dx_var with its partner, the row with
     the same other literals and 1 - x_var.  Both have the same other
     factors, so a pair adds one operand, c_pos - c_neg times them.  A row
-    without partner adds its lone operand, c_pos or -c_neg times them.  When
-    the partner arrives in a later update, that operand is taken back (the
-    same value, subtracted) and the pair's operand is added.  A taken-back
-    operand cancels exactly in exact arithmetic, and it stays in the sum of
-    absolute values and in A, so the error bound of `signs` still covers it.
-
-    Each positive literal looks its partner up by key.  Those left without
-    one wait in `open_*`, keyed by the partner they miss, so that a
-    negative literal that arrives later finds its old partner through one
-    lookup of its row's key.  Each update sorts the stored and the new
-    keys together.
+    without partner adds its lone operand, c_pos or -c_neg times them.
+    `update` refuses a row with fewer positive literals than one it holds.
+    A partner has one fewer at x_var and one more at 1 - x_var, so only an
+    old row's 1 - x_var can meet its partner later.  Then its lone operand
+    is taken back (the same value, subtracted) and the pair's operand is
+    added.  A taken-back operand cancels exactly in exact arithmetic, and
+    it stays in the sum of absolute values and in A, so the error bound of
+    `signs` still covers it.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, n_words: int) -> None:
@@ -510,17 +502,19 @@ class _SignPass:
         self.min_coef = math.inf
         empty = np.zeros((0, n_words), dtype=np.uint64)
         self.keys, self.coef = _row_key(empty, empty), np.zeros(0)
-        # positive literals without partner: the partner's key, the
-        # variable and the row's coefficient, sorted by key
-        self.open_keys, self.open_var, self.open_coef = self.keys, np.zeros(0, np.intp), self.coef
+        self.heaviest = 0  # most positive literals of a row held
 
     def update(self, rows: TermArray) -> bool:
         """Add rows; False, with nothing added, when a row's key is in the
-        pass already or repeats among them.  Rows go in chunks of
+        pass already or repeats among them, or when a row has fewer positive
+        literals than one the pass holds.  Rows go in chunks of
         `_chunk_rows` rows."""
         size = len(rows)
         if not size:
             return True
+        weight = np.bitwise_count(rows.pos).sum(axis=1)
+        if weight.min() < self.heaviest:
+            return False
         n = self.lo.size
         keys = _row_key(rows.pos, rows.neg)
         old = len(self.keys)
@@ -535,21 +529,8 @@ class _SignPass:
         step = _chunk_rows(max(live.size, 1))
         # bit var set: the row's 1 - x_var has a partner
         mate = np.zeros_like(rows.pos)
-
-        # 1 - x_var in a new row whose partner is an old open x_var: the
-        # row, the variable and the partner's coefficient, in row order
-        first = np.searchsorted(self.open_keys, keys, "left")
-        found = np.searchsorted(self.open_keys, keys, "right") - first
-        q_row = np.repeat(np.arange(size), found)
-        at = np.arange(q_row.size) + np.repeat(first - np.cumsum(found) + found, found)
-        q_var, q_coef = self.open_var[at], self.open_coef[at]
-        _set_bits(mate, q_row, q_var)
-        still_open = np.ones(len(self.open_keys), dtype=bool)
-        still_open[at] = False
-        opened = [(self.open_keys[still_open], self.open_var[still_open],
-                   self.open_coef[still_open])]
         # operands taken back, per variable
-        taken = np.bincount(q_var, minlength=n)
+        taken = np.zeros(n, dtype=np.intp)
 
         # x_var in a new row, chunk by chunk in row-major order: the
         # partner's coefficient (0 without partner) and whether it is old
@@ -565,8 +546,8 @@ class _SignPass:
             partner_old.append(hit & (j < 0))
             taken += np.bincount(var[partner_old[-1]], minlength=n)
             new = hit & (j >= 0)
-            _set_bits(mate, j[new], var[new])
-            opened.append((query[~hit], var[~hit], rows.coef[t[~hit]]))
+            np.bitwise_or.at(mate, (j[new], var[new] // 64),
+                             np.left_shift(np.uint64(1), (var[new] % 64).astype(np.uint64)))
 
         slot = np.zeros(n, dtype=np.intp)
         slot[live] = np.arange(live.size)
@@ -583,21 +564,14 @@ class _SignPass:
             lone = q & ~_bits(mate[r0:r1], n)[live]
             at_max = _others(np.where(p, l_hi, np.where(q, 1.0 - l_lo, 1.0)))
             at_min = _others(np.where(p, l_lo, np.where(q, 1.0 - l_hi, 1.0)))
-            c = rows.coef[r0:r1]
             # merged derivative coefficients: c_pos - c_neg at x_var; at
-            # 1 - x_var, -c_neg without partner, 0 with a new partner (its
-            # x_var holds the pair) and c_pos - c_neg with an old one
+            # 1 - x_var, -c_neg without partner and 0 with a new partner
+            # (its x_var holds the pair)
             d = np.subtract(p, lone, dtype=float)
-            d *= c
+            d *= rows.coef[r0:r1]
             d[pv, pt] -= p_coef
-            i0, i1 = np.searchsorted(q_row, (r0, r1))
-            qt, qv = q_row[i0:i1] - r0, slot[q_var[i0:i1]]
-            d[qv, qt] = q_coef[i0:i1] - c[qt]
-            # taken back: an old partner's lone operand, -c_neg at an old
-            # 1 - x_var and c_pos at an old open x_var
-            bt = np.concatenate((pt[p_old], qt))
-            bv = np.concatenate((pv[p_old], qv))
-            bd = np.concatenate((-p_coef[p_old], q_coef[i0:i1]))
+            # taken back: an old partner's lone operand, -c_neg at its 1 - x_var
+            bt, bv, bd = pt[p_old], pv[p_old], -p_coef[p_old]
             negative = d < 0.0
             for side, (a, b) in enumerate(((at_min, at_max), (at_max, at_min))):
                 val = np.where(negative, b, a)
@@ -615,10 +589,7 @@ class _SignPass:
         self.occur |= occur
         self.min_coef = min(self.min_coef, float(np.abs(rows.coef).min()))
         self.keys, self.coef = all_keys, all_coef
-        open_keys, open_var, open_coef = (np.concatenate(x) for x in zip(*opened))
-        by_key = np.argsort(open_keys)
-        self.open_keys, self.open_var, self.open_coef = (
-            open_keys[by_key], open_var[by_key], open_coef[by_key])
+        self.heaviest = int(weight.max())
         return True
 
     def signs(self, terms: TermArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -654,8 +625,9 @@ class MintermStore:
 
     The store keeps the first pruning round of the last box it was asked
     about as a `_SignPass`, so `first_round` feeds it only the rows added
-    since the previous call.  It starts over for another box, and from the
-    merged rows when a bitstring repeats."""
+    since the previous call.  It starts over from the merged rows for
+    another box, when a bitstring repeats, and when a new row is lighter
+    than one the pass holds."""
 
     def __init__(self, n: int) -> None:
         self.n = n

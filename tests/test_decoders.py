@@ -336,6 +336,41 @@ def test_serve_reads_the_whole_batch_before_it_answers(tmp_path):
         remote.close()
 
 
+def test_decode_batch_reads_replies_of_a_decoder_that_answers_line_by_line(tmp_path):
+    """A decoder that writes each reply as it reads its syndrome fills the
+    reply pipe while the client is still writing the chunk, unless the
+    chunk's replies fit in the pipe.  At 100 observables a chunk holds at
+    most PIPE_BUF // 101 syndromes.  The batch runs in a thread, so a
+    stall fails the test instead of hanging it."""
+    stub = tmp_path / "stub.py"
+    stub.write_text(
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "print('READY', flush=True)\n"
+        "for line in sys.stdin:\n"
+        "    if not line.startswith('DECODE'):\n"
+        "        break\n"
+        "    for _ in range(int(line.split()[1])):\n"
+        "        print(sys.stdin.readline()[:100], flush=True)\n"
+    )
+    rng = np.random.default_rng(300)
+    syndromes = [int.from_bytes(rng.bytes(38), "little") >> 4 for _ in range(1024)]
+    remote = connect_external_decoder(f"{sys.executable} {stub}", 300, 100)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(remote.decode_batch(syndromes)),
+                              daemon=True)
+    try:
+        worker.start()
+        worker.join(timeout=10)
+        if worker.is_alive():
+            remote._proc.kill()
+            pytest.fail("decode_batch did not return within 10 s")
+        # the stub echoes each syndrome's first 100 detector bits
+        assert got == [[s & ((1 << 100) - 1) for s in syndromes]]
+    finally:
+        remote.close()
+
+
 def test_external_decode_batch_sends_one_payload_per_chunk(repetition_model, tmp_path, monkeypatch):
     import qecbound.decoders as decoders
 

@@ -50,11 +50,37 @@ def test_rows_fed_in_parts_give_one_certify(case, cuts, rng):
     arr = TermArray.from_signed(terms, box.n).merged()
     order = list(range(len(arr)))
     rng.shuffle(order)
+    # a pass takes rows in weight order: no row lighter than one it holds
+    weight = np.bitwise_count(arr.pos).sum(axis=1)
+    order.sort(key=lambda t: weight[t])
     arr = TermArray(arr.coef[order], arr.pos[order], arr.neg[order])
     lo, hi = np.array(box.lower), np.array(box.upper)
     expect = arr.certify(lo, hi)
     cuts = sorted(min(c, len(arr)) for c in cuts)
     assert_same(fed_in_parts(arr, cuts, lo, hi), expect)
+
+
+def test_lighter_row_after_a_heavier_one_is_refused():
+    n = 4
+    lo, hi = np.full(n, 0.1), np.full(n, 0.2)
+    store = MintermStore(n)
+    store.extend(words_of([0b0011, 0b0101, 0b0111], n_words(n)))
+    sign_pass = _SignPass(lo, hi, n_words(n))
+    assert sign_pass.update(store.terms())
+    state = [sign_pass.sums.copy(), sign_pass.mags.copy(), sign_pass.count,
+             sign_pass.keys.copy(), sign_pass.coef.copy()]
+    lighter = MintermStore(n)
+    lighter.extend(words_of([0b1111, 0b0001], n_words(n)))
+    assert not sign_pass.update(lighter.terms())
+    for before, after in zip(state, [sign_pass.sums, sign_pass.mags, sign_pass.count,
+                                     sign_pass.keys, sign_pass.coef]):
+        np.testing.assert_array_equal(before, after)
+    # a row as heavy as the heaviest held is taken
+    same = MintermStore(n)
+    same.extend(words_of([0b1011], n_words(n)))
+    assert sign_pass.update(same.terms())
+    store.extend(words_of([0b1011], n_words(n)))
+    assert_same(sign_pass.signs(store.terms()), store.terms().certify(lo, hi))
 
 
 def test_doubt_is_resolved_when_the_rows_come_in_two_updates():
@@ -94,9 +120,11 @@ def clustered_masks(rng: random.Random, n: int, count: int) -> list[int]:
 
 def grow(store: MintermStore, masks, rng: random.Random, box: Hyperrectangle):
     """Extend the store in random chunks, asking about the box after each;
-    check every answer against a fresh certify of the merged terms."""
+    check every answer against a fresh certify of the merged terms.
+    Returns the store's pass after each chunk."""
     lo, hi = np.array(box.lower), np.array(box.upper)
     at = 0
+    passes = []
     while at < len(masks):
         step = rng.randint(1, max(1, len(masks) // 3))
         store.extend(words_of(masks[at:at + step], n_words(store.n)))
@@ -106,6 +134,8 @@ def grow(store: MintermStore, masks, rng: random.Random, box: Hyperrectangle):
         np.testing.assert_array_equal(terms.coef, merged.coef)
         np.testing.assert_array_equal(terms.pos, merged.pos)
         assert_same(signs, merged.certify(lo, hi))
+        passes.append(store._pass)
+    return passes
 
 
 @pytest.mark.parametrize("n,count", [(5, 32), (39, 400), (70, 300)])
@@ -114,11 +144,16 @@ def test_store_grown_in_chunks_matches_certify(n, count, seed):
     rng = random.Random(f"{n}:{seed}")
     masks = list(range(32)) if n == 5 else clustered_masks(rng, n, count)
     rng.shuffle(masks)
+    box = random_box(rng, n)
+    # in random order the pass starts over whenever a lighter row comes
     store = MintermStore(n)
-    grow(store, masks, rng, random_box(rng, n))
+    grow(store, masks, rng, box)
     assert len(store) == len(masks)
-    # A exceeds the rows: some operands were taken back, as partners
-    # arrived in a later chunk
+    # in weight order one pass takes every row, and A exceeds the rows:
+    # some operands were taken back, as partners arrived in a later chunk
+    store = MintermStore(n)
+    passes = grow(store, sorted(masks, key=int.bit_count), rng, box)
+    assert all(p is passes[0] for p in passes)
     assert store._pass.count > len(store)
 
 
@@ -213,3 +248,35 @@ def test_each_row_reaches_the_pass_once(monkeypatch):
     assert [len(s) for s in stores] == [428, 3668]
     for store in stores:
         assert sum(size for p, size in fed if p is store._pass) == len(store)
+
+
+@pytest.mark.parametrize("strategy,distance", [
+    ("hamming", None), ("split", 3), ("split", 5), ("local-flip", None)])
+def test_first_round_of_every_checkpoint_matches_certify(strategy, distance, monkeypatch):
+    """On 4096-shot robustness runs every `first_round` equals a fresh
+    certify of the merged terms, whichever order the strategy stores rows
+    in.  `hamming` stores them in weight order, so a pass that holds rows
+    never starts over; the other orders make one start over."""
+    first_round = MintermStore.first_round
+    calls, restarts = [], []
+
+    def checked(self, box):
+        held, fed = self._pass, self._fed
+        terms, signs = first_round(self, box)
+        merged = self.terms().merged()
+        np.testing.assert_array_equal(terms.coef, merged.coef)
+        assert_same(signs, merged.certify(*(np.array(b) for b in (box.lower, box.upper))))
+        calls.append(self)
+        if fed and self._pass is not held:
+            restarts.append(self)
+        return terms, signs
+
+    monkeypatch.setattr(MintermStore, "first_round", checked)
+    model = seeded_model(1)
+    box = Hyperrectangle.scaled(model.concrete_probabilities(), 0.9, 1.1)
+    mid = tuple(0.5 * (a + b) for a, b in zip(box.lower, box.upper))
+    driver.run_robustness(model, build_greedy_decoder(model, mid), box,
+                          RunConfig(mode="robustness", strategy=strategy,
+                                    distance_ansatz=distance, max_shots=4096))
+    assert len(calls) > 20
+    assert (not restarts) == (strategy == "hamming")
