@@ -31,12 +31,18 @@ class.
 
 Batched decoding.  The enumeration core and the samplers classify whole
 blocks of bitstrings with `LogicalErrorClassifier`: the block's unique
-syndromes that are not yet in its syndrome -> prediction cache go to one
-`decode_batch` call.  The cache belongs to the classifier, which lives
-for one run, so repeated runs make the same decoder calls.
-`GreedyDecoder.decode_batch` peels a whole batch in rounds: each round
-scores every distinct residual once against every channel in one
-[rows, channels] array and XORs in each row's best channel.
+syndromes that are not yet in its `SyndromeCache` (syndrome ->
+prediction) go to one `decode_batch` call.  The cache belongs to the
+classifier, which lives for one run, so repeated runs make the same
+decoder calls and each starts cold.  The classifier also hands its cache
+to the decoder (`Decoder.use_cache`).  `GreedyDecoder.decode_batch`
+peels a whole batch in rounds: each round scores every distinct residual
+once against every channel in one [rows, channels] array and XORs in
+each row's best channel.  Peeling is recursive, so a row whose residual
+is then in the cache XORs in the cached prediction and is done.  The
+weight order decodes the lighter errors inside an error before the error
+itself, so greedy mostly peels once and reads the rest from the cache:
+on the bundled 39-channel model, every syndrome of a `hamming` run.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .errorspace import (
     bits_of,
     bits_to_str,
     ints_of,
+    key_words,
     n_words,
     row_keys,
     str_to_bits,
@@ -69,8 +76,8 @@ EXTERNAL_BATCH = 1024
 # Bitstrings in the ML build's low table: the strings of its lowest
 # channels, which each chunk of the build extends by its high channels.
 ML_CHUNK = 1 << 16
-# Syndromes a LogicalErrorClassifier caches at most: its inserts copy the
-# cache, and a long run can see a new syndrome in nearly every string.
+# Syndromes a SyndromeCache takes at most: its inserts copy the cache, and
+# a long run can see a new syndrome in nearly every string.
 CACHE_CAP = 1 << 18
 # Cells of each [rows, channels] score array `GreedyDecoder.decode_batch`
 # makes; its rows are a chunk of the distinct residuals.
@@ -96,6 +103,10 @@ class Decoder:
 
     def decode_batch(self, syndromes) -> list[int]:
         return [self.decode(s) for s in syndromes]
+
+    def use_cache(self, cache: SyndromeCache) -> None:
+        """Take the cache of a run's classifier, which maps syndromes to
+        this decoder's own predictions.  Ignored unless overridden."""
 
     def close(self) -> None:
         pass
@@ -217,6 +228,10 @@ class GreedyDecoder(Decoder):
                               dtype=np.intp)
         self._live_det = np.ascontiguousarray(self._det[self._live].T)
         self._live_weight = np.bitwise_count(self._live_det).sum(axis=0, dtype=np.int32)
+        self._cache = SyndromeCache(self._det.shape[1], self._obs.shape[1])
+
+    def use_cache(self, cache: SyndromeCache) -> None:
+        self._cache = cache
 
     def decode(self, syndrome: int) -> int:
         residual = syndrome
@@ -242,10 +257,15 @@ class GreedyDecoder(Decoder):
         channel, as a [rows, channels] array of 2 |fp & r| - |fp| (chunks of
         at most `GREEDY_CELLS` cells); the channels lie in `_order`, so
         argmax picks the first strictly best one, as decode() does.  A row
-        whose best score is not above 0 gives up."""
+        whose best score is not above 0 gives up.
+
+        Peeling is recursive: if decode() picks channel b for residual r,
+        then decode(r) = obs[b] ^ decode(r ^ det[b]).  So after each round
+        a row whose new residual is in the cache (`use_cache`) XORs in its
+        prediction and is done."""
         residual = words_of(list(syndromes), self._det.shape[1])
         answer = np.zeros((len(residual), self._obs.shape[1]), dtype=np.uint64)
-        det, weight = self._live_det, self._live_weight
+        det, weight, cache = self._live_det, self._live_weight, self._cache
         step = max(1, GREEDY_CELLS // max(1, weight.size))
         active = np.flatnonzero(residual.any(axis=1)) if weight.size else np.empty(0, np.intp)
         while active.size:
@@ -268,6 +288,9 @@ class GreedyDecoder(Decoder):
             residual[active] ^= self._det[best]
             answer[active] ^= self._obs[best]
             active = active[residual[active].any(axis=1)]
+            at, hit = cache.find(row_keys(residual[active]))
+            answer[active[hit]] ^= key_words(cache.pred[at[hit]], answer.shape[1])
+            active = active[~hit]
         return ints_of(answer)
 
 
@@ -363,40 +386,75 @@ class ExternalDecoder(Decoder):
                 pass
 
 
+class SyndromeCache:
+    """A decoder's predictions by syndrome: one sorted array of keys (a
+    syndrome's detector words as one scalar, see `row_keys`) with the
+    predictions alongside (the observable words as one scalar).  `add`
+    copies both arrays, so the cache stops growing once it holds
+    `CACHE_CAP` entries; what it holds stays exact."""
+
+    def __init__(self, det_words: int, obs_words: int) -> None:
+        self.keys = row_keys(np.zeros((0, det_words), dtype=np.uint64))
+        self.pred = row_keys(np.zeros((0, obs_words), dtype=np.uint64))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each key, its insertion point and whether the cache holds it
+        (its prediction is then `pred[at]`)."""
+        at = np.searchsorted(self.keys, keys)
+        hit = at < len(self.keys)
+        hit[hit] = self.keys[at[hit]] == keys[hit]
+        return at, hit
+
+    def add(self, at: np.ndarray, keys: np.ndarray, pred: np.ndarray) -> None:
+        """Insert ascending keys it does not hold, at their `find`
+        insertion points, with their predictions, unless it is full."""
+        if len(self.keys) < CACHE_CAP:
+            new = at + np.arange(len(at))  # their places once merged
+            held = np.ones(len(self.keys) + len(at), dtype=bool)
+            held[new] = False
+            self.keys = _merged(self.keys, keys, held, new)
+            self.pred = _merged(self.pred, pred, held, new)
+
+
+def _merged(old: np.ndarray, add: np.ndarray, held: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """`old` at the places `held` marks and `add` at the indices `new`."""
+    out = np.empty(len(held), dtype=old.dtype)
+    out[held] = old
+    out[new] = add
+    return out
+
+
 class LogicalErrorClassifier:
     """Decoder verdicts for blocks of bitstrings, given as support columns
     (see `errorspace.Footprints`): True where the decoder's prediction for
     the syndrome differs from the observables.
 
-    The cache holds the syndromes decoded so far as one sorted array of
-    keys (a syndrome's detector words, as one scalar) with their predicted
-    observable words alongside.  A block's unique syndromes that are not
-    in it go to one `decode_batch` call, and join it while it holds fewer
-    than `CACHE_CAP` entries."""
+    A block's unique syndromes that are not in the classifier's
+    `SyndromeCache` go to one `decode_batch` call, and then join it.  The
+    classifier hands its fresh cache to the decoder (`use_cache`), so a
+    greedy decoder reads its residuals from it."""
 
     def __init__(self, model: DetectorErrorModel, decoder: Decoder) -> None:
         self.footprints = Footprints(model)
         self.decoder = decoder
-        self._keys = row_keys(self.footprints.det[:0])
-        self._pred = self.footprints.obs[:0]
+        self.cache = SyndromeCache(self.footprints.det.shape[1], self.footprints.obs.shape[1])
+        decoder.use_cache(self.cache)
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         fp = self.footprints
-        syn = fp.xor(fp.det, cols)
-        keys, inv = np.unique(row_keys(syn), return_inverse=True)
-        at = np.searchsorted(self._keys, keys)
-        known = at < len(self._keys)
-        known[known] = self._keys[at[known]] == keys[known]
-        pred = np.empty((len(keys), fp.obs.shape[1]), dtype=np.uint64)
-        pred[known] = self._pred[at[known]]
+        keys, inv = np.unique(row_keys(fp.xor(fp.det, cols)), return_inverse=True)
+        at, known = self.cache.find(keys)
+        pred = np.empty(len(keys), dtype=self.cache.pred.dtype)
+        pred[known] = self.cache.pred[at[known]]
         if not known.all():
             new = ~known
-            words = np.ascontiguousarray(keys[new]).view(np.uint64).reshape(-1, syn.shape[1])
-            pred[new] = words_of(self.decoder.decode_batch(ints_of(words)), pred.shape[1])
-            if len(self._keys) < CACHE_CAP:
-                self._keys = np.insert(self._keys, at[new], keys[new])
-                self._pred = np.insert(self._pred, at[new], pred[new], axis=0)
-        return (pred[inv.reshape(-1)] != fp.xor(fp.obs, cols)).any(axis=1)
+            syndromes = ints_of(key_words(keys[new], fp.det.shape[1]))
+            pred[new] = row_keys(words_of(self.decoder.decode_batch(syndromes), fp.obs.shape[1]))
+            self.cache.add(at[new], keys[new], pred[new])
+        return pred[inv.reshape(-1)] != row_keys(fp.xor(fp.obs, cols))
 
 
 def connect_external_decoder(command: str, n_det: int, n_obs: int) -> ExternalDecoder:

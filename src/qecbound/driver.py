@@ -198,8 +198,9 @@ class _BlockCore:
         return _Rows(fp.xor(fp.chan, cols), self.classify(cols),
                      None if self.evaluator is None else self.evaluator.block(cols))
 
-    def evaluate_masks(self, masks: list[int]) -> _Rows:
-        return self.evaluate(supports_of_bits(bits_of(words_of(masks, n_words(self.n)), self.n)))
+    def supports(self, masks: list[int]) -> np.ndarray:
+        """Padded support rows of Python-int bitstrings."""
+        return supports_of_bits(bits_of(words_of(masks, n_words(self.n)), self.n))
 
     def next_block(self, limit: int) -> _Rows:
         """The next at most `limit` bitstrings of the visit order, now marked
@@ -214,7 +215,7 @@ class _BlockCore:
         block = self.rows.select(np.maximum(picked, 0))
         if detours:
             at = np.flatnonzero(picked < 0)
-            d = self.evaluate_masks(detours)
+            d = self.evaluate(self.supports(detours))
             block.masks[at], block.logical[at] = d.masks, d.logical
             if d.prob is not None:
                 block.prob[at] = d.prob
@@ -348,7 +349,7 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
             continue
         if not samples:  # the time limit passed before the first batch
             continue
-        hits = int(np.count_nonzero(core.evaluate_masks(samples).logical))
+        hits = int(np.count_nonzero(core.classify(core.supports(samples).T)))
         sampled += len(samples)
         ci = kl_confidence_interval(hits / len(samples), len(samples), config.alpha)
         plo, phi, alpha = probabilistic_bounds(acc, ci)

@@ -122,6 +122,11 @@ def row_keys(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words).view(f"V{8 * words.shape[1]}")[:, 0]
 
 
+def key_words(keys: np.ndarray, n_words: int) -> np.ndarray:
+    """`row_keys` scalars as [B, n_words] uint64 words (its inverse)."""
+    return np.ascontiguousarray(keys).view(np.uint64).reshape(-1, n_words)
+
+
 def bits_of(words: np.ndarray, n: int) -> np.ndarray:
     """[B, words] bit sets as [B, n] bool rows."""
     by = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)

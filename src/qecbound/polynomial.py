@@ -624,7 +624,8 @@ class MintermStore:
     minterm with coefficient 1.
 
     The store keeps the first pruning round of the last box it was asked
-    about as a `_SignPass`, so `first_round` feeds it only the rows added
+    about as a `_SignPass`, made at the first call for that box even while
+    the store is empty, so `first_round` feeds it only the rows added
     since the previous call.  It starts over from the merged rows for
     another box, when a bitstring repeats, and when a new row is lighter
     than one the pass holds."""
@@ -667,8 +668,8 @@ class MintermStore:
             raise ValueError(f"a box of dimension {box.n} does not cover a store of width {self.n}")
         terms = self.terms()
         if box != self._box:
-            self._box, self._fed = box, 0
-        if not self._fed or not self._pass.update(
+            self._box, self._pass, self._fed = box, None, 0
+        if self._pass is None or not self._pass.update(
                 TermArray(terms.coef[self._fed:], terms.pos[self._fed:], terms.neg[self._fed:])):
             self._pass = _SignPass(*_box_arrays(box), self._full.shape[1])
             self._pass.update(terms.merged())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qecbound.compiler import DetectorErrorModel, parse_dem
-from qecbound.decoders import Decoder, build_greedy_decoder
+from qecbound.decoders import Decoder, GreedyDecoder, build_greedy_decoder
 from qecbound.driver import RunConfig, run_accuracy, run_robustness
 from qecbound.errorspace import observable_of, syndrome_of
 from qecbound.polynomial import (
@@ -34,6 +34,7 @@ from qecbound.sampling import (
 )
 
 from conftest import kept_case, random_model
+from test_optimizer_rounds import seeded_model
 from reference import ReferenceVisitedSet, accumulate, local_moves_flip, run_cursors
 
 STRATEGIES = [
@@ -374,6 +375,82 @@ def test_repeated_runs_on_one_decoder_repeat_calls():
         run_accuracy(model, dec, v, RunConfig(max_shots=300))
         seen.append((dec.calls - before[0], dec.syndromes - before[1]))
     assert seen[0] == seen[1]
+
+
+class ForwardingDecoder:
+    """Forwards `decode_batch(syndromes)` and lends every other attribute
+    from the decoder it wraps, as a tracing proxy does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def decode_batch(self, syndromes):
+        syndromes = list(syndromes)
+        self.batches.append(syndromes)
+        return self.inner.decode_batch(syndromes)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _greedy_batches(monkeypatch) -> list:
+    """The syndrome lists `GreedyDecoder.decode_batch` is called with,
+    from now on."""
+    batches = []
+    decode_batch = GreedyDecoder.decode_batch
+
+    def spy(self, syndromes):
+        batches.append(list(syndromes))
+        return decode_batch(self, syndromes)
+
+    monkeypatch.setattr(GreedyDecoder, "decode_batch", spy)
+    return batches
+
+
+@pytest.mark.parametrize("n,shots", [(9, None), (39, 4096), (70, 2048)])
+def test_a_forwarding_decoder_gives_the_same_records_and_calls(n, shots, monkeypatch):
+    """A wrapper that forwards only `decode_batch` still hands the run's
+    cache to the greedy decoder inside it, through `__getattr__`."""
+    model = seeded_model(1) if n == 39 else _model(n)
+    v = model.concrete_probabilities()
+    config = RunConfig(max_shots=shots)
+    batches = _greedy_batches(monkeypatch)
+    bare = build_greedy_decoder(model)
+    records = _strip(run_accuracy(model, bare, v, config))
+    bare_batches = batches[:]
+    del batches[:]
+    inner = build_greedy_decoder(model)
+    wrapped = ForwardingDecoder(inner)
+    assert _strip(run_accuracy(model, wrapped, v, config)) == records
+    assert wrapped.batches == batches == bare_batches
+    assert len(inner._cache) == len(bare._cache) > 0
+
+
+def test_each_run_hands_the_decoder_a_fresh_cache(monkeypatch):
+    """Two identical runs on one decoder: each starts from an empty cache
+    of its own and makes the same calls."""
+    model = seeded_model(1)
+    v = model.concrete_probabilities()
+    batches = _greedy_batches(monkeypatch)
+    handed = []
+    use_cache = GreedyDecoder.use_cache
+
+    def spy(self, cache):
+        handed.append((cache, len(cache)))
+        use_cache(self, cache)
+
+    monkeypatch.setattr(GreedyDecoder, "use_cache", spy)
+    dec = build_greedy_decoder(model)
+    calls = []
+    for _ in range(2):
+        run_accuracy(model, dec, v, RunConfig(max_shots=4096))
+        calls.append(batches[:])
+        del batches[:]
+    assert calls[0] == calls[1]
+    (first, first_len), (second, second_len) = handed
+    assert first is not second and first_len == second_len == 0
+    assert dec._cache is second and len(second) == len(first) > 0
 
 
 def test_full_cache_decodes_again_with_same_records(monkeypatch):

@@ -3,22 +3,33 @@
 import io
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qecbound.decoders as decoders
 from qecbound.compiler import DetectorErrorModel, compile_to_dem, parse_dem, write_dem
 from qecbound.decoders import (
     GreedyDecoder,
     MlDecoder,
     ProtocolError,
+    SyndromeCache,
     build_greedy_decoder,
     build_ml_decoder,
     connect_external_decoder,
     serve,
 )
-from qecbound.errorspace import observable_of, syndrome_of
+from qecbound.errorspace import (
+    ints_of,
+    key_words,
+    n_words,
+    observable_of,
+    row_keys,
+    syndrome_of,
+    words_of,
+)
 from qecbound.frontend import parse_program
 from qecbound.polynomial import MintermEvaluator
 
@@ -462,6 +473,57 @@ def test_greedy_decode_batch_is_decode_on_random_models(case):
     model, batch = case
     dec = GreedyDecoder(model)
     assert dec.decode_batch(batch) == [dec.decode(s) for s in batch]
+
+
+def _add_to_cache(cache: SyndromeCache, dec: GreedyDecoder, syndromes) -> None:
+    """Add the syndromes the cache does not hold, with dec's predictions,
+    as a classifier adds a block's new syndromes."""
+    words = words_of(syndromes, n_words(dec.n_det))
+    keys, first = np.unique(row_keys(words), return_index=True)
+    at, hit = cache.find(keys)
+    pred = words_of(dec.decode_batch(ints_of(words[first][~hit])), n_words(dec.n_obs))
+    cache.add(at[~hit], keys[~hit], row_keys(pred))
+
+
+@given(_greedy_cases(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_greedy_decode_batch_with_a_cache_is_decode_on_random_models(case, data):
+    """The batch cut into parts: each part's decode_batch, which reads the
+    residuals the parts before it put in the cache, is decode() row for
+    row.  Under a small `CACHE_CAP` the cache stops growing, and the
+    entries it holds are still read."""
+    model, batch = case
+    cap = data.draw(st.sampled_from([decoders.CACHE_CAP, 1, 4]))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(batch)), max_size=3)))
+    dec = GreedyDecoder(model)
+    cache = SyndromeCache(n_words(model.n_detectors), n_words(model.n_observables))
+    dec.use_cache(cache)
+    with mock.patch.object(decoders, "CACHE_CAP", cap):
+        for a, b in zip([0, *cuts], [*cuts, len(batch)]):
+            part = batch[a:b]
+            assert dec.decode_batch(part) == [dec.decode(s) for s in part]
+            held = len(cache)
+            _add_to_cache(cache, dec, part)
+            assert len(cache) == (held if held >= cap else len(set(batch[:b])))
+    held = ints_of(key_words(cache.keys, n_words(model.n_detectors)))
+    assert ints_of(key_words(cache.pred, n_words(model.n_observables))) == [
+        dec.decode(s) for s in held]
+
+
+def test_greedy_decode_batch_takes_the_residual_from_the_cache():
+    """decode(0b111) peels channel 0 and then decodes the residual 0b100;
+    with that residual in the cache, decode_batch reads it instead.  A
+    cache entry that is not decode()'s shows that it was read."""
+    model = parse_dem("dem 3 2\nerror(0.1) D0 D1 L0\nerror(0.1) D2 L1\n")
+    dec = GreedyDecoder(model)
+    assert dec.decode(0b111) == 0b11 and dec.decode(0b100) == 0b10
+    cache = SyndromeCache(1, 1)
+    keys = np.array([0b100], dtype=np.uint64)
+    cache.add(cache.find(keys)[0], keys, np.array([0b10], dtype=np.uint64))
+    dec.use_cache(cache)
+    assert dec.decode_batch([0b111, 0b011]) == [0b11, 0b01]
+    cache.pred[0] = 0
+    assert dec.decode_batch([0b111, 0b011]) == [0b01, 0b01]
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 7])

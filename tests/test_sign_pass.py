@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qecbound.driver as driver
+import qecbound.polynomial as polynomial
 from qecbound import RunConfig, build_greedy_decoder
 from qecbound.errorspace import n_words, words_of
 from qecbound.polynomial import (
@@ -280,3 +281,37 @@ def test_first_round_of_every_checkpoint_matches_certify(strategy, distance, mon
                                     distance_ansatz=distance, max_shots=4096))
     assert len(calls) > 20
     assert (not restarts) == (strategy == "hamming")
+
+
+def test_a_store_keeps_its_pass_while_it_is_empty(monkeypatch):
+    """A `hamming` robustness run builds one `_SignPass` per store.  The
+    logical store is still empty at the first checkpoints, and it keeps
+    the pass of its first call rather than building one at each."""
+    made = []
+
+    class Counted(_SignPass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    first_round = MintermStore.first_round
+    built, empty_calls = {}, []
+
+    def counted(self, box):
+        before = len(made)
+        if not len(self):
+            empty_calls.append(self)
+        out = first_round(self, box)
+        built[self] = built.get(self, 0) + len(made) - before
+        return out
+
+    monkeypatch.setattr(polynomial, "_SignPass", Counted)
+    monkeypatch.setattr(MintermStore, "first_round", counted)
+    model = seeded_model(1)
+    box = Hyperrectangle.scaled(model.concrete_probabilities(), 0.9, 1.1)
+    mid = tuple(0.5 * (a + b) for a, b in zip(box.lower, box.upper))
+    driver.run_robustness(model, build_greedy_decoder(model, mid), box,
+                          RunConfig(mode="robustness", max_shots=4096))
+    assert len(built) == 2
+    assert len(empty_calls) >= 2 and len(set(empty_calls)) == 1
+    assert list(built.values()) == [1, 1]
