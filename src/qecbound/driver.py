@@ -162,7 +162,7 @@ def emit_trace(trace: BoundsTrace, sink) -> None:
 class _Rows:
     """Evaluated bitstrings in visit order."""
 
-    masks: np.ndarray  # [B, ceil(n/64)] uint64 channel bit sets
+    masks: np.ndarray | None  # [B, ceil(n/64)] uint64 channel bit sets
     logical: np.ndarray  # decoder prediction differs from the observables
     prob: np.ndarray | None  # minterm at the run's point (accuracy mode)
 
@@ -170,7 +170,7 @@ class _Rows:
         return len(self.logical)
 
     def select(self, idx) -> "_Rows":
-        return _Rows(self.masks[idx], self.logical[idx],
+        return _Rows(None if self.masks is None else self.masks[idx], self.logical[idx],
                      None if self.prob is None else self.prob[idx])
 
 
@@ -184,6 +184,8 @@ class _BlockCore:
         self.evaluator = evaluator
         self.order = VisitOrder(self.n, config.distance_ansatz)
         self.walks = config.strategy == "local-flip"
+        # the walk reads the strings, and robustness stores them
+        self.keep_masks = self.walks or evaluator is None
         self.pending: deque[int] = deque()  # detour still to visit
         # In-order rows evaluated ahead; the walk takes them piecewise.
         self.rows: _Rows | None = None
@@ -192,10 +194,11 @@ class _BlockCore:
         self.flags: list[bool] = []
 
     def evaluate(self, supp: np.ndarray) -> _Rows:
-        """Evaluate padded support rows."""
+        """Evaluate padded support rows; their bit sets only when a reader
+        needs them."""
         cols = supp.T
         fp = self.classify.footprints
-        return _Rows(fp.xor(fp.chan, cols), self.classify(cols),
+        return _Rows(fp.xor(fp.chan, cols) if self.keep_masks else None, self.classify(cols),
                      None if self.evaluator is None else self.evaluator.block(cols))
 
     def supports(self, masks: list[int]) -> np.ndarray:

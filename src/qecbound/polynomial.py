@@ -36,33 +36,38 @@ same choices, and exactness flags can only improve.  The pass needs
 signs, not sums: it adds each variable's terms in any order and trusts
 the sign outside an error bound that covers the summation and the
 rounding of the products (Higham, Accuracy and Stability of Numerical
-Algorithms, 4.2); only a variable inside that bound (or every variable,
-when a product could underflow) takes the per-variable
-`derivative(i).termwise`, so the decisions equal that reference's.  The
-pass is a running sum over rows (`_SignPass`), fed chunks of at most
-_VERTEX_BLOCK // 16 (variable, row) values.  In its error bound, A
-counts the operands that any one variable's sum took: the rows fed, plus
-the operands taken back when a row meets its matching partner only in a
-later update.  A taken-back operand cancels exactly, and its absolute
-value stays in the bound.  `certify` feeds a fresh pass every row at
-once, so A is the number of rows.  A `MintermStore` keeps the pass of the
-last box it was asked about, so round 1 of a robustness checkpoint adds
-only the rows stored since the previous one.  A pass takes rows in weight
-order, as `hamming` stores them, and the store starts a fresh one when a
-row comes out of order; later rounds certify the substituted terms afresh.
+Algorithms, 4.2); only a variable inside that bound takes the
+per-variable `derivative(i).termwise`, so the decisions equal that
+reference's.  Every variable takes it when a product could leave the
+normal range, judged from the rows actually fed, or when a live
+variable has an end at 1.  The pass is a running sum over rows
+(`_SignPass`) in factored form: rows of one cover share the product G
+of their 1 - x_j factors, and a row's other factors are G / N_k times a
+product of ratios x_j / (1 - x_j) over its positive literals, so a row
+costs its positive literals rather than every variable.  Per variable,
+the sum over the rows that hold 1 - x_k is one total per cover minus a
+sparse sum over the rows that hold x_k or a partner.  In its error
+bound, A counts the additions any one value takes part in; `certify`
+feeds a fresh pass every row at once.  A `MintermStore` keeps the pass
+of the last box it was asked about, so round 1 of a robustness
+checkpoint adds only the rows stored since the previous one.  A pass
+takes rows in weight order, as `hamming` stores them, and the store
+starts a fresh one when a row comes out of order; later rounds certify
+the substituted terms afresh.
 
 Summation.  Per-term products multiply their factors in variable order.
 Termwise bounds and point evaluations sum the terms with `math.fsum`
 (correctly rounded); vertex search sums terms in row order.
 
 Truncation.  When more than f_max free variables survive pruning, or a
-deadline passes during vertex search, the search is skipped or stopped
-and the result is flagged inexact: `maximize` and `minimize` return the
-value at a feasible vertex (free variables at their upper, resp. lower,
-ends).  That value cannot exceed the maximum, so it stays a sound lower
-side, but it can exceed the minimum.  `robustness_bounds` therefore takes
-the termwise lower bound of the terms that survive pruning as the
-minimum, so `1 - min p_{S\\L}` stays a sound upper bound.
+deadline passes between pruning rounds or during vertex search, the
+search is skipped or stopped and the result is flagged inexact:
+`maximize` and `minimize` return the value at a feasible vertex (free
+variables at their upper, resp. lower, ends).  That value cannot exceed
+the maximum, so it stays a sound lower side, but it can exceed the
+minimum.  `robustness_bounds` therefore takes the termwise lower bound
+of the terms that survive pruning as the minimum, so `1 - min p_{S\\L}`
+stays a sound upper bound.
 """
 
 from __future__ import annotations
@@ -86,6 +91,10 @@ F_MAX_DEFAULT = 24
 # rows as keep a block within _VERTEX_BLOCK (row, vertex) values.
 _VERTEX_CHUNK = 1 << 16
 _VERTEX_BLOCK = 1 << 18
+
+# The sign pass takes rows in pieces of at most _SIGN_CELLS (row, positive
+# literal) cells, so its working arrays stay small for any number of rows.
+_SIGN_CELLS = 1 << 12
 
 
 class _KahanSum:
@@ -242,20 +251,6 @@ def _chunk_rows(width: int) -> int:
     return max(1, _VERTEX_BLOCK // (16 * width))
 
 
-def _others(f: np.ndarray) -> np.ndarray:
-    """Row k of the result is prod_{j != k} f[j], as a prefix times a
-    suffix product (no division: a factor may be 0).  Overwrites f."""
-    if len(f) <= 1:
-        f[:] = 1.0
-        return f
-    pre = np.multiply.accumulate(f[:-1], axis=0)  # pre[j] = f[0] ... f[j]
-    suf = np.multiply.accumulate(f[:0:-1], axis=0)[::-1]  # suf[j] = f[j+1] ... f[-1]
-    f[0] = suf[0]
-    f[-1] = pre[-1]
-    np.multiply(pre[:-1], suf[1:], out=f[1:-1])
-    return f
-
-
 def _products(p_bits, n_bits, p_factor, n_factor) -> np.ndarray:
     """Per row: p_factor[i] for each positive and n_factor[i] for each
     negative literal, multiplied in variable order."""
@@ -279,6 +274,9 @@ class TermArray:
 
     def __len__(self) -> int:
         return self.coef.size
+
+    def __getitem__(self, idx) -> "TermArray":
+        return TermArray(self.coef[idx], self.pos[idx], self.neg[idx])
 
     @staticmethod
     def from_signed(terms, n: int) -> "TermArray":
@@ -387,7 +385,9 @@ class TermArray:
         row at once."""
         if not self.variables():
             return (np.zeros(0, dtype=np.intp),) * 3
-        sign_pass = _SignPass(lo, hi, self.pos.shape[1])
+        covers = self.pos | self.neg
+        one = not (covers != covers[0]).any()
+        sign_pass = _SignPass(lo, hi, self.pos.shape[1], covers[0] if one else None)
         if not sign_pass.update(self):
             raise ValueError("certify needs merged rows")
         return sign_pass.signs(self)
@@ -454,14 +454,18 @@ def _row_key(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return row_keys(np.hstack((pos, neg)))
 
 
-def _partner_key(rows: TermArray, t: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Keys of rows t with variable var moved between pos and neg."""
-    k, w = np.arange(t.size), var // 64
-    bit = np.left_shift(np.uint64(1), (var % 64).astype(np.uint64))
-    pos, neg = rows.pos[t], rows.neg[t]
-    pos[k, w] ^= bit
-    neg[k, w] ^= bit
-    return _row_key(pos, neg)
+def _supports(words: np.ndarray, n: int) -> np.ndarray:
+    """[rows, c] the variables of each row's bits in ascending order, padded
+    with n: per word, as many columns as the most bits a row has in it."""
+    cols = []
+    for w in range(words.shape[1]):
+        x = words[:, w].copy()
+        while x.any():
+            low = x & (~x + np.uint64(1))  # lowest bit set, 0 for none
+            var = np.bitwise_count(low - np.uint64(1)).astype(np.intp) + 64 * w
+            cols.append(np.where(low != 0, var, n))
+            x ^= low
+    return np.stack(cols, axis=1) if cols else np.zeros((len(words), 0), dtype=np.intp)
 
 
 class _SignPass:
@@ -469,149 +473,241 @@ class _SignPass:
 
     For the box [lo, hi] it keeps, per variable and per side (d_lo and
     d_hi of the variable's merged derivative, bounded termwise), the
-    running sum of operands and the sum of their absolute values.  An
-    operand is a derivative coefficient times the product of the row's
-    other factors at the box ends that the coefficient's sign selects.  It
-    also keeps A, a bound on the number of operands any one variable's sum
-    took; the variables that occur and the smallest |coefficient|; and the
-    rows' (pos, neg) keys, sorted, with their coefficients.  `update` adds
-    rows and `signs` reads the signs off the sums.
+    running sum of operands and a bound on the sum of their absolute values
+    (`mags`).  An operand is a derivative coefficient times the product of
+    the row's other factors at the box end that the coefficient's sign
+    selects: at_min for a coefficient >= 0 on the d_lo side and for one
+    < 0 on the d_hi side, at_max otherwise.  The pass also keeps A (see
+    `signs`), the variables that occur, the rows' keys, sorted, with their
+    coefficients, and the log2 range of the partial products (see
+    `signs`).  `update` adds rows and `signs` reads the signs off the sums.
 
-    A row holding x_var merges in d/dx_var with its partner, the row with
-    the same other literals and 1 - x_var.  Both have the same other
+    Merging.  A row holding x_k merges in d/dx_k with its partner, the row
+    with the same other literals and 1 - x_k.  Both have the same other
     factors, so a pair adds one operand, c_pos - c_neg times them.  A row
     without partner adds its lone operand, c_pos or -c_neg times them.
     `update` refuses a row with fewer positive literals than one it holds.
-    A partner has one fewer at x_var and one more at 1 - x_var, so only an
-    old row's 1 - x_var can meet its partner later.  Then its lone operand
-    is taken back (the same value, subtracted) and the pair's operand is
-    added.  A taken-back operand cancels exactly in exact arithmetic, and
-    it stays in the sum of absolute values and in A, so the error bound of
-    `signs` still covers it.
+    A partner has one fewer at x_k, so only an old row's 1 - x_k can meet
+    its partner later.  Then its lone operand is taken back (the same
+    value, subtracted) and the pair's operand is added.
+
+    Factored form.  At one box end let H_j and N_j be the factors of x_j
+    and 1 - x_j, and R_j = H_j / N_j.  The rows of one cover C (the
+    variables of pos | neg) share G = prod_{j in C} N_j, and row t's
+    product is G M_t with M_t = prod_{j in pos_t} R_j.  Without x_k it is
+    (G / N_k) L, where L = M_t for k in neg_t, and for k in pos_t L is the
+    product of the row's other R_j (a prefix times a suffix product over
+    its positive literals; no division), which is also M of its partner.
+    An operand takes the end that the sign of its coefficient selects, so
+    values are summed per end and per class (coefficient >= 0 or < 0).
+    Over the rows t that hold x_k, with c_p the partner's coefficient (0
+    without one), variable k's sum at one end and in one class is G / N_k
+    times
+
+        sum of (c_t - c_p) L  +  sum of c_p L  +  sum of c_t M_t  -  T,
+
+    each sum over the rows whose value falls in the class, and T = sum
+    c_t M_t over every row in the class.  A row's lone 1 - x_k operand
+    is -c_t (G / N_k) M_t, so c_t M_t and T take the class of -c_t, and c_p
+    L that of -c_p: -T plus the c_t M_t of the rows holding x_k is the sum
+    of every 1 - x_k operand, and c_p L takes back the one of a row whose
+    partner holds x_k (a new partner merges it now; an old one takes back
+    what an earlier update added).  Each sum has one value per positive
+    literal and T one per class, so an update costs O(positive literals
+    + variables) rather than O(rows x variables).  `update` takes the
+    rows in pieces of one cover and at most _SIGN_CELLS positive-literal
+    cells.  The values that cancel stay in `mags`, which takes G / N_k
+    times |T| plus the sparse magnitudes: in floating point the error of
+    the difference is that of its parts.
+
+    Keys.  A pass made with its rows' one `cover` keys a row by its pos
+    words (`row_keys`, one uint64 for n <= 64) and refuses rows of another
+    cover; every store and every substituted round has one cover.  A pass
+    without keys rows by (pos, neg) and takes each cover on its own.
     """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, n_words: int) -> None:
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, n_words: int,
+                 cover: np.ndarray | None = None) -> None:
         self.lo, self.hi = lo, hi
+        self.cover = cover  # [n_words] pos | neg of every row, or None
         self.sums = np.zeros((2, lo.size))  # d_lo, d_hi
-        self.mags = np.zeros((2, lo.size))  # sums of |operand|
+        self.mags = np.zeros((2, lo.size))
         self.count = 0  # A
-        # per variable, log2 of its smallest nonzero factor (see `signs`)
-        ends = np.stack((lo, hi, 1.0 - lo, 1.0 - hi))
-        self.log_floor = np.log2(np.where(ends > 0.0, ends, 1.0).min(axis=0))
+        # Per box end (at_min, at_max) and variable: N, R, and the log2 of
+        # R's part below and above 1 (0 for R = 0).  A factor N of 0 is
+        # taken as 1 (`signs` then doubts every variable).  Column n pads a
+        # support with the exact factor 1.
+        neg = np.stack((1.0 - hi, 1.0 - lo))
+        self.neg = np.where(neg > 0.0, neg, 1.0)
+        ratio = np.stack((lo, hi)) / self.neg
+        with np.errstate(divide="ignore"):
+            log_r = np.log2(ratio)
+        pad = np.zeros((2, 1))
+        self.ratio = np.hstack((ratio, pad + 1.0))
+        self.log_below = np.hstack((np.where(ratio > 0.0, np.minimum(log_r, 0.0), 0.0), pad))
+        self.log_above = np.hstack((np.maximum(log_r, 0.0), pad))
+        self.floor, self.ceiling = math.inf, -math.inf
         self.occur = np.zeros(n_words, dtype=np.uint64)
-        self.min_coef = math.inf
         empty = np.zeros((0, n_words), dtype=np.uint64)
-        self.keys, self.coef = _row_key(empty, empty), np.zeros(0)
+        self.keys, self.coef = self._key(empty, empty), np.zeros(0)
         self.heaviest = 0  # most positive literals of a row held
+
+    def _key(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        return _row_key(pos, neg) if self.cover is None else row_keys(pos)
 
     def update(self, rows: TermArray) -> bool:
         """Add rows; False, with nothing added, when a row's key is in the
-        pass already or repeats among them, or when a row has fewer positive
-        literals than one the pass holds.  Rows go in chunks of
-        `_chunk_rows` rows."""
+        pass already or repeats among them, when a row has fewer positive
+        literals than one the pass holds, or when a row is not of the
+        pass's one cover."""
         size = len(rows)
         if not size:
             return True
         weight = np.bitwise_count(rows.pos).sum(axis=1)
-        if weight.min() < self.heaviest:
+        covers = rows.pos | rows.neg
+        if weight.min() < self.heaviest or (
+                self.cover is not None and (covers != self.cover).any()):
             return False
-        n = self.lo.size
-        keys = _row_key(rows.pos, rows.neg)
-        old = len(self.keys)
-        all_keys = np.concatenate((self.keys, keys))
+        all_keys = np.concatenate((self.keys, self._key(rows.pos, rows.neg)))
         order = np.argsort(all_keys)
         all_keys = all_keys[order]
         if (all_keys[1:] == all_keys[:-1]).any():
             return False
         all_coef = np.concatenate((self.coef, rows.coef))[order]
-        occur = np.bitwise_or.reduce(rows.pos | rows.neg, axis=0)
-        live = np.flatnonzero(_bits(occur[None, :], n)[:, 0])
-        step = _chunk_rows(max(live.size, 1))
-        # bit var set: the row's 1 - x_var has a partner
-        mate = np.zeros_like(rows.pos)
-        # operands taken back, per variable
-        taken = np.zeros(n, dtype=np.intp)
-
-        # x_var in a new row, chunk by chunk in row-major order: the
-        # partner's coefficient (0 without partner) and whether it is old
-        partner_coef, partner_old = [], []
-        for r0 in range(0, size, step):
-            t, var = np.divmod(np.flatnonzero(_bits_of(rows.pos[r0:r0 + step], n)), n)
-            t += r0
-            query = _partner_key(rows, t, var)
-            at = np.minimum(np.searchsorted(all_keys, query), len(all_keys) - 1)
-            hit = all_keys[at] == query
-            j = order[at] - old  # >= 0: a new row
-            partner_coef.append(np.where(hit, all_coef[at], 0.0))
-            partner_old.append(hit & (j < 0))
-            taken += np.bincount(var[partner_old[-1]], minlength=n)
-            new = hit & (j >= 0)
-            np.bitwise_or.at(mate, (j[new], var[new] // 64),
-                             np.left_shift(np.uint64(1), (var[new] % 64).astype(np.uint64)))
-
-        slot = np.zeros(n, dtype=np.intp)
-        slot[live] = np.arange(live.size)
-        l_lo, l_hi = self.lo[live][:, None], self.hi[live][:, None]
-        sums = np.zeros((2, live.size))
-        mags = np.zeros((2, live.size))
-        for r0, p_coef, p_old in zip(range(0, size, step), partner_coef, partner_old):
-            r1 = min(r0 + step, size)
-            p_rows = _bits_of(rows.pos[r0:r1], n)
-            pt, pv = np.divmod(np.flatnonzero(p_rows), n)  # the x_var, as p_coef
-            pv = slot[pv]
-            p = np.ascontiguousarray(p_rows.T)[live]
-            q = _bits(rows.neg[r0:r1], n)[live]
-            lone = q & ~_bits(mate[r0:r1], n)[live]
-            at_max = _others(np.where(p, l_hi, np.where(q, 1.0 - l_lo, 1.0)))
-            at_min = _others(np.where(p, l_lo, np.where(q, 1.0 - l_hi, 1.0)))
-            # merged derivative coefficients: c_pos - c_neg at x_var; at
-            # 1 - x_var, -c_neg without partner and 0 with a new partner
-            # (its x_var holds the pair)
-            d = np.subtract(p, lone, dtype=float)
-            d *= rows.coef[r0:r1]
-            d[pv, pt] -= p_coef
-            # taken back: an old partner's lone operand, -c_neg at its 1 - x_var
-            bt, bv, bd = pt[p_old], pv[p_old], -p_coef[p_old]
-            negative = d < 0.0
-            for side, (a, b) in enumerate(((at_min, at_max), (at_max, at_min))):
-                val = np.where(negative, b, a)
-                val *= d
-                back = np.where(bd < 0.0, b[bv, bt], a[bv, bt]) * bd
-                sums[side] += val.sum(axis=1) - np.bincount(bv, back, live.size)
-                np.abs(val, out=val)
-                mags[side] += val.sum(axis=1) + np.bincount(bv, np.abs(back), live.size)
-            # the next chunk's arrays take the place of this one's
-            del at_max, at_min, d, val
-
-        self.sums[:, live] += sums
-        self.mags[:, live] += mags
-        self.count += size + int(taken.max(initial=0))
-        self.occur |= occur
-        self.min_coef = min(self.min_coef, float(np.abs(rows.coef).min()))
+        groups = [rows]
+        if self.cover is None:
+            cover_keys = row_keys(covers)
+            by = np.argsort(cover_keys, kind="stable")
+            cuts = np.flatnonzero(cover_keys[by][1:] != cover_keys[by][:-1]) + 1
+            groups = [rows[g] for g in np.split(by, cuts)]
+        step = max(1, _SIGN_CELLS // max(int(weight.max()), 1))
+        for group in groups:
+            for r0 in range(0, len(group), step):
+                piece = group[r0:r0 + step]
+                # log2(0) is -inf for the guard of `signs`, which then
+                # reads no sum that left the range
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    self._add(piece, all_keys, all_coef)
+                self.count += len(piece) + 4
+        self.occur |= np.bitwise_or.reduce(covers, axis=0)
         self.keys, self.coef = all_keys, all_coef
         self.heaviest = int(weight.max())
         return True
 
+    def _add(self, rows: TermArray, keys: np.ndarray, coef: np.ndarray) -> None:
+        """Add the operands of rows of one cover, in the factored form;
+        `keys` and `coef` are those of every row held, in key order."""
+        n = self.lo.size
+        cover = np.flatnonzero(_bits_of(rows.pos[:1] | rows.neg[:1], n)[0])
+        sup = _supports(rows.pos, n)
+        cells = np.flatnonzero(sup < n)  # the positive literals, row by row
+        t, var = cells // max(sup.shape[1], 1), sup.ravel()[cells]
+        query = self._partner_keys(rows, t, var)
+        order = np.argsort(query)  # sorted needles are found faster
+        at = np.empty_like(order)
+        at[order] = np.minimum(np.searchsorted(keys, query[order]), len(keys) - 1)
+        c_p = np.where(keys[at] == query, coef[at], 0.0)
+        c = rows.coef
+        d = c[t] - c_p
+        # per variable, bins [0, n) for operand coefficients >= 0 and
+        # [n, 2n) for those < 0; a row's 1 - x_k operand is -c_t
+        row_class = (c > 0.0).astype(np.intp)
+        bins = (var + n * (d < 0.0), var + n * (c_p > 0.0), var + n * row_class[t])
+        log_c = np.log2(np.abs(c))
+        sums, mags = [], []
+        for end in (0, 1):
+            r = self.ratio[end][sup]
+            pre = np.ones_like(r)
+            np.cumprod(r[:, :-1], axis=1, out=pre[:, 1:])
+            suf = np.ones_like(r)
+            suf[:, :-1] = np.cumprod(r[:, :0:-1], axis=1)[:, ::-1]
+            loo = pre.ravel()[cells] * suf.ravel()[cells]  # L
+            cm = c * np.multiply.reduce(r, axis=1)  # c_t M_t
+            total = np.bincount(row_class, cm, minlength=2)[:, None]  # T
+            parts = (d * loo, c_p * loo, cm[t])
+            s = sum(np.bincount(b, w, 2 * n) for b, w in zip(bins, parts))
+            a = sum(np.bincount(b, np.abs(w), 2 * n) for b, w in zip(bins, parts))
+            g = np.multiply.reduce(self.neg[end, cover])
+            q = g / self.neg[end, cover]  # G / N_k
+            sums.append(q * (s.reshape(2, n)[:, cover] - total))
+            mags.append(q * (a.reshape(2, n)[:, cover] + np.abs(total)))
+            self.floor = min(self.floor, float(
+                (np.log2(g) + self.log_below[end][sup].sum(axis=1) + log_c).min()))
+            self.ceiling = max(self.ceiling, float(
+                (self.log_above[end][sup].sum(axis=1) + log_c).max()))
+        # d_lo takes at_min for coefficients >= 0 and at_max for those < 0,
+        # d_hi the other way
+        self.sums[0, cover] += sums[0][0] + sums[1][1]
+        self.sums[1, cover] += sums[1][0] + sums[0][1]
+        self.mags[0, cover] += mags[0][0] + mags[1][1]
+        self.mags[1, cover] += mags[1][0] + mags[0][1]
+
+    def _partner_keys(self, rows: TermArray, t: np.ndarray, var: np.ndarray) -> np.ndarray:
+        """Keys of rows t with variable var moved from pos to neg."""
+        k, w = np.arange(t.size), var // 64
+        bit = np.left_shift(np.uint64(1), (var % 64).astype(np.uint64))
+        pos = rows.pos[t]
+        pos[k, w] ^= bit
+        if self.cover is not None:
+            return row_keys(pos)
+        neg = rows.neg[t]
+        neg[k, w] ^= bit
+        return _row_key(pos, neg)
+
     def signs(self, terms: TermArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`terms.certify(lo, hi)`, where `terms` holds the rows fed so far,
-        merged.  The sign of a sum s is trusted where |s| > gamma_m * sum|x|
-        with m = 2 (A + V + 2) for V live variables: that bounds the
-        summation error plus the rounding by which the operands differ from
-        the reference's (Higham, section 4.2), so the sign is that of the
-        reference's correctly rounded `math.fsum`.  A variable in doubt,
-        and every variable when a product could underflow, takes the
-        reference, `terms.derivative(var).termwise`, itself."""
+        merged.
+
+        The sign of a sum s is trusted where |s| > gamma_m * mags, with
+        gamma_m = m u / (1 - m u), u = 2^-53 and m = 2 (A + 2 V + 2 W + 1)
+        for V live variables and W the most positive literals of a row.
+        Then it is the sign of the reference's correctly rounded
+        `math.fsum`, as follows.
+        - Each value summed (the operands, and the values that cancel in
+          exact arithmetic) is a product of exact data: coefficients and
+          factors, a pair's c_pos - c_neg being the reference's merged
+          coefficient.  R_j and G / N_k are quotients, and quotients count
+          as roundings (Higham, Accuracy and Stability of Numerical
+          Algorithms, Lemma 3.1).  G takes at most V - 1 roundings, G / N_k
+          one more, each R_j one, M_t or L at most W - 1, its coefficient
+          one and the factor G / N_k one: at most 2 W + V + 1 in all.
+        - On its way to s a value takes part in at most A additions.  A
+          piece of S rows adds S + 4 to A: a bin and T each sum at most S
+          values (a row holds x_k once), two additions join the three bins
+          and one takes T off, one adds the two box ends, and each piece
+          adds once to the running sum.
+        - The reference's operand takes at most V - 1 roundings.
+        So s and the exact sum of the reference's operands differ by at
+        most gamma_q times the values' magnitudes, q = A + 2 V + 2 W + 1;
+        `mags`, summed the same way, is at least 1 - gamma_q times those,
+        and gamma_q / (1 - gamma_q) <= gamma_{2q}.  So `mags` holds G / N_k
+        times |T| plus the sparse values' magnitudes, not the magnitude of
+        the difference they cancel to: in floating point the difference
+        carries the error of its parts.
+
+        Those bounds hold without underflow and overflow.  For each row
+        fed, at each end, every partial product that the pass or the
+        reference forms is at least G times the row's R_j below 1 (a zero
+        factor makes its product an exact 0, so zeros are left out) times
+        the smaller |coefficient| of the row and its partner times 2^-53
+        (for c_pos - c_neg), and at most the row's R_j above 1 times twice
+        the larger.  The pass keeps these as a running log2 `floor` and
+        `ceiling`, without the 2^-53 and the 2, and every variable takes
+        the reference when the lower bound is below 2^-1000 (a product
+        could leave the normal range; above it, a product of a sum that
+        cancels errs by at most 2^-1075, far below u times any one value)
+        or the upper above 2^960.  Every variable takes it as well when a
+        live variable has an end at 1: a factor N is 0 and there is no G
+        to factor out.  Otherwise a variable in doubt takes the reference,
+        `terms.derivative(var).termwise`, itself."""
         live = np.flatnonzero(_bits(self.occur[None, :], self.lo.size)[:, 0])
         if not live.size:
             return live, live, live
         sums, mags = self.sums[:, live], self.mags[:, live]
-        m = 2 * (self.count + live.size + 2)
+        m = 2 * (self.count + 2 * live.size + 2 * self.heaviest + 1)
         u = np.finfo(float).eps / 2
         doubt = ((np.abs(sums) <= m * u / (1.0 - m * u) * mags) & (mags > 0.0)).any(axis=0)
-        # A product of other factors is at least the product of every
-        # variable's smallest nonzero factor, and a nonzero derivative
-        # coefficient at least the smallest |coefficient| times 2^-53.
-        if self.log_floor[live].sum() + np.log2(self.min_coef) - 53 < -1000:
+        if self.floor - 53 < -1000 or self.ceiling + 1 > 960 or (self.hi[live] == 1.0).any():
             doubt[:] = True
         signs = np.sign(sums)
         for k in np.flatnonzero(doubt):
@@ -669,9 +765,8 @@ class MintermStore:
         terms = self.terms()
         if box != self._box:
             self._box, self._pass, self._fed = box, None, 0
-        if self._pass is None or not self._pass.update(
-                TermArray(terms.coef[self._fed:], terms.pos[self._fed:], terms.neg[self._fed:])):
-            self._pass = _SignPass(*_box_arrays(box), self._full.shape[1])
+        if self._pass is None or not self._pass.update(terms[self._fed:]):
+            self._pass = _SignPass(*_box_arrays(box), self._full.shape[1], self._full[0])
             self._pass.update(terms.merged())
         self._fed = len(terms)
         if len(self._pass.keys) < len(terms):  # a bitstring repeats
@@ -736,8 +831,10 @@ def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
     one `certify` pass over the live variables, then one substitution of
     every certified variable at its better end, until a pass certifies
     none.  A MintermStore gives the first pass from its running sum
-    (`first_round`).  Vertex search stops at `deadline` (see
-    `vertex_values`) and then takes the truncation path."""
+    (`first_round`).  Once `deadline` has passed, no later round starts
+    (the certified variables of the last are substituted) and vertex search
+    stops (see `vertex_values`); either takes the truncation path.  Terms
+    left without a variable are still exact."""
     lo, hi = _box_arrays(box)
     if isinstance(terms, MintermStore):
         terms, signs = terms.first_round(box)
@@ -747,6 +844,7 @@ def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
     fixed: dict[int, float] = {}
     # the better end of a variable whose derivative is > 0, resp. < 0
     rising, falling = (box.upper, box.lower) if sense > 0 else (box.lower, box.upper)
+    late = False
     while True:
         live, lo_sign, hi_sign = signs
         up, down = lo_sign > 0, hi_sign < 0
@@ -756,10 +854,14 @@ def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
         choice.update((var, falling[var]) for var in live[down].tolist())
         fixed.update(choice)
         terms = terms.substitute(choice)
+        late = deadline is not None and time.monotonic() > deadline
+        if late:
+            break
         signs = terms.certify(lo, hi)
 
-    free = live.tolist()
-    vals = terms.vertex_values(lo, hi, free, deadline) if free and len(free) <= f_max else None
+    free = terms.variables() if late else live.tolist()
+    search = free and len(free) <= f_max and not late
+    vals = terms.vertex_values(lo, hi, free, deadline) if search else None
     exact = True
     if not free:
         # no variables left: at most one constant row
@@ -809,10 +911,11 @@ def robustness_bounds(l_terms, s_not_l_terms, box: Hyperrectangle,
 
     Each side is a sequence of SignedTerm or a MintermStore.  When vertex
     search is truncated on the S\\L side, the termwise lower bound of the
-    terms left after pruning stands in for its minimum.  Vertex search on
-    either side is also truncated once `deadline` (a `time.monotonic()`
-    value) has passed.  With `s_not_l_terms` None the upper side is not
-    optimized and is reported as the trivial bound 1, flagged inexact.
+    terms left after pruning stands in for its minimum.  Pruning and vertex
+    search on either side are also truncated once `deadline` (a
+    `time.monotonic()` value) has passed.  With `s_not_l_terms` None the
+    upper side is not optimized and is reported as the trivial bound 1,
+    flagged inexact.
     """
     lo = _optimize(l_terms, box, +1, f_max, deadline)[0]
     if s_not_l_terms is None:

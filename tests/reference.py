@@ -7,7 +7,9 @@ run of the visit order, flip neighbours, and a visited set fed by `add`
 whose membership ranks the string.  The per-shot helpers evaluate one
 minterm, accumulate one string and draw one unseen string.
 `reference_ml_table` builds the ML table from chunks of bitstrings, each
-rebuilt from its bits.  The tests compare the library against them.
+rebuilt from its bits.  `DenseSignPass` is the first pruning round with
+every row's other factors written out.  The tests compare the library
+against them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from qecbound.errorspace import (
     unrank_position,
     weight,
 )
-from qecbound.polynomial import BoundAccumulators, MintermEvaluator
+from qecbound.polynomial import (
+    BoundAccumulators,
+    MintermEvaluator,
+    TermArray,
+    _bits,
+    _chunk_rows,
+    _row_key,
+)
 from qecbound.sampling import sample_unseen_batch
 
 
@@ -202,3 +211,121 @@ def reference_ml_table(model, v) -> dict[int, int]:
             best[s] = key
             table[s] = o
     return table
+
+
+def _others(f: np.ndarray) -> np.ndarray:
+    """Row k of the result is prod_{j != k} f[j], as a prefix times a
+    suffix product (no division: a factor may be 0).  Overwrites f."""
+    if len(f) <= 1:
+        f[:] = 1.0
+        return f
+    pre = np.multiply.accumulate(f[:-1], axis=0)  # pre[j] = f[0] ... f[j]
+    suf = np.multiply.accumulate(f[:0:-1], axis=0)[::-1]  # suf[j] = f[j+1] ... f[-1]
+    f[0] = suf[0]
+    f[-1] = pre[-1]
+    np.multiply(pre[:-1], suf[1:], out=f[1:-1])
+    return f
+
+
+def _partner_key(rows: TermArray, t: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Keys of rows t with variable var moved between pos and neg."""
+    k, w = np.arange(t.size), var // 64
+    bit = np.left_shift(np.uint64(1), (var % 64).astype(np.uint64))
+    pos, neg = rows.pos[t], rows.neg[t]
+    pos[k, w] ^= bit
+    neg[k, w] ^= bit
+    return _row_key(pos, neg)
+
+
+class DenseSignPass:
+    """The sums of `polynomial._SignPass` formed the simple way: per chunk
+    of rows, a [variables x rows] array of each row's factors at a box
+    end, each entry replaced by the product of the row's other factors,
+    times the merged derivative coefficients.  Every (variable, row)
+    value is formed, where the library's pass forms one per positive
+    literal.  It takes rows in weight order, as the library's does.
+
+    `sums` and `mags` are the per-variable (d_lo, d_hi) sums of operands
+    and of their absolute values.  `count` is A of this form: the rows
+    fed plus the operands taken back (a row's lone 1 - x_var operand,
+    subtracted when its partner arrives later).  Each operand carries at
+    most V + 1 roundings, so `sums` lies within gamma_{2 (A + V + 2)}
+    `mags` of the exact sum of the reference's operands."""
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, n_words: int) -> None:
+        self.lo, self.hi = lo, hi
+        self.sums = np.zeros((2, lo.size))
+        self.mags = np.zeros((2, lo.size))
+        self.count = 0
+        empty = np.zeros((0, n_words), dtype=np.uint64)
+        self.keys, self.coef = _row_key(empty, empty), np.zeros(0)
+        self.heaviest = 0
+
+    def update(self, rows: TermArray) -> None:
+        size = len(rows)
+        if not size:
+            return
+        weight = np.bitwise_count(rows.pos).sum(axis=1)
+        assert weight.min() >= self.heaviest, "rows come in weight order"
+        n = self.lo.size
+        keys = _row_key(rows.pos, rows.neg)
+        old = len(self.keys)
+        all_keys = np.concatenate((self.keys, keys))
+        order = np.argsort(all_keys)
+        all_keys = all_keys[order]
+        assert not (all_keys[1:] == all_keys[:-1]).any(), "rows are distinct"
+        all_coef = np.concatenate((self.coef, rows.coef))[order]
+        occur = np.bitwise_or.reduce(rows.pos | rows.neg, axis=0)
+        live = np.flatnonzero(_bits(occur[None, :], n)[:, 0])
+        step = _chunk_rows(max(live.size, 1))
+        # bit var set: the row's 1 - x_var has a partner
+        mate = np.zeros_like(rows.pos)
+        taken = np.zeros(n, dtype=np.intp)  # operands taken back, per variable
+
+        # x_var in a new row, chunk by chunk in row-major order: the
+        # partner's coefficient (0 without partner) and whether it is old
+        partner_coef, partner_old = [], []
+        for r0 in range(0, size, step):
+            t, var = np.divmod(np.flatnonzero(bits_of(rows.pos[r0:r0 + step], n)), n)
+            t += r0
+            query = _partner_key(rows, t, var)
+            at = np.minimum(np.searchsorted(all_keys, query), len(all_keys) - 1)
+            hit = all_keys[at] == query
+            j = order[at] - old  # >= 0: a new row
+            partner_coef.append(np.where(hit, all_coef[at], 0.0))
+            partner_old.append(hit & (j < 0))
+            taken += np.bincount(var[partner_old[-1]], minlength=n)
+            new = hit & (j >= 0)
+            np.bitwise_or.at(mate, (j[new], var[new] // 64),
+                             np.left_shift(np.uint64(1), (var[new] % 64).astype(np.uint64)))
+
+        slot = np.zeros(n, dtype=np.intp)
+        slot[live] = np.arange(live.size)
+        l_lo, l_hi = self.lo[live][:, None], self.hi[live][:, None]
+        for r0, p_coef, p_old in zip(range(0, size, step), partner_coef, partner_old):
+            r1 = min(r0 + step, size)
+            p_rows = bits_of(rows.pos[r0:r1], n)
+            pt, pv = np.divmod(np.flatnonzero(p_rows), n)  # the x_var, as p_coef
+            pv = slot[pv]
+            p = np.ascontiguousarray(p_rows.T)[live]
+            q = _bits(rows.neg[r0:r1], n)[live]
+            lone = q & ~_bits(mate[r0:r1], n)[live]
+            at_max = _others(np.where(p, l_hi, np.where(q, 1.0 - l_lo, 1.0)))
+            at_min = _others(np.where(p, l_lo, np.where(q, 1.0 - l_hi, 1.0)))
+            # merged derivative coefficients: c_pos - c_neg at x_var; at
+            # 1 - x_var, -c_neg without partner and 0 with a new partner
+            d = np.subtract(p, lone, dtype=float)
+            d *= rows.coef[r0:r1]
+            d[pv, pt] -= p_coef
+            # taken back: an old partner's lone operand, -c_neg at its 1 - x_var
+            bt, bv, bd = pt[p_old], pv[p_old], -p_coef[p_old]
+            negative = d < 0.0
+            for side, (a, b) in enumerate(((at_min, at_max), (at_max, at_min))):
+                val = np.where(negative, b, a) * d
+                back = np.where(bd < 0.0, b[bv, bt], a[bv, bt]) * bd
+                self.sums[side, live] += val.sum(axis=1) - np.bincount(bv, back, live.size)
+                self.mags[side, live] += (np.abs(val).sum(axis=1)
+                                          + np.bincount(bv, np.abs(back), live.size))
+        self.count += size + int(taken.max(initial=0))
+        self.keys, self.coef = all_keys, all_coef
+        self.heaviest = int(weight.max())

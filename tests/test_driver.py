@@ -522,3 +522,29 @@ def test_convergence_shots():
     assert convergence_shots(trace, 10.0) is None
     with pytest.raises(ValueError):
         convergence_shots(trace, 1.0)
+
+
+@pytest.mark.parametrize("mode,strategy,gathered", [
+    ("accuracy", "hamming", False), ("accuracy", "local-flip", True),
+    ("robustness", "hamming", True)])
+def test_channel_masks_are_gathered_only_where_read(mode, strategy, gathered, monkeypatch):
+    """The blocks' channel bit sets are read by robustness (its stores) and
+    by the `local-flip` walk; other accuracy runs do not gather them."""
+    from qecbound.errorspace import Footprints, n_words, words_of
+
+    model = parse_dem((resources.files("qecbound") / "data" / "scaling_demo.dem").read_text())
+    v = model.concrete_probabilities()
+    n = model.n_channels
+    chan = words_of([*(1 << i for i in range(n)), 0], n_words(n))
+    tables = []
+    xor = Footprints.xor
+    monkeypatch.setattr(Footprints, "xor", staticmethod(
+        lambda table, cols: tables.append(table.shape == chan.shape and (table == chan).all())
+        or xor(table, cols)))
+    decoder = build_greedy_decoder(model, v)
+    config = RunConfig(mode=mode, strategy=strategy, max_shots=1024)
+    if mode == "accuracy":
+        run_accuracy(model, decoder, v, config)
+    else:
+        run_robustness(model, decoder, Hyperrectangle.scaled(v, 0.9, 1.1), config)
+    assert any(tables) == gathered

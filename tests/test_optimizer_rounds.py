@@ -283,3 +283,112 @@ def test_vertex_search_stops_at_the_deadline():
     assert rb.lower <= f_max + 1e-12
     assert math.isclose(rb.lower, TermArray.from_signed(terms, k).evaluate(rb.witness_vertex))
     assert 1.0 - rb.upper <= f_min + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Deadline between pruning rounds
+# ---------------------------------------------------------------------------
+
+def at_most(a: float, b: float) -> bool:
+    """a <= b up to the rounding by which a value at a vertex, summed with
+    `math.fsum`, differs from the same value summed by vertex search."""
+    return a <= b + 1e-12 * abs(b)
+
+
+def counting_certify(monkeypatch) -> list[int]:
+    """Rows of every `TermArray.certify` call (every round after a store's
+    first), appended as they come."""
+    rounds = []
+    certify = TermArray.certify
+    monkeypatch.setattr(TermArray, "certify",
+                        lambda self, a, b: rounds.append(len(self)) or certify(self, a, b))
+    return rounds
+
+
+def wide_box_run(seed: int, strategy: str = "hamming", distance: int | None = None):
+    """`seeded_model(seed)`, the box x[0.5, 2] around its rates, where later
+    checkpoints need rounds after the first, and a function that runs a
+    4096-shot robustness run on them."""
+    model = seeded_model(seed)
+    box = Hyperrectangle.scaled(model.concrete_probabilities(), 0.5, 2.0)
+    mid = tuple(0.5 * (a + b) for a, b in zip(box.lower, box.upper))
+    decoder = build_greedy_decoder(model, mid)
+    config = RunConfig(mode="robustness", strategy=strategy, distance_ansatz=distance,
+                       max_shots=4096)
+    return box, lambda: driver.run_robustness(model, decoder, box, config)
+
+
+def test_no_round_starts_after_the_deadline(monkeypatch):
+    """With the deadline already past, a checkpoint's stores get round 1
+    (their running sums) and no later round.  At the 512-shot checkpoint
+    of the wide box a later round fixes variables, so the result is
+    flagged inexact, and its bounds contain the untruncated ones."""
+    box, run = wide_box_run(1)
+    calls = []
+
+    def record(l_store, s_store, box, **kwargs):
+        calls.append((l_store.terms(), s_store.terms()))
+        return robustness_bounds(l_store, s_store, box, **kwargs)
+
+    monkeypatch.setattr(driver, "robustness_bounds", record)
+    run()
+    monkeypatch.undo()
+    l_terms, s_terms = calls[9]
+
+    def stores():
+        out = []
+        for terms in (l_terms, s_terms):
+            store = MintermStore(box.n)
+            store.extend(terms.pos)
+            out.append(store)
+        return out
+
+    rounds = counting_certify(monkeypatch)
+    full = robustness_bounds(*stores(), box)
+    assert len(rounds) > 2  # a round after the first on some side
+    rounds.clear()
+    late = robustness_bounds(*stores(), box, deadline=time.monotonic() - 1.0)
+    assert rounds == []
+    assert full.lower_exact and full.upper_exact
+    assert not (late.lower_exact and late.upper_exact)
+    assert at_most(late.lower, full.lower) and at_most(full.upper, late.upper)
+    assert math.isclose(late.lower, l_terms.evaluate(late.witness_vertex), rel_tol=1e-12)
+    # terms given as SignedTerm lists: round 1 is one certify per side
+    signed = [terms.to_signed() for terms in (l_terms, s_terms)]
+    late_signed = robustness_bounds(*signed, box, deadline=time.monotonic() - 1.0)
+    assert rounds == [len(l_terms), len(s_terms)]
+    assert late_signed == late
+
+
+@pytest.mark.parametrize("strategy,distance", [("hamming", None), ("split", 3)])
+def test_records_past_the_deadline_are_sound(strategy, distance, monkeypatch):
+    """A 4096-shot robustness run on the wide box whose every checkpoint is
+    optimized past its deadline: no checkpoint runs a round after the
+    first, each bound contains the untruncated one at the same checkpoint,
+    and a side stays exact only where round 1 fixed every variable (then
+    it equals the untruncated side).  The records are sound: each
+    contains the record of the untruncated run."""
+    box, run = wide_box_run(2, strategy, distance)
+    rounds = counting_certify(monkeypatch)
+    inexact = []
+
+    def late_and_full(l_store, s_store, box, **kwargs):
+        rounds.clear()
+        late = robustness_bounds(l_store, s_store, box,
+                                 **{**kwargs, "deadline": time.monotonic() - 1.0})
+        assert rounds == []
+        full = robustness_bounds(l_store, s_store, box, **kwargs)
+        assert at_most(late.lower, full.lower) and at_most(full.upper, late.upper)
+        assert not late.lower_exact or late.lower == full.lower
+        assert not late.upper_exact or late.upper == full.upper
+        inexact.append(not (late.lower_exact and late.upper_exact))
+        return late
+
+    monkeypatch.setattr(driver, "robustness_bounds", late_and_full)
+    trace = run()
+    monkeypatch.undo()
+    full = run()
+    assert len(inexact) == 13 and sum(inexact) >= 3
+    for rec, ref in zip(trace.sound_records, full.sound_records, strict=True):
+        assert rec.shots == ref.shots
+        assert at_most(rec.lower, ref.lower) and at_most(ref.upper, rec.upper)
