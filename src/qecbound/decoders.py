@@ -12,7 +12,14 @@ line-oriented subprocess protocol:
     decoder  -> k lines of n_obs chars from {0,1}
     analyzer -> QUIT
 
-The server reads a whole `DECODE k` batch before it answers it.
+Each end moves a `DECODE k` chunk as arrays, with the same text on the
+wire as a line-at-a-time codec.  The client encodes the whole batch in
+one pass (words, bits, ASCII '0'/'1' and newlines), cuts each chunk's
+lines from it and writes the chunk in one write.  Both ends read the k
+lines one `readline` at a time and check each as it arrives, so a bad
+or missing line fails at once; the k lines are then packed into words
+in one pass.  The server reads a whole batch, decodes it with one
+`decode_batch` call and answers it in one write, encoded the same way.
 
 The ML table.  `build_ml_decoder` sums each (syndrome, observable)
 class's minterms over all 2^n bitstrings in array passes.  The classes
@@ -51,6 +58,7 @@ import select
 import shlex
 import subprocess
 from dataclasses import dataclass, field
+from itertools import islice
 
 # Package modules before numpy: compiled first, their source's compile
 # memory is reused by numpy's import, which keeps peak RSS down when no
@@ -60,12 +68,10 @@ from .polynomial import MintermEvaluator
 from .errorspace import (
     Footprints,
     bits_of,
-    bits_to_str,
     ints_of,
     key_words,
     n_words,
     row_keys,
-    str_to_bits,
     words_of,
 )
 
@@ -320,7 +326,7 @@ class ExternalDecoder(Decoder):
             bufsize=1,
         )
         try:
-            self._send(f"INIT {self.n_det} {self.n_obs}")
+            self._send(f"INIT {self.n_det} {self.n_obs}\n")
             ready = self._recv()
             if ready != "READY":
                 raise ProtocolError(f"expected READY, got {ready!r}")
@@ -329,10 +335,10 @@ class ExternalDecoder(Decoder):
             self._reap()
             raise
 
-    def _send(self, line: str) -> None:
+    def _send(self, text: str) -> None:
         assert self._proc.stdin is not None
         try:
-            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.write(text)
             self._proc.stdin.flush()
         except BrokenPipeError as exc:
             raise ProtocolError("decoder process closed its input") from exc
@@ -348,26 +354,30 @@ class ExternalDecoder(Decoder):
         return self.decode_batch([syndrome])[0]
 
     def decode_batch(self, syndromes) -> list[int]:
-        out: list[int] = []
+        """Each chunk's lines are cut from one encoding of the whole batch
+        and sent in one write; its replies are read and checked line by
+        line and parsed in one pass (`_words_of_lines`)."""
         syndromes = list(syndromes)
+        if syndromes and (min(syndromes) < 0 or max(syndromes) >> self.n_det):
+            bad = next(s for s in syndromes if s < 0 or s >> self.n_det)
+            raise ValueError(f"syndrome {bad} is outside [0, 2^{self.n_det})")
+        text = _lines_of(words_of(syndromes, n_words(self.n_det)), self.n_det)
+        width = self.n_det + 1
+        out: list[int] = []
         # A chunk's replies fit in the reply pipe, which holds at least
         # PIPE_BUF bytes, so a decoder that answers each syndrome as it
         # reads it can read the whole chunk while the client writes.
         step = max(1, min(self.batch_size, select.PIPE_BUF // (self.n_obs + 1)))
         for start in range(0, len(syndromes), step):
-            chunk = syndromes[start : start + step]
-            self._send("\n".join([f"DECODE {len(chunk)}",
-                                   *(bits_to_str(s, self.n_det) for s in chunk)]))
-            for _ in chunk:
-                line = self._recv()
-                if len(line) != self.n_obs or set(line) - {"0", "1"}:
-                    raise ProtocolError(f"malformed decoder reply {line!r}")
-                out.append(str_to_bits(line))
+            k = min(step, len(syndromes) - start)
+            self._send(f"DECODE {k}\n" + text[start * width:(start + k) * width])
+            replies = (self._recv() for _ in range(k))
+            out += ints_of(_words_of_lines(replies, self.n_obs, "malformed decoder reply"))
         return out
 
     def close(self) -> None:
         try:
-            self._send("QUIT")
+            self._send("QUIT\n")
         except ProtocolError:
             pass
         try:
@@ -472,9 +482,34 @@ def _command(line: str, name: str, n_args: int) -> list[int] | None:
     return [int(t) for t in toks[1:]]
 
 
+def _lines_of(words: np.ndarray, n: int) -> str:
+    """Rows of words as lines of n characters from {0, 1}, bit 0 first,
+    each ended by a newline."""
+    out = np.full((len(words), n + 1), ord("\n"), dtype=np.uint8)
+    out[:, :n] = bits_of(words, n)
+    out[:, :n] += ord("0")
+    return out.tobytes().decode("ascii")
+
+
+def _words_of_lines(lines, n: int, what: str) -> np.ndarray:
+    """`lines`, each n characters from {0, 1} with bit 0 first, as one
+    row of n_words(n) words each.  Each line is checked as it arrives: the
+    first other one raises ProtocolError naming it."""
+    got = []
+    for line in lines:
+        if len(line) != n or line.strip("01"):
+            raise ProtocolError(f"{what} {line!r}")
+        got.append(line)
+    bits = np.frombuffer("".join(got).encode("ascii"), dtype=np.uint8).reshape(len(got), n)
+    out = np.zeros((len(got), 8 * n_words(n)), dtype=np.uint8)
+    out[:, :-(-n // 8)] = np.packbits(bits == ord("1"), axis=1, bitorder="little")
+    return out.view("<u8")
+
+
 def serve(decoder: Decoder, stdin, stdout) -> None:
     """Server side of the wire protocol (used by `qecbound serve-ml`).  A
-    malformed line raises ProtocolError naming it.
+    malformed line raises ProtocolError naming it, and so does an end of
+    input inside a batch, at once: a `DECODE k` header reserves nothing.
 
     Each `DECODE k` batch is read whole before it is answered, with one
     `decode_batch` call and one write: a client may write the whole batch
@@ -499,12 +534,11 @@ def serve(decoder: Decoder, stdin, stdout) -> None:
         count = _command(line, "DECODE", 1)
         if count is None:
             raise ProtocolError(f"unexpected command {line!r}")
-        syndromes = []
-        for _ in range(count[0]):
-            s = stdin.readline().strip()
-            if len(s) != n_det or set(s) - {"0", "1"}:
-                raise ProtocolError(f"malformed syndrome {s!r}")
-            syndromes.append(str_to_bits(s))
-        stdout.write("".join(bits_to_str(pred, n_obs) + "\n"
-                             for pred in decoder.decode_batch(syndromes)))
+        k = count[0]
+        lines = islice(iter(stdin.readline, ""), k)  # stops at the end of input
+        rows = _words_of_lines((s.strip() for s in lines), n_det, "malformed syndrome")
+        if len(rows) < k:
+            raise ProtocolError(f"input ended after {len(rows)} of {k} lines of a DECODE batch")
+        preds = decoder.decode_batch(ints_of(rows))
+        stdout.write(_lines_of(words_of(preds, n_words(n_obs)), n_obs))
         stdout.flush()
