@@ -45,11 +45,13 @@ decoder calls and each starts cold.  The classifier also hands its cache
 to the decoder (`Decoder.use_cache`).  `GreedyDecoder.decode_batch`
 peels a whole batch in rounds: each round scores every distinct residual
 once against every channel in one [rows, channels] array and XORs in
-each row's best channel.  Peeling is recursive, so a row whose residual
-is then in the cache XORs in the cached prediction and is done.  The
-weight order decodes the lighter errors inside an error before the error
-itself, so greedy mostly peels once and reads the rest from the cache:
-on the bundled 39-channel model, every syndrome of a `hamming` run.
+each row's best channel.  The scores come from a table of each channel's
+score for every value of every syndrome byte, one gather per byte.
+Peeling is recursive, so a row whose residual is then in the cache XORs
+in the cached prediction and is done.  The weight order decodes the
+lighter errors inside an error before the error itself, so greedy mostly
+peels once and reads the rest from the cache: on the bundled 39-channel
+model, every syndrome of a `hamming` run.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .polynomial import MintermEvaluator
 from .errorspace import (
     Footprints,
     bits_of,
+    bytes_of,
     ints_of,
     key_words,
     n_words,
@@ -88,6 +91,11 @@ CACHE_CAP = 1 << 18
 # Cells of each [rows, channels] score array `GreedyDecoder.decode_batch`
 # makes; its rows are a chunk of the distinct residuals.
 GREEDY_CELLS = 1 << 14
+# Bytes a greedy decoder's score table may take ([syndrome bytes, 256,
+# live channels] int16); past it, scores are counted from the words.  The
+# table grows as detectors times channels: 3.3 MB on the d = 7
+# repetition-memory circuit.
+GREEDY_TABLE_BYTES = 1 << 25
 # Seconds `ExternalDecoder.close` waits for the child to exit after QUIT
 # before killing it.
 CLOSE_TIMEOUT = 10.0
@@ -233,7 +241,23 @@ class GreedyDecoder(Decoder):
         self._live = np.array([i for i in self._order if self.model.det_footprints[i]],
                               dtype=np.intp)
         self._live_det = np.ascontiguousarray(self._det[self._live].T)
-        self._live_weight = np.bitwise_count(self._live_det).sum(axis=0, dtype=np.int32)
+        # Row 256 i + b, column c: 2 |b & fp| for byte value b at byte i of
+        # channel c's footprint fp.  int16 holds every score below 2^15
+        # detectors.
+        n_bytes = -(-self.n_det // 8)
+        self._byte_rows = 256 * np.arange(n_bytes)  # each syndrome byte's first row
+        if self.n_det < 1 << 15 and 512 * n_bytes * self._live.size <= GREEDY_TABLE_BYTES:
+            fp = bytes_of(self._live_det.T)[:, :n_bytes].T
+            table = np.empty((n_bytes, 256, self._live.size), dtype=np.int16)
+            # built in place: temporaries would raise the peak RSS of a run
+            np.bitwise_and(np.arange(256, dtype=np.uint8)[:, None], fp[:, None, :], out=table)
+            np.bitwise_count(table, out=table)
+            table <<= 1
+            self._table = table.reshape(256 * n_bytes, self._live.size)
+        else:
+            self._table = None
+        weight = np.bitwise_count(self._live_det).sum(axis=0, dtype=np.int32)
+        self._live_weight = weight if self._table is None else weight.astype(np.int16)
         self._cache = SyndromeCache(self._det.shape[1], self._obs.shape[1])
 
     def use_cache(self, cache: SyndromeCache) -> None:
@@ -257,13 +281,29 @@ class GreedyDecoder(Decoder):
             answer ^= self.model.obs_footprints[best_i]
         return answer
 
+    def _scores(self, rows: np.ndarray) -> np.ndarray:
+        """[len(rows), live channels] array of 2 |fp & r| - |fp| for residual
+        word rows r: -|fp| plus one gather from the score table per
+        syndrome byte, or counted from the words without a table."""
+        if self._table is None:
+            score = np.zeros((len(rows), self._live.size), dtype=np.int32)
+            for rw, dw in zip(rows.T, self._live_det):
+                score += 2 * np.bitwise_count(rw[:, None] & dw)
+        else:
+            at = bytes_of(rows)[:, :self._byte_rows.size] + self._byte_rows
+            score = np.take(self._table, at[:, 0], axis=0)
+            for col in at.T[1:]:
+                score += np.take(self._table, col, axis=0)
+        score -= self._live_weight
+        return score
+
     def decode_batch(self, syndromes) -> list[int]:
         """decode() for every syndrome, peeling the whole batch in rounds.  A
         round scores each distinct active residual once against every live
-        channel, as a [rows, channels] array of 2 |fp & r| - |fp| (chunks of
-        at most `GREEDY_CELLS` cells); the channels lie in `_order`, so
-        argmax picks the first strictly best one, as decode() does.  A row
-        whose best score is not above 0 gives up.
+        channel (`_scores`, in chunks of at most `GREEDY_CELLS` cells); the
+        channels lie in `_order`, so argmax picks the first strictly best
+        one, as decode() does.  A row whose best score is not above 0 gives
+        up.
 
         Peeling is recursive: if decode() picks channel b for residual r,
         then decode(r) = obs[b] ^ decode(r ^ det[b]).  So after each round
@@ -271,23 +311,18 @@ class GreedyDecoder(Decoder):
         prediction and is done."""
         residual = words_of(list(syndromes), self._det.shape[1])
         answer = np.zeros((len(residual), self._obs.shape[1]), dtype=np.uint64)
-        det, weight, cache = self._live_det, self._live_weight, self._cache
-        step = max(1, GREEDY_CELLS // max(1, weight.size))
-        active = np.flatnonzero(residual.any(axis=1)) if weight.size else np.empty(0, np.intp)
+        live, cache = self._live, self._cache
+        step = max(1, GREEDY_CELLS // max(1, live.size))
+        active = np.flatnonzero(residual.any(axis=1)) if live.size else np.empty(0, np.intp)
         while active.size:
             _, first, inv = np.unique(row_keys(residual[active]),
                                       return_index=True, return_inverse=True)
             rows = residual[active[first]]
             best = np.empty(len(rows), dtype=np.intp)
             for a in range(0, len(rows), step):
-                r = rows[a:a + step]
-                score = np.zeros((len(r), weight.size), dtype=np.int32)
-                for rw, dw in zip(r.T, det):
-                    score += np.bitwise_count(rw[:, None] & dw)
-                score *= 2
-                score -= weight
+                score = self._scores(rows[a:a + step])
                 j = score.argmax(axis=1)
-                best[a:a + step] = np.where(score[np.arange(len(r)), j] > 0, self._live[j], -1)
+                best[a:a + step] = np.where(score[np.arange(len(j)), j] > 0, live[j], -1)
             best = best[inv.reshape(-1)]
             found = best >= 0  # rows without a scoring channel give up
             active, best = active[found], best[found]
@@ -455,16 +490,18 @@ class LogicalErrorClassifier:
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         fp = self.footprints
-        keys, inv = np.unique(row_keys(fp.xor(fp.det, cols)), return_inverse=True)
+        wd = fp.det.shape[1]
+        both = fp.xor(fp.det_obs, cols)
+        keys, inv = np.unique(row_keys(both[:, :wd]), return_inverse=True)
         at, known = self.cache.find(keys)
         pred = np.empty(len(keys), dtype=self.cache.pred.dtype)
         pred[known] = self.cache.pred[at[known]]
         if not known.all():
             new = ~known
-            syndromes = ints_of(key_words(keys[new], fp.det.shape[1]))
+            syndromes = ints_of(key_words(keys[new], wd))
             pred[new] = row_keys(words_of(self.decoder.decode_batch(syndromes), fp.obs.shape[1]))
             self.cache.add(at[new], keys[new], pred[new])
-        return pred[inv.reshape(-1)] != row_keys(fp.xor(fp.obs, cols))
+        return pred[inv.reshape(-1)] != row_keys(both[:, wd:])
 
 
 def connect_external_decoder(command: str, n_det: int, n_obs: int) -> ExternalDecoder:

@@ -11,10 +11,15 @@ its detours as extras and holds back the rows it has not reached.  No
 string is visited twice, so a run is exhausted once it has visited 2^n
 strings.  Each block gets its minterms with numpy, and its decoder
 verdicts from a `LogicalErrorClassifier` made for the run, which sends
-the unique syndromes it has not seen to one `decode_batch` call.  Blocks
-end at the geometric shot checkpoints (1, 2, 4, ...) and after at most
-`BLOCK_ROWS` rows, so a time limit is overrun by at most one block, and
-the tail sampler draws no batch past it.
+the unique syndromes it has not seen to one `decode_batch` call.  A block
+is `BLOCK_ROWS` strings (fewer at `max_shots` or at the end of the order),
+evaluated ahead of the checkpoints: the checkpoint loop reads it in
+slices, and the order holds back the rows not yet read, so the tail
+sampler sees only the visited strings.  No string past `max_shots` is
+evaluated, a time limit is overrun by at most one block, and the tail
+sampler draws no batch past it.  The `local-flip` walk evaluates the
+weight order up to the next checkpoint only, since its detours follow
+the rows it has read.
 
 Both modes run one checkpoint loop, `_checkpoints`: it feeds each block
 to the mode's sink (Kahan-compensated accumulators in visit order, or the
@@ -183,12 +188,15 @@ class _BlockCore:
         self.classify = LogicalErrorClassifier(model, decoder)
         self.evaluator = evaluator
         self.order = VisitOrder(self.n, config.distance_ansatz)
+        self.max_shots = 1 << self.n if config.max_shots is None else min(config.max_shots,
+                                                                         1 << self.n)
+        self.taken = 0  # strings of the order evaluated so far
         self.walks = config.strategy == "local-flip"
         # the walk reads the strings, and robustness stores them
         self.keep_masks = self.walks or evaluator is None
         self.pending: deque[int] = deque()  # detour still to visit
-        # In-order rows evaluated ahead; the walk takes them piecewise.
-        self.rows: _Rows | None = None
+        # In-order rows evaluated ahead, read in slices (the walk's piecewise).
+        self.rows = _Rows(None, np.zeros(0, dtype=bool), None)
         self.cursor = 0  # rows[:cursor] are visited
         self.ints: list[int] = []
         self.flags: list[bool] = []
@@ -205,13 +213,24 @@ class _BlockCore:
         """Padded support rows of Python-int bitstrings."""
         return supports_of_bits(bits_of(words_of(masks, n_words(self.n)), self.n))
 
+    def _read_ahead(self, m: int) -> None:
+        """Evaluate the next m strings of the order into the buffer."""
+        supp = self.order.take(m)
+        self.taken += len(supp)
+        self.rows, self.cursor = self.evaluate(supp), 0
+
     def next_block(self, limit: int) -> _Rows:
         """The next at most `limit` bitstrings of the visit order, now marked
         visited (possibly none; at least one while any is unvisited)."""
         if not self.walks:
-            return self.evaluate(self.order.take(limit))
+            if self.cursor == len(self.rows):
+                self._read_ahead(min(BLOCK_ROWS, self.max_shots - self.taken))
+            block = self.rows.select(slice(self.cursor, self.cursor + limit))
+            self.cursor += len(block)
+            self.order.hold(len(self.rows) - self.cursor)
+            return block
         if self.cursor == len(self.ints) and not self.pending:
-            self.rows, self.cursor = self.evaluate(self.order.take(limit)), 0
+            self._read_ahead(limit)
             self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
         picked, detours = self._walk(limit)
         picked = np.array(picked, dtype=np.intp)
@@ -269,7 +288,7 @@ def _checkpoints(core: _BlockCore, config: RunConfig, t0: float, sink):
     shots at 1, 2, 4, ... and, when enumeration advanced past the last
     checkpoint, once more at the end.  Enumeration stops at `max_shots`,
     at the time limit, or once all 2^n strings are visited (exhausted)."""
-    max_shots = 1 << core.n if config.max_shots is None else min(config.max_shots, 1 << core.n)
+    max_shots = core.max_shots
     time_limit = math.inf if config.time_limit is None else config.time_limit
     shots, next_cp = 0, 1
     while shots < max_shots and time.monotonic() - t0 <= time_limit:

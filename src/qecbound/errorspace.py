@@ -7,22 +7,25 @@ support tuples (combinatorial number system ranks).
 
 Blocks.  The enumeration core reads the order in blocks of support-index
 rows: row r lists the channels of one bitstring in ascending order, padded
-with n to the block's width.  `itertools.combinations(range(n), w)` yields
-weight class w in exactly the rank order above, so a `WeightRun` (a range
-of weight classes) needs no rank arithmetic.  Every visit order is read as
-runs of the weight order (`VisitOrder`): one run, or for `split` a low and
-a high run taking turns, one string each, until either ends.  The order is
-also the visited set: what each run has given, which is a prefix of that
-run, plus the `local-flip` walk's out-of-order extras.  `Footprints` holds
-every channel's detector, observable and channel bit sets as rows of
-ceil(width/64) uint64 words, with an empty row n, so a block's syndromes
-are the XOR of one gathered row per support column, for every detector
-count.
+with n to the block's width.  A `WeightRun` (a range of weight classes)
+unranks a block's rows of one class in numpy, one `searchsorted` per
+column into a prefix table of binomials (`rank_table`,
+`combination_rows`); the table holds int64 while every value fits and
+Python ints past that, with the same code either way.  Every visit order
+is read as runs of the weight order (`VisitOrder`): one run, or for
+`split` a low and a high run taking turns, one string each, until either
+ends.  The order is also the visited set: what each run has given, less
+the rows held back from it (given but not yet visited), which is a
+prefix of that run, plus the `local-flip` walk's out-of-order extras.
+`Footprints` holds every channel's detector, observable and channel bit
+sets as rows of ceil(width/64) uint64 words, with an empty row n, so a
+block's syndromes are the XOR of one gathered row per support column,
+for every detector count.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -127,10 +130,14 @@ def key_words(keys: np.ndarray, n_words: int) -> np.ndarray:
     return np.ascontiguousarray(keys).view(np.uint64).reshape(-1, n_words)
 
 
+def bytes_of(words: np.ndarray) -> np.ndarray:
+    """[B, words] bit sets as [B, 8 * words] uint8 rows, lowest byte first."""
+    return np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+
+
 def bits_of(words: np.ndarray, n: int) -> np.ndarray:
     """[B, words] bit sets as [B, n] bool rows."""
-    by = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(by, axis=1, count=n, bitorder="little").view(bool)
+    return np.unpackbits(bytes_of(words), axis=1, count=n, bitorder="little").view(bool)
 
 
 def supports_of_bits(bits: np.ndarray) -> np.ndarray:
@@ -145,6 +152,8 @@ def supports_of_bits(bits: np.ndarray) -> np.ndarray:
 class Footprints:
     """The detector (`det`), observable (`obs`) and channel (`chan`) bit sets
     of every channel as [n + 1, words] uint64 tables; row n is empty.
+    `det_obs` is [det | obs], so one gather gives syndromes and
+    observables; `det` and `obs` are views of it.
 
     A block of bitstrings is given as support columns: an index array of
     shape [k, B] whose column b lists the channels of bitstring b, padded
@@ -152,8 +161,10 @@ class Footprints:
 
     def __init__(self, model: DetectorErrorModel) -> None:
         n = model.n_channels
-        self.det = words_of([*model.det_footprints, 0], n_words(model.n_detectors))
-        self.obs = words_of([*model.obs_footprints, 0], n_words(model.n_observables))
+        wd, wo = n_words(model.n_detectors), n_words(model.n_observables)
+        self.det_obs = np.hstack((words_of([*model.det_footprints, 0], wd),
+                                  words_of([*model.obs_footprints, 0], wo)))
+        self.det, self.obs = self.det_obs[:, :wd], self.det_obs[:, wd:]
         self.chan = words_of([*(1 << i for i in range(n)), 0], n_words(n))
 
     @staticmethod
@@ -161,8 +172,37 @@ class Footprints:
         """Per bitstring, the XOR of the table rows of its channels."""
         out = np.zeros((cols.shape[1], table.shape[1]), dtype=np.uint64)
         for col in cols:
-            out ^= table[col]
+            out ^= np.take(table, col, axis=0)  # several times faster than table[col]
         return out
+
+
+def rank_table(n: int, k: int) -> np.ndarray:
+    """The [k, n + 1] prefix table of weight class k: row j, entry c is the
+    number of weight-k strings whose j-th channel (in ascending order) lies
+    below c, given the channels before it; that is the sum over c' < c of
+    C(n - 1 - c', k - 1 - j).  int64 while C(n, m) fits for every m <= k,
+    else Python ints (object)."""
+    rows = [list(accumulate((comb(n - 1 - c, k - 1 - j) for c in range(n)), initial=0))
+            for j in range(k)]
+    exact = any(r[-1] >> 63 for r in rows)
+    return np.array(rows, dtype=object if exact else np.int64).reshape(k, n + 1)
+
+
+def combination_rows(table: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Ranks first, ..., first + count - 1 of a weight class, by its
+    `rank_table`, as [count, k] ascending channel rows.  Column j takes the
+    last c whose table entry does not pass the rank carried so far, plus
+    the entry of the channel after column j - 1."""
+    k = table.shape[0]
+    out = np.empty((k, count), dtype=np.intp)
+    rank = np.arange(count, dtype=table.dtype) + first
+    after = np.zeros(count, dtype=np.intp)  # the first channel column j may take
+    for j, t in enumerate(table):
+        rank = rank + t[after]
+        out[j] = np.searchsorted(t, rank, side="right") - 1
+        rank = rank - t[out[j]]
+        after = out[j] + 1
+    return out.T
 
 
 class WeightRun:
@@ -175,25 +215,25 @@ class WeightRun:
         self._w, self._w1 = min(w0, n + 1), min(w1, n + 1)
         self.start = self.position = first_position_of_weight(self._w, n)
         self.end = first_position_of_weight(self._w1, n)
-        self._it = combinations(range(n), self._w)
+        self._class_start = self.start  # position of weight class _w's first string
+        self._table: np.ndarray | None = None  # its rank table, once read
 
     def take(self, m: int) -> np.ndarray:
         """The next m rows (fewer once the run ends)."""
         parts = []
-        while m and self._w < self._w1:
-            w = self._w
-            rows = islice(self._it, m)
-            if w:
-                got = np.fromiter(chain.from_iterable(rows), dtype=np.intp).reshape(-1, w)
-            else:
-                got = np.empty((sum(1 for _ in rows), 0), dtype=np.intp)
-            if len(got) < m:  # weight class w is done
+        while m and self.position < self.end:
+            size = comb(self.n, self._w)
+            if self._table is None:
+                self._table = rank_table(self.n, self._w)
+            first = self.position - self._class_start
+            got = min(m, size - first)
+            parts.append(combination_rows(self._table, first, got))
+            m -= got
+            self.position += got
+            if first + got == size:  # weight class _w is done
                 self._w += 1
-                self._it = combinations(range(self.n), self._w)
-            if len(got):
-                parts.append(got)
-            m -= len(got)
-            self.position += len(got)
+                self._class_start += size
+                self._table = None
         return _stack_rows(parts, self.n)
 
 
@@ -221,13 +261,15 @@ class VisitOrder:
     w = floor(d/2)+1; without one the high run is empty and the order is
     the weight order itself.
 
-    The visited strings are those `take` returned, less the last `held`
-    of them (rows the local walk has taken but not yet visited), plus
-    `extras` (the walk's out-of-order visits).  Each run's visited part
-    starts at a weight boundary, so a string is visited if it precedes the
-    low run's visited end, lies in `extras`, or has weight >= w and
-    precedes the high run's end.  The two end strings are unranked at the
-    first query after a `take` or `hold`.
+    The visited strings are those `take` returned, less the last ones
+    `hold` marks (rows taken ahead but not yet visited), plus `extras`
+    (the `local-flip` walk's out-of-order visits).  `take` notes which run
+    gave each of its rows, and `hold` splits its count by run, so each
+    run's visited part is a prefix of that run, which starts at a weight
+    boundary.  A string is thus visited if it precedes the low run's
+    visited end, lies in `extras`, or has weight >= w and precedes the
+    high run's visited end.  The two end strings are unranked at the first
+    query after a `take` or `hold`.
     """
 
     def __init__(self, n: int, distance: int | None = None) -> None:
@@ -236,8 +278,9 @@ class VisitOrder:
         self.phase = 0  # 0 when the low run gives the next string, else 1
         self.n = n
         self.extras: set[int] = set()
-        self.held = 0
-        # (low run's visited end, high run's end or None while it gave nothing)
+        self.held = (0, 0)  # strings held back from the end of each run's part
+        self._high = np.zeros(0, dtype=bool)  # the last take's rows from the high run
+        # (low run's visited end, high run's visited end or None while it has none)
         self._ends: tuple | None = None
 
     def __contains__(self, mask: int) -> bool:
@@ -245,27 +288,33 @@ class VisitOrder:
         return (precedes(mask, lo) or mask in self.extras
                 or hi is not None and mask.bit_count() >= self.w and precedes(mask, hi))
 
+    def _visited_ends(self) -> list[int]:
+        """Each run's visited end, as a position in the weight order."""
+        return [run.position - held for run, held in zip(self.runs, self.held)]
+
     def _unrank_ends(self) -> tuple:
         def at(pos: int) -> int:
             # Past the end: the all-ones string of n + 1 bits, which every string precedes.
             return unrank_position(pos, self.n) if pos < 1 << self.n else (2 << self.n) - 1
 
-        low, high = self.runs
-        self._ends = (at(low.position - self.held),
-                      at(high.position) if high.position > high.start else None)
+        low, high = self._visited_ends()
+        self._ends = (at(low), at(high) if high > self.runs[1].start else None)
         return self._ends
 
     def hold(self, count: int) -> None:
-        """Mark the last `count` strings taken as not yet visited."""
-        self.held, self._ends = count, None
+        """Mark the last `count` strings of the last `take` as not yet
+        visited (until the next `hold`)."""
+        if count > len(self._high):
+            raise ValueError(f"cannot hold {count} of the last take's {len(self._high)} strings")
+        high = int(np.count_nonzero(self._high[len(self._high) - count:])) if count else 0
+        self.held, self._ends = (count - high, high), None
 
     def lowest_unvisited_weight(self) -> int:
         """The lowest weight of any unvisited string (n + 1 if none): in
         each run, the first string past its visited end not in `extras`."""
-        low, high = self.runs
         lowest = self.n + 1
-        for pos, end in ((low.position - self.held, low.end), (high.position, high.end)):
-            for mask in (unrank_position(p, self.n) for p in range(pos, end)):
+        for pos, run in zip(self._visited_ends(), self.runs):
+            for mask in (unrank_position(p, self.n) for p in range(pos, run.end)):
                 if mask not in self.extras:
                     lowest = min(lowest, mask.bit_count())
                     break
@@ -274,14 +323,21 @@ class VisitOrder:
     def take(self, m: int) -> np.ndarray:
         """The next m strings of the order (fewer at its end)."""
         self._ends = None
-        parts = []
+        parts, high = [], []
         while m:
             live = [run for run in self.runs if run.position < run.end]
             if not live:
                 break
-            rows = live[0].take(m) if len(live) == 1 else self._turns(m)
+            if len(live) == 1:
+                rows = live[0].take(m)
+                high.append(np.full(len(rows), live[0] is self.runs[1]))
+            else:
+                p = self.phase
+                rows = self._turns(m)
+                high.append(np.arange(len(rows)) % 2 != p)
             parts.append(rows)
             m -= len(rows)
+        self._high = np.concatenate(high) if high else np.zeros(0, dtype=bool)
         return _stack_rows(parts, self.n)
 
     def _turns(self, m: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from qecbound.compiler import DetectorErrorModel, parse_dem
 from qecbound.decoders import Decoder, GreedyDecoder, build_greedy_decoder
 from qecbound.driver import RunConfig, run_accuracy, run_robustness
-from qecbound.errorspace import observable_of, syndrome_of
+from qecbound.errorspace import observable_of, syndrome_of, unrank_position
 from qecbound.polynomial import (
     FP_MARGIN,
     BoundAccumulators,
@@ -451,6 +451,22 @@ def test_each_run_hands_the_decoder_a_fresh_cache(monkeypatch):
     (first, first_len), (second, second_len) = handed
     assert first is not second and first_len == second_len == 0
     assert dec._cache is second and len(second) == len(first) > 0
+
+
+def test_blocks_are_evaluated_ahead_of_the_checkpoints(monkeypatch):
+    """A `hamming` run evaluates whole blocks ahead of its checkpoints: 4096
+    shots make one decode call per block of `BLOCK_ROWS` strings, not one
+    per checkpoint, and a 5-shot run one call with the syndromes of just
+    the 5 strings it visits."""
+    model = seeded_model(1)
+    v = model.concrete_probabilities()
+    dec = CountingDecoder(model)
+    run_accuracy(model, dec, v, RunConfig(max_shots=4096))
+    assert (dec.calls, dec.syndromes) == (2, 3668)
+    batches = _greedy_batches(monkeypatch)
+    run_accuracy(model, CountingDecoder(model), v, RunConfig(max_shots=5))
+    assert batches == [sorted({syndrome_of(model, unrank_position(p, model.n_channels))
+                               for p in range(5)})]
 
 
 def test_full_cache_decodes_again_with_same_records(monkeypatch):

@@ -544,6 +544,41 @@ def test_greedy_decode_batch_across_score_chunks(chunk_rows, monkeypatch):
     assert dec.decode_batch(syndromes) == [dec.decode(s) for s in syndromes]
 
 
+@pytest.mark.parametrize("table_bytes", [None, 0])
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+@pytest.mark.parametrize("n_det", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_greedy_decode_batch_at_byte_edges(n_det, chunk_rows, table_bytes, monkeypatch):
+    """The score table cuts syndromes into bytes, the last one partial
+    unless 8 divides n_det.  Footprints and syndromes lie across byte and
+    word edges and in the last byte alone.  A cell bound of 1 scores one
+    row at a time, one of 7 rows leaves a part-filled last chunk, and a
+    table cap of 0 counts the scores from the words instead."""
+    if table_bytes is not None:
+        monkeypatch.setattr(decoders, "GREEDY_TABLE_BYTES", table_bytes)
+    rng = np.random.default_rng(n_det)
+    last = range(8 * ((n_det - 1) // 8), n_det)  # the last byte's detectors
+    pool = [sum(1 << int(d) for d in rng.choice(n_det, int(rng.integers(1, min(4, n_det + 1))),
+                                                replace=False)) for _ in range(8)]
+    pool += [sum(1 << d for d in last if rng.random() < 0.6) or 1 << last[-1] for _ in range(4)]
+    pool += [1 << d | 1 << last[0] for d in (7, 8, 63, 64) if d < n_det]
+    n = 24
+    model = DetectorErrorModel(
+        n_channels=n, n_detectors=n_det, n_observables=2,
+        probabilities=tuple(float(rng.choice([0.01, 0.02])) for _ in range(n)),
+        det_footprints=tuple(pool[int(rng.integers(len(pool)))] for _ in range(n)),
+        obs_footprints=tuple(int(rng.integers(0, 4)) for _ in range(n)))
+    dec = GreedyDecoder(model)
+    assert (dec._table is None) == (table_bytes == 0)
+    cells = 1 if chunk_rows is None else chunk_rows * dec._live.size
+    monkeypatch.setattr(decoders, "GREEDY_CELLS", cells)
+    syndromes = [0, (1 << n_det) - 1]
+    syndromes += [sum(1 << d for d in last if rng.random() < 0.5) for _ in range(40)]
+    syndromes += [sum(1 << int(d) for d in np.flatnonzero(rng.random(n_det) < q))
+                  for q in (0.1, 0.5) for _ in range(40)]
+    syndromes += [syndrome_of(model, int(e)) for e in rng.integers(0, 1 << n, size=100)]
+    assert dec.decode_batch(syndromes) == [dec.decode(s) for s in syndromes]
+
+
 def test_greedy_decode_batch_on_a_circuit_model():
     """The d = 5 repetition-memory circuit (695 channels): syndromes of
     weight-2 and weight-3 errors."""

@@ -2,6 +2,7 @@
 membership, and the reference visited set."""
 
 import random
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -12,10 +13,13 @@ from qecbound.driver import RunConfig
 from qecbound.errorspace import (
     STRATEGIES,
     VisitOrder,
+    WeightRun,
     bits_to_str,
+    combination_rows,
     first_position_of_weight,
     ints_of,
     precedes,
+    rank_table,
     str_to_bits,
     unrank_in_weight_class,
     unrank_position,
@@ -294,3 +298,75 @@ def test_order_membership_matches_taken_strings(strategy, distance):
                 order.extras.update(int(m) for m in np.flatnonzero(rng.random(1 << n) < 0.1))
             _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)
         assert sorted(taken) == list(range(1 << n))
+
+
+@pytest.mark.parametrize("distance", [0, 1, 3, 5, "2n+2"])
+def test_split_holds_match_taken_strings(distance):
+    """Holds on `split`: the held rows of a take may come from both runs,
+    and `hold` splits their count by run.  Each run's visited part is what
+    it gave less its share of the last hold; membership of every string
+    and the lowest unvisited weight are asked after each `take` and each
+    `hold` of random size (0 too)."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 11))
+        d = 2 * n + 2 if distance == "2n+2" else distance
+        w = d // 2 + 1
+        order = VisitOrder(n, d)
+        given: tuple[list[int], list[int]] = ([], [])  # by the low and the high run
+        held = (0, 0)
+        while len(given[0]) + len(given[1]) < 1 << n:
+            rows = [_mask(row, n) for row in order.take(int(rng.integers(0, 2 + (1 << n) // 6)))]
+            for m in rows:
+                given[weight(m) >= w].append(m)
+            for i in range(3):  # after the take, then after each of two holds
+                if i:
+                    count = int(rng.integers(0, len(rows) + 1))
+                    order.hold(count)
+                    high = sum(weight(m) >= w for m in rows[len(rows) - count:]) if count else 0
+                    held = (count - high, high)
+                _assert_visited(order, n, {m for run, h in zip(given, held)
+                                           for m in run[:len(run) - h]})
+        assert sorted(given[0] + given[1]) == list(range(1 << n))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_weight_runs_are_the_combinations(n):
+    """Every weight range [w0, w1), read in takes of random size (0 too),
+    gives the rows of `itertools.combinations`, weight class by weight
+    class, each padded with n to the width of its take."""
+    rng = np.random.default_rng(n)
+    for w0 in range(n + 2):
+        for w1 in range(w0, n + 2):
+            run = WeightRun(n, w0, w1)
+            expect = [c for k in range(w0, w1) for c in combinations(range(n), k)]
+            got = []
+            while run.position < run.end:
+                rows = run.take(int(rng.integers(0, 2 + len(expect) // 4)))
+                for row in rows.tolist():
+                    k = sum(c < n for c in row)
+                    assert row[k:] == [n] * (len(row) - k)
+                    got.append(tuple(row[:k]))
+            assert got == expect
+            assert run.position == run.end == first_position_of_weight(min(w1, n + 1), n)
+            assert run.take(3).shape[0] == 0
+
+
+def test_unranking_is_exact_past_int64():
+    """The rank tables switch to Python ints once C(n, m) passes 2^63: the
+    high runs of split at n = 213 (weight 12) and n = 70 (weight 40) start
+    with the combinations, and the first and last ranks of classes on
+    either side of the switch unrank as `unrank_in_weight_class` does."""
+    for n, d in [(213, 23), (70, 79)]:
+        w = d // 2 + 1
+        rows = VisitOrder(n, d).take(200)
+        high = [tuple(c for c in row if c < n) for row in rows[1::2].tolist()]
+        assert high == list(islice(combinations(range(n), w), 100))
+    assert rank_table(66, 33).dtype == np.int64 and rank_table(67, 33).dtype == object
+    for n, k in [(66, 33), (66, 66), (67, 33), (67, 34), (70, 40), (213, 12), (213, 200)]:
+        table = rank_table(n, k)
+        size = comb(n, k)
+        for first in (0, max(0, size - 4)):
+            rows = combination_rows(table, first, min(4, size))
+            assert [sum(1 << c for c in row) for row in rows.tolist()] == [
+                unrank_in_weight_class(first + i, n, k) for i in range(len(rows))]
