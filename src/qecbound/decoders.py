@@ -81,7 +81,6 @@ from .errorspace import (
 import numpy as np
 
 ML_CHANNEL_CAP = 24
-EXTERNAL_BATCH = 1024
 # Bitstrings in the ML build's low table: the strings of its lowest
 # channels, which each chunk of the build extends by its high channels.
 ML_CHUNK = 1 << 16
@@ -349,7 +348,6 @@ class ExternalDecoder(Decoder):
     n_det: int
     n_obs: int
     kind: str = "external"
-    batch_size: int = EXTERNAL_BATCH
     _proc: subprocess.Popen = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -402,7 +400,7 @@ class ExternalDecoder(Decoder):
         # A chunk's replies fit in the reply pipe, which holds at least
         # PIPE_BUF bytes, so a decoder that answers each syndrome as it
         # reads it can read the whole chunk while the client writes.
-        step = max(1, min(self.batch_size, select.PIPE_BUF // (self.n_obs + 1)))
+        step = max(1, select.PIPE_BUF // (self.n_obs + 1))
         for start in range(0, len(syndromes), step):
             k = min(step, len(syndromes) - start)
             self._send(f"DECODE {k}\n" + text[start * width:(start + k) * width])

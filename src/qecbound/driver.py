@@ -6,20 +6,19 @@ order itself; `split` reads a low and a high run of the weight order,
 taking one string from each in turn until either run ends; `local-flip`
 follows each logical error found in the weight order with its unvisited
 one-bit flips, in ascending bit-set order, before the order resumes.  The
-order is also the visited set: it knows what it gave, and the walk adds
-its detours as extras and holds back the rows it has not reached.  No
+order is also the visited set: it knows what it gave and holds back the
+rows not yet read, and the walk adds its detours as extras.  No
 string is visited twice, so a run is exhausted once it has visited 2^n
 strings.  Each block gets its minterms with numpy, and its decoder
 verdicts from a `LogicalErrorClassifier` made for the run, which sends
-the unique syndromes it has not seen to one `decode_batch` call.  A block
-is `BLOCK_ROWS` strings (fewer at `max_shots` or at the end of the order),
-evaluated ahead of the checkpoints: the checkpoint loop reads it in
-slices, and the order holds back the rows not yet read, so the tail
-sampler sees only the visited strings.  No string past `max_shots` is
-evaluated, a time limit is overrun by at most one block, and the tail
-sampler draws no batch past it.  The `local-flip` walk evaluates the
-weight order up to the next checkpoint only, since its detours follow
-the rows it has read.
+the unique syndromes it has not seen to one `decode_batch` call.  Every
+strategy refills alike: once the last block is read and no detour is
+pending, the next min(`BLOCK_ROWS`, visits left) strings of the order are
+evaluated ahead of the checkpoints.  The checkpoint loop reads the block
+in slices (the walk puts each slice's detours in their places), so the
+tail sampler sees only the visited strings.  A refill never asks for
+more strings than the run has visits left, a time limit is overrun by at
+most one block, and the tail sampler draws no batch past it.
 
 Both modes run one checkpoint loop, `_checkpoints`: it feeds each block
 to the mode's sink (Kahan-compensated accumulators in visit order, or the
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -180,7 +178,10 @@ class _Rows:
 
 
 class _BlockCore:
-    """One run's visit order as evaluated blocks."""
+    """One run's visit order as evaluated blocks.  For every strategy a
+    refill asks for at most the visits the run has left, counting in-order
+    rows and detours alike, and a time limit is overrun by at most one
+    block."""
 
     def __init__(self, model: DetectorErrorModel, decoder: Decoder,
                  config: RunConfig, evaluator: MintermEvaluator | None) -> None:
@@ -190,15 +191,15 @@ class _BlockCore:
         self.order = VisitOrder(self.n, config.distance_ansatz)
         self.max_shots = 1 << self.n if config.max_shots is None else min(config.max_shots,
                                                                          1 << self.n)
-        self.taken = 0  # strings of the order evaluated so far
+        self.visited = 0  # strings visited so far, in order or as detours
         self.walks = config.strategy == "local-flip"
         # the walk reads the strings, and robustness stores them
         self.keep_masks = self.walks or evaluator is None
         self.pending: deque[int] = deque()  # detour still to visit
-        # In-order rows evaluated ahead, read in slices (the walk's piecewise).
+        # In-order rows evaluated ahead, read in slices.
         self.rows = _Rows(None, np.zeros(0, dtype=bool), None)
         self.cursor = 0  # rows[:cursor] are visited
-        self.ints: list[int] = []
+        self.ints: list[int] = []  # the walk's reading of rows: bit sets and verdicts
         self.flags: list[bool] = []
 
     def evaluate(self, supp: np.ndarray) -> _Rows:
@@ -215,42 +216,31 @@ class _BlockCore:
 
     def _read_ahead(self, m: int) -> None:
         """Evaluate the next m strings of the order into the buffer."""
-        supp = self.order.take(m)
-        self.taken += len(supp)
-        self.rows, self.cursor = self.evaluate(supp), 0
+        self.rows, self.cursor = self.evaluate(self.order.take(m)), 0
+        if self.walks:
+            self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
 
     def next_block(self, limit: int) -> _Rows:
         """The next at most `limit` bitstrings of the visit order, now marked
         visited (possibly none; at least one while any is unvisited)."""
-        if not self.walks:
-            if self.cursor == len(self.rows):
-                self._read_ahead(min(BLOCK_ROWS, self.max_shots - self.taken))
+        if self.cursor == len(self.rows) and not self.pending:
+            self._read_ahead(min(BLOCK_ROWS, self.max_shots - self.visited))
+        if self.walks:
+            block = self._walk(limit)
+        else:
             block = self.rows.select(slice(self.cursor, self.cursor + limit))
             self.cursor += len(block)
-            self.order.hold(len(self.rows) - self.cursor)
-            return block
-        if self.cursor == len(self.ints) and not self.pending:
-            self._read_ahead(limit)
-            self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
-        picked, detours = self._walk(limit)
-        picked = np.array(picked, dtype=np.intp)
-        block = self.rows.select(np.maximum(picked, 0))
-        if detours:
-            at = np.flatnonzero(picked < 0)
-            d = self.evaluate(self.supports(detours))
-            block.masks[at], block.logical[at] = d.masks, d.logical
-            if d.prob is not None:
-                block.prob[at] = d.prob
+        self.visited += len(block)
+        self.order.hold(len(self.rows) - self.cursor)
         return block
 
-    def _walk(self, limit: int) -> tuple[list[int], list[int]]:
-        """The `local-flip` walk: the next at most `limit` visits, as buffer
-        row indices with -1 for a detour string, plus the detour strings in
-        order.  A logical error in the weight order queues its unvisited
-        neighbours, which go before the next in-order row; rows a detour
-        visited are skipped."""
+    def _walk(self, limit: int) -> _Rows:
+        """The `local-flip` walk: the next at most `limit` visits.  A logical
+        error in the weight order queues its unvisited neighbours, which go
+        before the next in-order row; rows a detour visited are skipped.
+        The detours are evaluated together and put in their places."""
         extras = self.order.extras
-        picked: list[int] = []
+        picked: list[int] = []  # buffer rows, -1 for a detour
         detours: list[int] = []
         while len(picked) < limit:
             if self.pending:
@@ -270,8 +260,15 @@ class _BlockCore:
             picked.append(i)
             if self.flags[i]:
                 self.pending.extend(self._detour(m))
-        self.order.hold(len(self.ints) - self.cursor)
-        return picked, detours
+        idx = np.array(picked, dtype=np.intp)
+        block = self.rows.select(np.maximum(idx, 0))
+        if detours:
+            at = np.flatnonzero(idx < 0)
+            d = self.evaluate(self.supports(detours))
+            block.masks[at], block.logical[at] = d.masks, d.logical
+            if d.prob is not None:
+                block.prob[at] = d.prob
+        return block
 
     def _detour(self, mask: int) -> list[int]:
         """The unvisited one-bit flips of `mask`, the last string of the
@@ -283,15 +280,14 @@ class _BlockCore:
                 if not mask >> i & 1 and (e := mask | 1 << i) not in extras]
 
 
-def _checkpoints(core: _BlockCore, config: RunConfig, t0: float, sink):
+def _checkpoints(core: _BlockCore, deadline: float | None, sink):
     """Feed the visit order to `sink` in blocks, yielding the enumerated
     shots at 1, 2, 4, ... and, when enumeration advanced past the last
     checkpoint, once more at the end.  Enumeration stops at `max_shots`,
-    at the time limit, or once all 2^n strings are visited (exhausted)."""
+    at the deadline, or once all 2^n strings are visited (exhausted)."""
     max_shots = core.max_shots
-    time_limit = math.inf if config.time_limit is None else config.time_limit
     shots, next_cp = 0, 1
-    while shots < max_shots and time.monotonic() - t0 <= time_limit:
+    while shots < max_shots and (deadline is None or time.monotonic() <= deadline):
         rows = core.next_block(min(BLOCK_ROWS, next_cp - shots, max_shots - shots))
         sink(rows)
         shots += len(rows)
@@ -352,7 +348,7 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
     # Made only when sampling: the generator costs megabytes of RSS.
     rng = np.random.default_rng(config.seed) if config.sample_count else None
     t0 = time.monotonic()
-    # The tail sampler stops drawing here too.
+    # Enumeration and the tail sampler stop here.
     deadline = None if config.time_limit is None else t0 + config.time_limit
     trace = BoundsTrace(header=_header(model, config))
     sampled = 0
@@ -360,7 +356,7 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
     def sink(rows: _Rows) -> None:
         acc.accumulate_block(rows.prob, rows.logical)
 
-    for shots in _checkpoints(core, config, t0, sink):
+    for shots in _checkpoints(core, deadline, sink):
         _sound_record(trace, shots + sampled, *accuracy_bounds(acc), t0)
         if not config.sample_count or shots == 1 << core.n:
             continue
@@ -398,7 +394,7 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
         raise ValueError("box dimension must equal the channel count")
     core = _BlockCore(model, decoder, config, None)
     t0 = time.monotonic()
-    # Vertex search stops here too; a truncated search is flagged inexact.
+    # Enumeration and vertex search stop here; a truncated search is flagged inexact.
     deadline = None if config.time_limit is None else t0 + config.time_limit
     trace = BoundsTrace(header=_header(
         model, config, box={"lower": list(box.lower), "upper": list(box.upper)}))
@@ -410,7 +406,7 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
         l_store.extend(rows.masks[rows.logical])
         s_not_l_store.extend(rows.masks[~rows.logical][:config.term_cap - len(s_not_l_store)])
 
-    for shots in _checkpoints(core, config, t0, sink):
+    for shots in _checkpoints(core, deadline, sink):
         # Every string went to one store: S-minus-L dropped some past the cap.
         frozen = shots - len(l_store) > config.term_cap
         rb = robustness_bounds(l_store, None if frozen else s_not_l_store, box,

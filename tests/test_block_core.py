@@ -287,10 +287,19 @@ def test_accuracy_records_match_per_shot_reference(strategy, distance, variant, 
     assert _final(trace) == final
 
 
-@pytest.mark.parametrize("n", [7, 66])
+# With 3-row blocks a hold spans a partly read block, also while detours
+# are pending.
+@pytest.mark.parametrize("n,block_rows", [
+    pytest.param(n, rows, id=f"{n}" + (f"-rows{rows}" if rows else ""))
+    for rows in (None, 3) for n in (7, 66)])
 @pytest.mark.parametrize("variant", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
-def test_hybrid_records_match_per_shot_reference(strategy, distance, variant, n):
+def test_hybrid_records_match_per_shot_reference(strategy, distance, variant, n, block_rows,
+                                                 monkeypatch):
+    import qecbound.driver as driver
+
+    if block_rows is not None:
+        monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
     strategy, variant = kept_case(strategy, variant)
     model = _model(n, variant)
     v = model.concrete_probabilities()
@@ -304,11 +313,17 @@ def test_hybrid_records_match_per_shot_reference(strategy, distance, variant, n)
     assert _final(trace) == final
 
 
-@pytest.mark.parametrize("n,max_shots", [(7, None), (66, 96)])
+@pytest.mark.parametrize("n,max_shots,block_rows", [
+    pytest.param(n, shots, rows, id=f"{n}-{shots}" + (f"-rows{rows}" if rows else ""))
+    for rows in (None, 3) for n, shots in ((7, None), (66, 96))])
 @pytest.mark.parametrize("variant", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
 def test_robustness_records_match_per_shot_reference(strategy, distance, variant,
-                                                     n, max_shots):
+                                                     n, max_shots, block_rows, monkeypatch):
+    import qecbound.driver as driver
+
+    if block_rows is not None:
+        monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
     strategy, variant = kept_case(strategy, variant)
     model = _model(n, variant)
     v = model.concrete_probabilities()
@@ -469,8 +484,31 @@ def test_blocks_are_evaluated_ahead_of_the_checkpoints(monkeypatch):
                                for p in range(5)})]
 
 
+def test_walk_reads_whole_blocks(monkeypatch):
+    """The `local-flip` walk refills by the rule `hamming` uses: whole
+    blocks of `BLOCK_ROWS` strings, whatever the next checkpoint, so 4096
+    shots make one decode call per block plus the calls for new detour
+    syndromes, and a 5-shot run one call with the syndromes of the first
+    5 strings of the weight order."""
+    model = seeded_model(1)
+    v = model.concrete_probabilities()
+    dec = CountingDecoder(model)
+    run_accuracy(model, dec, v, RunConfig(strategy="local-flip", max_shots=4096))
+    assert (dec.calls, dec.syndromes) == (4, 2640)
+    batches = _greedy_batches(monkeypatch)
+    run_accuracy(model, CountingDecoder(model), v,
+                 RunConfig(strategy="local-flip", max_shots=5))
+    assert batches == [sorted({syndrome_of(model, unrank_position(p, model.n_channels))
+                               for p in range(5)})]
+
+
 def test_full_cache_decodes_again_with_same_records(monkeypatch):
+    """A cache that stops growing makes the decoder see syndromes again,
+    with the same records.  Whole-block reads fit every string of the
+    model in one call, so the capped run takes 8-row blocks to reach the
+    cap."""
     import qecbound.decoders as decoders
+    import qecbound.driver as driver
 
     model = _model(9)
     v = model.concrete_probabilities()
@@ -478,6 +516,7 @@ def test_full_cache_decodes_again_with_same_records(monkeypatch):
     dec = CountingDecoder(model)
     full = _strip(run_accuracy(model, dec, v, config))
     monkeypatch.setattr(decoders, "CACHE_CAP", 4)
+    monkeypatch.setattr(driver, "BLOCK_ROWS", 8)
     capped = CountingDecoder(model)
     assert _strip(run_accuracy(model, capped, v, config)) == full
     assert capped.syndromes > dec.syndromes

@@ -1,6 +1,7 @@
 """Built-in decoders and the external subprocess protocol."""
 
 import io
+import select
 import sys
 import threading
 from unittest import mock
@@ -395,11 +396,13 @@ def test_external_decode_batch_sends_one_payload_per_chunk(repetition_model, tmp
     monkeypatch.setattr(decoders.ExternalDecoder, "_send",
                         lambda self, text: sent.append(text) or send(self, text))
     try:
-        remote.batch_size = 3
-        syndromes = [syndrome_of(repetition_model, e) for e in range(8)]
+        # one observable: a chunk holds PIPE_BUF // 2 = 2048 syndromes on Linux
+        step = select.PIPE_BUF // 2
+        syndromes = [syndrome_of(repetition_model, e % 8) for e in range(2 * step + 4)]
         local = build_ml_decoder(repetition_model, (0.01,) * 3)
         assert remote.decode_batch(syndromes) == local.decode_batch(syndromes)
-        assert [t.splitlines()[0] for t in sent] == ["DECODE 3", "DECODE 3", "DECODE 2"]
+        assert [t.splitlines()[0] for t in sent] == [f"DECODE {step}", f"DECODE {step}",
+                                                     "DECODE 4"]
     finally:
         remote.close()
 
