@@ -44,12 +44,14 @@ def _read(path: str) -> str:
 
 
 def load_model(path: str) -> DetectorErrorModel:
-    """Load a model from a DEM file or by compiling a program file."""
+    """Load a model from a DEM file or by compiling a program file.  The
+    first statement picks the reader: `dem` or `error(...)` starts a DEM,
+    which no program statement does, and so does an empty file."""
     text = _read(path)
-    try:
+    statements = (ln.split("#", 1)[0].split() for ln in text.splitlines())
+    first = next((toks[0] for toks in statements if toks), "dem")
+    if first == "dem" or first.startswith("error("):
         return parse_dem(text)
-    except DemParseError:
-        pass
     return compile_to_dem(parse_symbolic_program(text))
 
 

@@ -289,8 +289,6 @@ def parse_dem(text: str) -> DetectorErrorModel:
     det_fp: list[int] = []
     obs_fp: list[int] = []
     header: tuple[int, int] | None = None
-    max_det = -1
-    max_obs = -1
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -310,8 +308,10 @@ def parse_dem(text: str) -> DetectorErrorModel:
         body = m.group(1).strip()
         sym = _SYM_RE.match(body)
         if sym:
-            scale = 1.0 / int(sym.group(2)) if sym.group(2) else 1.0
-            prob: Probability = SymbolicProb(sym.group(1), scale)
+            divisor = int(sym.group(2) or 1)
+            if not divisor:
+                raise DemParseError(f"invalid probability {body!r}", lineno)
+            prob: Probability = SymbolicProb(sym.group(1), 1.0 / divisor)
         else:
             try:
                 p = float(body)
@@ -320,29 +320,22 @@ def parse_dem(text: str) -> DetectorErrorModel:
             if not 0.0 <= p <= 1.0:
                 raise DemParseError(f"probability {p} outside [0, 1]", lineno)
             prob = p
-        dmask = omask = 0
+        masks = [0, 0]  # detectors, observables
         for tok in toks[1:]:
             m2 = re.match(r"([DL])(\d+)$", tok)
             if not m2:
                 raise DemParseError(f"invalid target {tok!r}", lineno)
-            k = int(m2.group(2))
-            if m2.group(1) == "D":
-                if dmask & (1 << k):
-                    raise DemParseError(f"duplicate target {tok}", lineno)
-                dmask |= 1 << k
-                max_det = max(max_det, k)
-            else:
-                if omask & (1 << k):
-                    raise DemParseError(f"duplicate target {tok}", lineno)
-                omask |= 1 << k
-                max_obs = max(max_obs, k)
+            kind, k = m2.group(1) == "L", int(m2.group(2))
+            if masks[kind] >> k & 1:
+                raise DemParseError(f"duplicate target {tok}", lineno)
+            if header is not None and k >= header[kind]:
+                raise DemParseError(f"target {tok} exceeds header dimensions", lineno)
+            masks[kind] |= 1 << k
         probs.append(prob)
-        det_fp.append(dmask)
-        obs_fp.append(omask)
+        det_fp.append(masks[0])
+        obs_fp.append(masks[1])
 
-    n_det, n_obs = header if header is not None else (max_det + 1, max_obs + 1)
-    if max_det >= n_det or max_obs >= n_obs:
-        raise DemParseError("target index exceeds header dimensions", 1)
+    n_det, n_obs = header or [max(map(int.bit_length, fp), default=0) for fp in (det_fp, obs_fp)]
     return DetectorErrorModel(
         n_channels=len(probs),
         n_detectors=n_det,

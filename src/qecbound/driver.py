@@ -6,15 +6,17 @@ order itself; `split` reads a low and a high run of the weight order,
 taking one string from each in turn until either run ends; `local-flip`
 follows each logical error found in the weight order with its unvisited
 one-bit flips, in ascending bit-set order, before the order resumes.  The
-order is also the visited set: it knows what it gave and holds back the
-rows not yet read, and the walk adds its detours as extras.  No
-string is visited twice, so a run is exhausted once it has visited 2^n
-strings.  Each block gets its minterms with numpy, and its decoder
-verdicts from a `LogicalErrorClassifier` made for the run, which sends
-the unique syndromes it has not seen to one `decode_batch` call.  Every
-strategy refills alike: once the last block is read and no detour is
-pending, the next min(`BLOCK_ROWS`, visits left) strings of the order are
-evaluated ahead of the checkpoints.  The checkpoint loop reads the block
+order is also the visited set: its first `taken - held` strings (what it
+gave, less the rows not yet read) plus the walk's detours as extras,
+each run's share of them a function of that count.  No string is
+visited twice, so `len(order)` is the number of visits: the refill and
+the checkpoint loop both read it, and a run is exhausted once it has
+visited 2^n strings.  Each block gets its minterms with numpy, and its
+decoder verdicts from a `LogicalErrorClassifier` made for the run, which
+sends the unique syndromes it has not seen to one `decode_batch` call.
+Every strategy refills alike: once the last block is read and no detour
+is pending, the next min(`BLOCK_ROWS`, visits left) strings of the order
+are evaluated ahead of the checkpoints.  The checkpoint loop reads the block
 in slices (the walk puts each slice's detours in their places), so the
 tail sampler sees only the visited strings.  A refill never asks for
 more strings than the run has visits left, a time limit is overrun by at
@@ -179,9 +181,9 @@ class _Rows:
 
 class _BlockCore:
     """One run's visit order as evaluated blocks.  For every strategy a
-    refill asks for at most the visits the run has left, counting in-order
-    rows and detours alike, and a time limit is overrun by at most one
-    block."""
+    refill asks for at most the visits the run has left (`len(order)`
+    counts in-order rows and detours alike), and a time limit is overrun
+    by at most one block."""
 
     def __init__(self, model: DetectorErrorModel, decoder: Decoder,
                  config: RunConfig, evaluator: MintermEvaluator | None) -> None:
@@ -191,7 +193,6 @@ class _BlockCore:
         self.order = VisitOrder(self.n, config.distance_ansatz)
         self.max_shots = 1 << self.n if config.max_shots is None else min(config.max_shots,
                                                                          1 << self.n)
-        self.visited = 0  # strings visited so far, in order or as detours
         self.walks = config.strategy == "local-flip"
         # the walk reads the strings, and robustness stores them
         self.keep_masks = self.walks or evaluator is None
@@ -224,13 +225,12 @@ class _BlockCore:
         """The next at most `limit` bitstrings of the visit order, now marked
         visited (possibly none; at least one while any is unvisited)."""
         if self.cursor == len(self.rows) and not self.pending:
-            self._read_ahead(min(BLOCK_ROWS, self.max_shots - self.visited))
+            self._read_ahead(min(BLOCK_ROWS, self.max_shots - len(self.order)))
         if self.walks:
             block = self._walk(limit)
         else:
             block = self.rows.select(slice(self.cursor, self.cursor + limit))
             self.cursor += len(block)
-        self.visited += len(block)
         self.order.hold(len(self.rows) - self.cursor)
         return block
 
@@ -282,17 +282,15 @@ class _BlockCore:
 
 def _checkpoints(core: _BlockCore, deadline: float | None, sink):
     """Feed the visit order to `sink` in blocks, yielding the enumerated
-    shots at 1, 2, 4, ... and, when enumeration advanced past the last
-    checkpoint, once more at the end.  Enumeration stops at `max_shots`,
+    shots (`len(core.order)`) at 1, 2, 4, ... and, when enumeration
+    advanced past the last checkpoint, once more at the end.  Enumeration stops at `max_shots`,
     at the deadline, or once all 2^n strings are visited (exhausted)."""
-    max_shots = core.max_shots
-    shots, next_cp = 0, 1
-    while shots < max_shots and (deadline is None or time.monotonic() <= deadline):
-        rows = core.next_block(min(BLOCK_ROWS, next_cp - shots, max_shots - shots))
-        sink(rows)
-        shots += len(rows)
-        if shots == next_cp:
-            yield shots
+    order, max_shots, next_cp = core.order, core.max_shots, 1
+    while ((shots := len(order)) < max_shots
+           and (deadline is None or time.monotonic() <= deadline)):
+        sink(core.next_block(min(BLOCK_ROWS, next_cp - shots, max_shots - shots)))
+        if len(order) == next_cp:
+            yield next_cp
             next_cp *= 2
     if 2 * shots != next_cp:
         yield shots

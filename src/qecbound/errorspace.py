@@ -14,9 +14,11 @@ column into a prefix table of binomials (`rank_table`,
 Python ints past that, with the same code either way.  Every visit order
 is read as runs of the weight order (`VisitOrder`): one run, or for
 `split` a low and a high run taking turns, one string each, until either
-ends.  The order is also the visited set: what each run has given, less
-the rows held back from it (given but not yet visited), which is a
-prefix of that run, plus the `local-flip` walk's out-of-order extras.
+ends.  The order is also the visited set: its first `taken - held`
+strings (given, less the last ones held back, not yet visited), plus the
+`local-flip` walk's out-of-order extras.  How many of its first k
+strings each run gave is a function of k, so each run's visited part is
+a prefix of that run, with an end derived from the one count.
 `Footprints` holds every channel's detector, observable and channel bit
 sets as rows of ceil(width/64) uint64 words, with an empty row n, so a
 block's syndromes are the XOR of one gathered row per support column,
@@ -255,42 +257,56 @@ class VisitOrder:
     strings it has visited.
 
     The weight order is cut into a low run [0, start) and a high run
-    [start, 2^n).  The two runs take turns, one string each and the low
-    run first, until either ends; the other then continues alone.  Given
-    a distance d (`split`), start is the first string of weight
-    w = floor(d/2)+1; without one the high run is empty and the order is
-    the weight order itself.
+    [start, 2^n), of L and H strings.  The two runs take turns, one string
+    each and the low run first, until either ends; the other then
+    continues alone.  Given a distance d (`split`), start is the first
+    string of weight w = floor(d/2)+1; without one the high run is empty
+    and the order is the weight order itself.  So the order's first k
+    strings hold the low run's first max(min(ceil(k/2), L), k - H) and
+    the high run's first rest: each run's share is a function of k.
 
-    The visited strings are those `take` returned, less the last ones
-    `hold` marks (rows taken ahead but not yet visited), plus `extras`
-    (the `local-flip` walk's out-of-order visits).  `take` notes which run
-    gave each of its rows, and `hold` splits its count by run, so each
-    run's visited part is a prefix of that run, which starts at a weight
-    boundary.  A string is thus visited if it precedes the low run's
-    visited end, lies in `extras`, or has weight >= w and precedes the
-    high run's visited end.  The two end strings are unranked at the first
-    query after a `take` or `hold`.
+    The order's state is two counts: `taken`, the strings `take` gave, and
+    `held`, how many of the last of them `hold` marks as not yet visited
+    (rows taken ahead).  The visited strings are the order's first
+    `taken - held`, plus `extras` (the `local-flip` walk's out-of-order
+    visits, which leave `extras` once the in-order prefix reaches them),
+    so there are `len(order)` of them.  Each run's visited part is the
+    prefix of it given by its share of `taken - held`, and each run starts
+    at a weight boundary.  A string is thus visited if it precedes the low
+    run's visited end, lies in `extras`, or has weight >= w and precedes
+    the high run's visited end.  The two end strings are unranked at the
+    first query after a `take` or `hold`.
     """
 
     def __init__(self, n: int, distance: int | None = None) -> None:
         self.w = n + 1 if distance is None else distance // 2 + 1
         self.runs = (WeightRun(n, 0, self.w), WeightRun(n, self.w, n + 1))
-        self.phase = 0  # 0 when the low run gives the next string, else 1
+        self._lengths = (self.runs[0].end, self.runs[1].end - self.runs[1].start)  # L and H
         self.n = n
         self.extras: set[int] = set()
-        self.held = (0, 0)  # strings held back from the end of each run's part
-        self._high = np.zeros(0, dtype=bool)  # the last take's rows from the high run
+        self.taken = 0  # strings given by `take`
+        self.held = 0  # the last of them not yet visited
         # (low run's visited end, high run's visited end or None while it has none)
         self._ends: tuple | None = None
+
+    def __len__(self) -> int:
+        return self.taken - self.held + len(self.extras)
 
     def __contains__(self, mask: int) -> bool:
         lo, hi = self._ends or self._unrank_ends()
         return (precedes(mask, lo) or mask in self.extras
                 or hi is not None and mask.bit_count() >= self.w and precedes(mask, hi))
 
+    def _low_share(self, k: int) -> int:
+        """How many of the order's first k strings the low run gives."""
+        low, high = self._lengths
+        return max(min((k + 1) // 2, low), k - high)
+
     def _visited_ends(self) -> list[int]:
         """Each run's visited end, as a position in the weight order."""
-        return [run.position - held for run, held in zip(self.runs, self.held)]
+        k = self.taken - self.held
+        low = self._low_share(k)
+        return [low, self.runs[1].start + k - low]
 
     def _unrank_ends(self) -> tuple:
         def at(pos: int) -> int:
@@ -302,12 +318,11 @@ class VisitOrder:
         return self._ends
 
     def hold(self, count: int) -> None:
-        """Mark the last `count` strings of the last `take` as not yet
-        visited (until the next `hold`)."""
-        if count > len(self._high):
-            raise ValueError(f"cannot hold {count} of the last take's {len(self._high)} strings")
-        high = int(np.count_nonzero(self._high[len(self._high) - count:])) if count else 0
-        self.held, self._ends = (count - high, high), None
+        """Mark the last `count` strings given as not yet visited (until
+        the next `hold`)."""
+        if not 0 <= count <= self.taken:
+            raise ValueError(f"cannot hold {count} of the {self.taken} strings given")
+        self.held, self._ends = count, None
 
     def lowest_unvisited_weight(self) -> int:
         """The lowest weight of any unvisited string (n + 1 if none): in
@@ -321,37 +336,23 @@ class VisitOrder:
         return lowest
 
     def take(self, m: int) -> np.ndarray:
-        """The next m strings of the order (fewer at its end)."""
-        self._ends = None
-        parts, high = [], []
-        while m:
-            live = [run for run in self.runs if run.position < run.end]
-            if not live:
-                break
-            if len(live) == 1:
-                rows = live[0].take(m)
-                high.append(np.full(len(rows), live[0] is self.runs[1]))
-            else:
-                p = self.phase
-                rows = self._turns(m)
-                high.append(np.arange(len(rows)) % 2 != p)
-            parts.append(rows)
-            m -= len(rows)
-        self._high = np.concatenate(high) if high else np.zeros(0, dtype=bool)
-        return _stack_rows(parts, self.n)
-
-    def _turns(self, m: int) -> np.ndarray:
-        """The next at most m strings while both runs last, alternating
-        from the phase's run: up to the string one of them no longer has."""
+        """The next m strings of the order (fewer at its end).  While both
+        runs last, even positions of the order come from the low run; past
+        2 min(L, H), all come from the longer run."""
         low, high = self.runs
-        p = self.phase
-        used = min(m, 2 * (low.end - low.position) + p, 2 * (high.end - high.position) + 1 - p)
-        low_rows = low.take((used + 1 - p) // 2)
-        high_rows = high.take(used - len(low_rows))
-        rows = np.full((used, max(low_rows.shape[1], high_rows.shape[1])), self.n, dtype=np.intp)
-        rows[p::2, :low_rows.shape[1]] = low_rows
-        rows[1 - p::2, :high_rows.shape[1]] = high_rows
-        self.phase = (p + used) % 2
+        first, self.taken = self.taken, min(self.taken + m, 1 << self.n)
+        low_rows = low.take(self._low_share(self.taken) - low.position)
+        high_rows = high.take(self.taken - first - len(low_rows))
+        self._ends = None
+        if not len(high_rows):  # every take of `hamming` and `local-flip`
+            return low_rows
+        i = np.arange(first, self.taken)
+        low_len, high_len = self._lengths
+        from_low = np.where(i < 2 * min(low_len, high_len), i % 2 == 0, low_len > high_len)
+        rows = np.full((len(i), max(low_rows.shape[1], high_rows.shape[1])), self.n,
+                       dtype=np.intp)
+        rows[from_low, :low_rows.shape[1]] = low_rows
+        rows[~from_low, :high_rows.shape[1]] = high_rows
         return rows
 
 

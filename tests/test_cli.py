@@ -60,6 +60,21 @@ def test_parse_error_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("dem 2 1\nerror(0.1) D0 L0\nerror(0.2) D0 D7\n",
+     "line 3: target D7 exceeds header dimensions"),
+    ("# rates\nerror(1.5) D0\n", "line 2: probability 1.5 outside [0, 1]"),
+    ("error(x0/0) D0\n", "line 1: invalid probability 'x0/0'"),
+])
+def test_malformed_dem_reports_its_own_error(tmp_path, capsys, text, message):
+    """A file whose first statement is `dem` or `error(...)` is read as a
+    DEM only, so its parse error is reported, not the program parser's."""
+    p = tmp_path / "broken.dem"
+    p.write_text(text)
+    assert main(["accuracy", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_load_model_accepts_dem_and_program(program_file, tmp_path):
     model = load_model(program_file)
     assert model.n_channels == 3

@@ -130,14 +130,19 @@ def test_symbolic_dem_round_trip():
 
 
 def test_dem_parse_errors():
-    with pytest.raises(DemParseError):
-        parse_dem("error(0.1) D0 D0\n")
-    with pytest.raises(DemParseError):
-        parse_dem("error(1.5) D0\n")
-    with pytest.raises(DemParseError):
-        parse_dem("garbage\n")
-    with pytest.raises(DemParseError):
-        parse_dem("dem 1 1\nerror(0.1) D3\n")
+    """Each error names the line it is on: a target past the header's
+    dimensions too, and a symbolic rate divided by zero is an invalid
+    probability, not a ZeroDivisionError."""
+    for text, line in [("error(0.1) D0 D0\n", 1), ("error(1.5) D0\n", 1), ("garbage\n", 1),
+                       ("dem 1 1\nerror(0.1) D3\n", 2),
+                       ("# three lines\ndem 2 1\nerror(0.1) D0 L0\nerror(0.2) D0 D7\n", 4),
+                       ("dem 2 1\nerror(0.1) D1 L1\n", 2),
+                       ("error(0.1) D0\nerror(x0/0) D0\n", 2)]:
+        with pytest.raises(DemParseError) as exc:
+            parse_dem(text)
+        assert exc.value.line == line, text
+    with pytest.raises(DemParseError, match="invalid probability 'x0/0'"):
+        parse_dem("error(x0/0) D0\n")
 
 
 def test_dem_without_header_infers_dimensions():

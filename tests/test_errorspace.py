@@ -258,6 +258,7 @@ def _mask(row, n):
 
 def _assert_visited(order, n, visited):
     assert [m in order for m in range(1 << n)] == [m in visited for m in range(1 << n)]
+    assert len(order) == len(visited)
     assert order.lowest_unvisited_weight() == min(
         (weight(m) for m in range(1 << n) if m not in visited), default=n + 1)
 
@@ -274,9 +275,10 @@ def test_order_membership_matches_taken_strings(strategy, distance):
     """The order is the visited set: the strings `take` returned, less the
     last `held` of them, plus the extras.  Takes of random size (0 too),
     random holds (the local walk's; `split` never holds) and random extras
-    for `local-flip`; membership of every string and the lowest unvisited
-    weight are asked after each `take` and each `hold`, so ends kept from
-    before either would fail."""
+    for `local-flip`, which lie past the in-order prefix and leave it once
+    the prefix reaches them, as the walk's do; membership of every string,
+    the count and the lowest unvisited weight are asked after each `take`
+    and each `hold`, so ends kept from before either would fail."""
     strategy, variant = kept_case(strategy, 1)
     for seed in range(10 * variant - 10, 10 * variant):
         rng = np.random.default_rng(seed)
@@ -288,6 +290,7 @@ def test_order_membership_matches_taken_strings(strategy, distance):
         while len(taken) < 1 << n:
             rows = order.take(int(rng.integers(0, 2 + (1 << n) // 6)))
             taken += [_mask(row, n) for row in rows]
+            order.extras -= set(taken[:len(taken) - held])
             _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)
             if strategy == "split":
                 continue
@@ -296,17 +299,20 @@ def test_order_membership_matches_taken_strings(strategy, distance):
             if strategy == "local-flip":
                 order.extras.clear()
                 order.extras.update(int(m) for m in np.flatnonzero(rng.random(1 << n) < 0.1))
+                order.extras -= set(taken[:len(taken) - held])
             _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)
         assert sorted(taken) == list(range(1 << n))
 
 
 @pytest.mark.parametrize("distance", [0, 1, 3, 5, "2n+2"])
 def test_split_holds_match_taken_strings(distance):
-    """Holds on `split`: the held rows of a take may come from both runs,
-    and `hold` splits their count by run.  Each run's visited part is what
-    it gave less its share of the last hold; membership of every string
-    and the lowest unvisited weight are asked after each `take` and each
-    `hold` of random size (0 too)."""
+    """Holds on `split`: the held rows of a take may come from both runs.
+    After a hold, each run's visited part is what it gave less its share
+    of the held rows; after a take, the last hold's count carries over, so
+    the visited strings are the first `len(taken) - count` in order of
+    `take`.  Membership of every string, the count and the lowest
+    unvisited weight are asked after each `take` and each `hold` of random
+    size (0 too)."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
@@ -314,17 +320,19 @@ def test_split_holds_match_taken_strings(distance):
         w = d // 2 + 1
         order = VisitOrder(n, d)
         given: tuple[list[int], list[int]] = ([], [])  # by the low and the high run
-        held = (0, 0)
+        taken: list[int] = []
+        count = 0
         while len(given[0]) + len(given[1]) < 1 << n:
             rows = [_mask(row, n) for row in order.take(int(rng.integers(0, 2 + (1 << n) // 6)))]
+            taken += rows
             for m in rows:
                 given[weight(m) >= w].append(m)
-            for i in range(3):  # after the take, then after each of two holds
-                if i:
-                    count = int(rng.integers(0, len(rows) + 1))
-                    order.hold(count)
-                    high = sum(weight(m) >= w for m in rows[len(rows) - count:]) if count else 0
-                    held = (count - high, high)
+            _assert_visited(order, n, set(taken[:len(taken) - count]))
+            for _ in range(2):  # after each of two holds
+                count = int(rng.integers(0, len(rows) + 1))
+                order.hold(count)
+                high = sum(weight(m) >= w for m in rows[len(rows) - count:]) if count else 0
+                held = (count - high, high)
                 _assert_visited(order, n, {m for run, h in zip(given, held)
                                            for m in run[:len(run) - h]})
         assert sorted(given[0] + given[1]) == list(range(1 << n))
