@@ -314,9 +314,9 @@ class GreedyDecoder(Decoder):
         step = max(1, GREEDY_CELLS // max(1, live.size))
         active = np.flatnonzero(residual.any(axis=1)) if live.size else np.empty(0, np.intp)
         while active.size:
-            _, first, inv = np.unique(row_keys(residual[active]),
+            _, first, inv = np.unique(row_keys(np.take(residual, active, axis=0)),
                                       return_index=True, return_inverse=True)
-            rows = residual[active[first]]
+            rows = np.take(residual, active[first], axis=0)
             best = np.empty(len(rows), dtype=np.intp)
             for a in range(0, len(rows), step):
                 score = self._scores(rows[a:a + step])
@@ -325,10 +325,10 @@ class GreedyDecoder(Decoder):
             best = best[inv.reshape(-1)]
             found = best >= 0  # rows without a scoring channel give up
             active, best = active[found], best[found]
-            residual[active] ^= self._det[best]
-            answer[active] ^= self._obs[best]
-            active = active[residual[active].any(axis=1)]
-            at, hit = cache.find(row_keys(residual[active]))
+            residual[active] ^= np.take(self._det, best, axis=0)
+            answer[active] ^= np.take(self._obs, best, axis=0)
+            active = active[np.take(residual, active, axis=0).any(axis=1)]
+            at, hit = cache.find(row_keys(np.take(residual, active, axis=0)))
             answer[active[hit]] ^= key_words(cache.pred[at[hit]], answer.shape[1])
             active = active[~hit]
         return ints_of(answer)

@@ -23,8 +23,8 @@ more strings than the run has visits left, a time limit is overrun by at
 most one block, and the tail sampler draws no batch past it.
 
 Both modes run one checkpoint loop, `_checkpoints`: it feeds each block
-to the mode's sink (Kahan-compensated accumulators in visit order, or the
-two minterm stores) and yields at 1, 2, 4, ... shots and at the end.
+to the mode's sink (the two running sums, or the two minterm stores) and
+yields at 1, 2, 4, ... shots and at the end.
 `_sound_record` widens each checkpoint's bounds by the floating-point
 margin and clamps them into the previous sound record, so sound records
 never widen; the final summary is the last one, or an exhausted run's

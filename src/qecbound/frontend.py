@@ -85,15 +85,6 @@ class QecProgram:
     qubit_count: int
     classical_names: frozenset[str] = field(default_factory=frozenset)
 
-    @property
-    def channels(self) -> tuple[ErrorChannel, ...]:
-        return tuple(s for s in self.statements if isinstance(s, ErrorChannel))
-
-    @property
-    def symbolic_variables(self) -> tuple[str, ...]:
-        """Symbolic variable ids in channel statement order."""
-        return tuple(c.strength for c in self.channels if c.is_symbolic)
-
 
 def _strip_comment(line: str) -> str:
     idx = line.find("#")
@@ -224,22 +215,3 @@ def parse_program(text: str) -> QecProgram:
 def parse_symbolic_program(text: str) -> QecProgram:
     """Parse a program whose channel strengths may be ``x<k>`` identifiers."""
     return _parse(text, symbolic=True)
-
-
-def format_program(program: QecProgram) -> str:
-    """Pretty-print a program; re-parsing yields a structurally equal AST."""
-    lines = []
-    for s in program.statements:
-        if isinstance(s, Gate):
-            lines.append(" ".join([s.kind, *map(str, s.qubits)]))
-        elif isinstance(s, Reset):
-            lines.append(f"R {s.qubit}")
-        elif isinstance(s, Measure):
-            lines.append(f"M {s.name} <- {s.qubit}")
-        else:
-            strength = s.strength if s.is_symbolic else f"{s.strength:.17g}"
-            lines.append(" ".join([f"{s.kind}({strength})", *map(str, s.qubits)]))
-    for d in program.declarations:
-        keyword = "DETECTOR" if d.kind == "syndrome" else "OBSERVABLE"
-        lines.append(" ".join([keyword, *d.operands]))
-    return "\n".join(lines) + ("\n" if lines else "")

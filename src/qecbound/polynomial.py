@@ -2,11 +2,10 @@
 
 A minterm for bitstring e is prod_{e_i=1} x_i * prod_{e_i=0} (1-x_i); an
 error polynomial is a sum of minterms.  This module evaluates minterms at
-a point, accumulates running lower/upper bounds on the logical error rate
-with compensated summation, and optimizes polynomials exactly over
-hyperrectangles by partial-derivative pruning with matching-term
-simplification, followed by exhaustive vertex search over the surviving
-free variables.
+a point, accumulates running lower/upper bounds on the logical error rate,
+and optimizes polynomials exactly over hyperrectangles by partial-derivative
+pruning with matching-term simplification, followed by exhaustive vertex
+search over the surviving free variables.
 
 Term representation.  The optimizer holds a sum of signed terms as
 parallel arrays (`TermArray`): a float64 coefficient per term and two bit
@@ -55,9 +54,11 @@ takes rows in weight order, as `hamming` stores them, and the store
 starts a fresh one when a row comes out of order; later rounds certify
 the substituted terms afresh.
 
-Summation.  Per-term products multiply their factors in variable order.
-Termwise bounds and point evaluations sum the terms with `math.fsum`
-(correctly rounded); vertex search sums terms in row order.
+Summation.  Per-term products multiply their factors in variable order,
+and every value reported is their `math.fsum` sum, rounded once: the
+running sums of the accumulators, termwise bounds and point evaluations,
+the optimum among them.  Vertex search sums terms in row order, but that
+only picks the vertex, whose value is then evaluated.
 
 Truncation.  When more than f_max free variables survive pruning, or a
 deadline passes between pruning rounds or during vertex search, the
@@ -97,24 +98,23 @@ _VERTEX_BLOCK = 1 << 18
 _SIGN_CELLS = 1 << 12
 
 
-class _KahanSum:
-    """Compensated accumulator."""
+class _ExactSum:
+    """Running sum kept as a pair: `total` is the sum of every value added,
+    rounded once, and `_lo` is what `total` leaves out, rounded, so the
+    pair holds the sum to about 2^-106 relative, whatever the order and
+    the blocks of the additions."""
 
-    __slots__ = ("total", "_c")
+    __slots__ = ("total", "_lo")
 
     def __init__(self) -> None:
         self.total = 0.0
-        self._c = 0.0
+        self._lo = 0.0
 
-    def add_all(self, xs) -> None:
-        """Add each x in turn."""
-        total, c = self.total, self._c
-        for x in xs:
-            y = x - c
-            t = total + y
-            c = (t - total) - y
-            total = t
-        self.total, self._c = total, c
+    def add_all(self, xs: list[float]) -> None:
+        terms = [self.total, self._lo, *xs]
+        self.total = math.fsum(terms)
+        terms.append(-self.total)
+        self._lo = math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,6 @@ class Hyperrectangle:
     @property
     def n(self) -> int:
         return len(self.lower)
-
-    @staticmethod
-    def point(v) -> "Hyperrectangle":
-        v = tuple(float(x) for x in v)
-        return Hyperrectangle(v, v)
 
     @staticmethod
     def scaled(v, lo_scale: float, hi_scale: float) -> "Hyperrectangle":
@@ -188,14 +183,14 @@ class MintermEvaluator:
 
 @dataclass
 class BoundAccumulators:
-    """Running sums over enumerated bitstrings (Kahan-compensated)."""
+    """Running sums over enumerated bitstrings, each rounded once."""
 
-    sum_l: _KahanSum = field(default_factory=_KahanSum)
-    sum_s: _KahanSum = field(default_factory=_KahanSum)
+    sum_l: _ExactSum = field(default_factory=_ExactSum)
+    sum_s: _ExactSum = field(default_factory=_ExactSum)
 
     def accumulate_block(self, probs: np.ndarray, logical: np.ndarray) -> None:
-        """Add a block's minterms, in visit order, to sum_S, and those of its
-        logical errors to sum_L."""
+        """Add a block's minterms to sum_S, and those of its logical errors
+        to sum_L."""
         self.sum_s.add_all(probs.tolist())
         self.sum_l.add_all(probs[logical].tolist())
 
@@ -834,7 +829,8 @@ def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
     (`first_round`).  Once `deadline` has passed, no later round starts
     (the certified variables of the last are substituted) and vertex search
     stops (see `vertex_values`); either takes the truncation path.  Terms
-    left without a variable are still exact."""
+    left without a variable are still exact.  The value reported is the
+    terms' `evaluate` at the vertex chosen."""
     lo, hi = _box_arrays(box)
     if isinstance(terms, MintermStore):
         terms, signs = terms.first_round(box)
@@ -862,24 +858,16 @@ def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
     free = terms.variables() if late else live.tolist()
     search = free and len(free) <= f_max and not late
     vals = terms.vertex_values(lo, hi, free, deadline) if search else None
-    exact = True
-    if not free:
-        # no variables left: at most one constant row
-        value = float(terms.coef.sum())
-    elif vals is not None:
+    if vals is not None:
         best = int(np.argmax(vals) if sense > 0 else np.argmin(vals))
-        value = float(vals[best])
-        for j, var in enumerate(free):
-            fixed[var] = box.upper[var] if (best >> j) & 1 else box.lower[var]
     else:
         # A feasible vertex: under-estimates the max, over-estimates the min.
-        exact = False
-        for var in free:
-            fixed[var] = box.upper[var] if sense > 0 else box.lower[var]
-        value = terms.evaluate([fixed.get(i, box.lower[i]) for i in range(box.n)])
-
+        best = (1 << len(free)) - 1 if sense > 0 else 0
+    for j, var in enumerate(free):
+        fixed[var] = box.upper[var] if (best >> j) & 1 else box.lower[var]
     vertex = tuple(fixed.get(i, box.lower[i]) for i in range(box.n))
-    return OptimizationResult(vertex, value, exact), terms
+    exact = not free or vals is not None
+    return OptimizationResult(vertex, terms.evaluate(vertex), exact), terms
 
 
 def maximize(terms, box: Hyperrectangle, f_max: int = F_MAX_DEFAULT) -> OptimizationResult:

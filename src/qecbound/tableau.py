@@ -163,24 +163,3 @@ class SymbolicTableau:
             if row.z & bit:
                 row.r ^= expr.const
                 row.sym ^= expr.sym
-
-    # -- debug invariants ---------------------------------------------
-
-    def validate(self) -> None:
-        """Check stabilizer generators are independent and commuting."""
-        n = self.n
-        stabs = self.rows[n:]
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = stabs[i], stabs[j]
-                if (bin(a.x & b.z).count("1") + bin(a.z & b.x).count("1")) % 2:
-                    raise AssertionError(f"stabilizers {i},{j} anticommute")
-        # Independence: the 2n-bit (x|z) vectors must have full GF(2) rank.
-        basis: list[int] = []
-        for row in stabs:
-            v = row.x | (row.z << n)
-            for b in basis:
-                v = min(v, v ^ b)
-            if v == 0:
-                raise AssertionError("dependent stabilizer generators")
-            basis.append(v)

@@ -294,6 +294,43 @@ def test_run_stopped_at_two_to_the_n_shots_is_exhausted(strategy, distance):
     assert final["lower"] == final["upper"] == unlimited["lower"]
 
 
+def _order_case_model(case):
+    """A seeded random model, or a 3-channel model at p = 0.1, whose sum
+    in visit order differs between `hamming` and `local-flip`."""
+    if case == "three-channel":
+        model = parse_dem("dem 2 1\nerror(0.1) D0 L0\nerror(0.1) D0 D1\nerror(0.1) D1\n")
+        return model, build_ml_decoder(model, model.concrete_probabilities())
+    rng = np.random.default_rng(100 + case)
+    model = random_model(rng, n_channels=int(rng.integers(3, 9)), n_det=int(rng.integers(2, 5)))
+    build = build_ml_decoder if case % 2 else build_greedy_decoder
+    return model, build(model, model.concrete_probabilities())
+
+
+@pytest.mark.parametrize("case", [*range(20), "three-channel"])
+def test_exhausted_final_is_one_sum_in_any_visit_order(case, monkeypatch):
+    """An exhausted accuracy final is the run's logical minterms summed and
+    rounded once, whatever the strategy and the block size."""
+    import qecbound.driver as driver
+    from qecbound.errorspace import observable_of, syndrome_of
+    from qecbound.polynomial import MintermEvaluator
+
+    model, dec = _order_case_model(case)
+    v = model.concrete_probabilities()
+    evaluator = MintermEvaluator(v)
+    want = math.fsum(evaluator(e) for e in range(1 << model.n_channels)
+                     if dec.decode(syndrome_of(model, e)) != observable_of(model, e))
+    finals = set()
+    for block_rows in (1, 3, 2048):
+        monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
+        for strategy, distance in (("hamming", None), ("split", 1), ("split", 3),
+                                   ("local-flip", None)):
+            config = RunConfig(strategy=strategy, distance_ansatz=distance)
+            final = run_accuracy(model, dec, v, config).final
+            assert final["exhausted"] and final["lower"] == final["upper"]
+            finals.add(final["lower"])
+    assert finals == {want}
+
+
 def test_robustness_degenerate_box_equals_accuracy(repetition_model):
     v = repetition_model.concrete_probabilities()
     dec = build_ml_decoder(repetition_model, v)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,24 @@ def test_accumulators_and_sandwich():
     lo, hi = accuracy_bounds(acc)
     assert math.isclose(lo, exact, rel_tol=1e-12)
     assert abs(hi - exact) < 1e-12
+
+
+@given(st.lists(st.tuples(st.floats(1.0, 10.0), st.integers(-30, -1), st.booleans()),
+                max_size=60),
+       st.lists(st.integers(0, 8), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_accumulators_round_the_exact_sum_once(values, cuts):
+    """Whatever the blocks (empty ones too), each running sum is the sum of
+    every value added, correctly rounded."""
+    acc = BoundAccumulators()
+    probs = np.array([m * 10.0 ** k for m, k, _ in values])
+    logical = np.array([flag for _, _, flag in values], dtype=bool)
+    start = 0
+    for size in cuts + [len(values)]:
+        acc.accumulate_block(probs[start:start + size], logical[start:start + size])
+        start += size
+    assert acc.sum_s.total == float(sum(map(Fraction, probs.tolist())))
+    assert acc.sum_l.total == float(sum(map(Fraction, probs[logical].tolist())))
 
 
 def test_hyperrectangle_validation():

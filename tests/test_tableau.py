@@ -9,6 +9,26 @@ from qecbound.tableau import SignExpr, SymbolicTableau
 from conftest import DenseSim
 
 
+def validate(tab: SymbolicTableau) -> None:
+    """Check stabilizer generators are independent and commuting."""
+    n = tab.n
+    stabs = tab.rows[n:]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = stabs[i], stabs[j]
+            if (bin(a.x & b.z).count("1") + bin(a.z & b.x).count("1")) % 2:
+                raise AssertionError(f"stabilizers {i},{j} anticommute")
+    # Independence: the 2n-bit (x|z) vectors must have full GF(2) rank.
+    basis: list[int] = []
+    for row in stabs:
+        v = row.x | (row.z << n)
+        for b in basis:
+            v = min(v, v ^ b)
+        if v == 0:
+            raise AssertionError("dependent stabilizer generators")
+        basis.append(v)
+
+
 def test_sign_expr_xor():
     a = SignExpr(1, 0b01)
     b = SignExpr(0, 0b11)
@@ -120,7 +140,7 @@ def test_validate_after_random_circuit():
             tab.measure(q)
         else:
             tab.reset(q)
-    tab.validate()
+    validate(tab)
 
 
 _GATES = ["H", "S", "SDG", "X", "Y", "Z", "CX", "CZ"]
@@ -154,7 +174,7 @@ def test_deterministic_outcomes_match_dense_oracle(seed):
             tab_out.append(tab.measure(qs[0]))
         else:
             tab.gate(g, qs)
-    tab.validate()
+    validate(tab)
 
     for trial in range(20):
         sim = DenseSim(n, np.random.default_rng(1000 * seed + trial))
