@@ -25,10 +25,12 @@ Pruning in rounds.  A round bounds every live variable's merged partial
 derivative termwise over the box in one vectorized pass
 (`TermArray.certify`) and fixes every variable whose bound has a certain
 sign (d_lo > 0 or d_hi < 0) in one substitution; rounds repeat until none
-is certified.  Fixing them together is sound: each certificate holds on
-the whole box, so any point can be moved to the certified end of each
-certified variable, one coordinate at a time, without worsening the
-objective.  In exact arithmetic a substituted box end and a merge only
+is certified.  A round that certifies every live variable ends the
+search: the vertex is complete, nothing is substituted, and what is left
+is the constant term.  Fixing them together is sound: each certificate
+holds on the whole box, so any point can be moved to the certified end
+of each certified variable, one coordinate at a time, without worsening
+the objective.  In exact arithmetic a substituted box end and a merge only
 shrink every later derivative's termwise interval, so the rounds fix a
 superset of the variables that a one-at-a-time sweep fixes, with the
 same choices, and exactness flags can only improve.  The pass needs
@@ -57,8 +59,11 @@ the substituted terms afresh.
 Summation.  Per-term products multiply their factors in variable order,
 and every value reported is their `math.fsum` sum, rounded once: the
 running sums of the accumulators, termwise bounds and point evaluations,
-the optimum among them.  Vertex search sums terms in row order, but that
-only picks the vertex, whose value is then evaluated.
+and the optimum, which sums the given terms at the chosen vertex (not the
+substituted ones, whose merges add coefficients).  A `MintermStore` keeps
+that sum at its last vertex as a running `_ExactSum`, so while the vertex
+holds a checkpoint adds only the rows stored since the previous one.
+Vertex search sums terms in row order, but that only picks the vertex.
 
 Truncation.  When more than f_max free variables survive pruning, or a
 deadline passes between pruning rounds or during vertex search, the
@@ -719,7 +724,10 @@ class MintermStore:
     the store is empty, so `first_round` feeds it only the rows added
     since the previous call.  It starts over from the merged rows for
     another box, when a bitstring repeats, and when a new row is lighter
-    than one the pass holds."""
+    than one the pass holds.  Likewise it keeps the sum of its minterms at
+    the last vertex it was asked about as a running `_ExactSum`, so
+    `value` adds only the rows added since the previous call while the
+    vertex holds, and sums every row again when it moves."""
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -729,6 +737,9 @@ class MintermStore:
         self._box: Hyperrectangle | None = None
         self._pass: _SignPass | None = None
         self._fed = 0  # rows the pass holds
+        self._vertex: tuple[float, ...] | None = None
+        self._sum = _ExactSum()
+        self._summed = 0  # rows the sum holds
 
     def append(self, mask: int) -> None:
         if not 0 <= mask < 1 << self.n:
@@ -748,9 +759,14 @@ class MintermStore:
     def __len__(self) -> int:
         return self._len
 
+    def _rows(self) -> np.ndarray:
+        """[T, ceil(n/64)] bit sets of every row, in one array."""
+        if len(self._words) > 1:
+            self._words[:] = [np.concatenate(self._words)]
+        return self._words[0]
+
     def terms(self) -> TermArray:
-        pos = self._words[0] = np.concatenate(self._words)
-        del self._words[1:]
+        pos = self._rows()
         return TermArray(np.ones(len(pos)), pos, pos ^ self._full)
 
     def first_round(self, box: Hyperrectangle) -> tuple[TermArray, tuple]:
@@ -767,6 +783,21 @@ class MintermStore:
         if len(self._pass.keys) < len(terms):  # a bitstring repeats
             terms = terms.merged()
         return terms, self._pass.signs(terms)
+
+    def value(self, vertex: tuple[float, ...]) -> float:
+        """The sum of every row's minterm at the vertex, rounded once; each
+        minterm multiplies its factors in variable order, as `evaluate`
+        does.  New rows are taken in chunks of `_chunk_rows`."""
+        if vertex != self._vertex:
+            self._vertex, self._sum, self._summed = vertex, _ExactSum(), 0
+        pos = self._rows()
+        x = np.array(vertex[:self.n])[:, None]
+        rows = _chunk_rows(max(self.n, 1))
+        for r0 in range(self._summed, len(pos), rows):
+            f = np.where(_bits(pos[r0:r0 + rows], self.n), x, 1.0 - x)
+            self._sum.add_all(np.multiply.reduce(f, axis=0).tolist())
+        self._summed = len(pos)
+        return self._sum.total
 
 
 def _as_terms(terms, n: int) -> TermArray:
@@ -820,22 +851,29 @@ def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
               deadline: float | None = None) -> tuple[OptimizationResult, TermArray]:
     """sense=+1 maximizes, sense=-1 minimizes; `terms` is a sequence of
     SignedTerm, a MintermStore or a TermArray.  Also returns the terms left
-    after pruning, whose free variables the vertex search covered.
+    after pruning, whose free variables the vertex search covered; with no
+    variable left free, that is the constant term (one row without
+    variables that holds the value, or no row for 0).
 
     Pruning runs in rounds (see the module docstring for why it is sound):
     one `certify` pass over the live variables, then one substitution of
     every certified variable at its better end, until a pass certifies
-    none.  A MintermStore gives the first pass from its running sum
-    (`first_round`).  Once `deadline` has passed, no later round starts
-    (the certified variables of the last are substituted) and vertex search
-    stops (see `vertex_values`); either takes the truncation path.  Terms
-    left without a variable are still exact.  The value reported is the
-    terms' `evaluate` at the vertex chosen."""
+    none.  A pass that certifies every live variable ends the search: the
+    vertex is complete and nothing is substituted.  A MintermStore gives
+    the first pass from its running sum (`first_round`).  Once `deadline`
+    has passed, no later round starts (the certified variables of the last
+    are substituted) and vertex search stops (see `vertex_values`); either
+    takes the truncation path.  Terms left without a variable are still
+    exact.  The value reported is the sum of the given terms' values at
+    the vertex chosen, rounded once (a store's running `value`)."""
     lo, hi = _box_arrays(box)
     if isinstance(terms, MintermStore):
+        value_at = terms.value
         terms, signs = terms.first_round(box)
     else:
-        terms = _as_terms(terms, box.n).merged()
+        given = _as_terms(terms, box.n)
+        value_at = given.evaluate
+        terms = given.merged()
         signs = terms.certify(lo, hi)
     fixed: dict[int, float] = {}
     # the better end of a variable whose derivative is > 0, resp. < 0
@@ -844,18 +882,19 @@ def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
     while True:
         live, lo_sign, hi_sign = signs
         up, down = lo_sign > 0, hi_sign < 0
-        if not (up.any() or down.any()):
-            break
         choice = {var: rising[var] for var in live[up].tolist()}
         choice.update((var, falling[var]) for var in live[down].tolist())
         fixed.update(choice)
+        if not choice or len(choice) == live.size:
+            free = live[~(up | down)].tolist()
+            break
         terms = terms.substitute(choice)
         late = deadline is not None and time.monotonic() > deadline
         if late:
+            free = terms.variables()
             break
         signs = terms.certify(lo, hi)
 
-    free = terms.variables() if late else live.tolist()
     search = free and len(free) <= f_max and not late
     vals = terms.vertex_values(lo, hi, free, deadline) if search else None
     if vals is not None:
@@ -866,8 +905,13 @@ def _optimize(terms, box: Hyperrectangle, sense: int, f_max: int,
     for j, var in enumerate(free):
         fixed[var] = box.upper[var] if (best >> j) & 1 else box.lower[var]
     vertex = tuple(fixed.get(i, box.lower[i]) for i in range(box.n))
+    value = value_at(vertex)
+    if not free:  # the constant term
+        coef = np.array([value] if value else [])
+        zeros = np.zeros((coef.size, terms.pos.shape[1]), dtype=np.uint64)
+        terms = TermArray(coef, zeros, zeros)
     exact = not free or vals is not None
-    return OptimizationResult(vertex, terms.evaluate(vertex), exact), terms
+    return OptimizationResult(vertex, value, exact), terms
 
 
 def maximize(terms, box: Hyperrectangle, f_max: int = F_MAX_DEFAULT) -> OptimizationResult:

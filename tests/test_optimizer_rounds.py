@@ -1,7 +1,8 @@
 """Pruning in rounds: `TermArray.certify` against per-variable derivatives,
-the rounds against a one-variable-at-a-time sweep on a robustness run, a
-polynomial that needs a second round, the memory of one checkpoint, and
-the vertex-search deadline."""
+the rounds against a one-variable-at-a-time sweep on a robustness run, the
+value as the exact sum of the given terms, a complete round that ends the
+search, a polynomial that needs a second round, the memory of one
+checkpoint, and the vertex-search deadline."""
 
 import gc
 import math
@@ -176,6 +177,92 @@ def test_rounds_replay_the_sequential_sweep(seed, monkeypatch):
             np.testing.assert_allclose(rest.coef, ref_rest.coef, rtol=1e-12, atol=0.0)
 
 
+def given_sum(terms: TermArray, vertex) -> float:
+    """`math.fsum` of every row's value at the vertex, each its coefficient
+    times its factors multiplied in variable order."""
+    x = np.array(vertex)
+    prod = np.ones(len(terms))
+    for i in range(x.size):
+        w, b = divmod(i, 64)
+        p = (terms.pos[:, w] >> np.uint64(b)) & np.uint64(1) != 0
+        q = (terms.neg[:, w] >> np.uint64(b)) & np.uint64(1) != 0
+        prod = prod * np.where(p, x[i], np.where(q, 1.0 - x[i], 1.0))
+    return math.fsum((terms.coef * prod).tolist())
+
+
+def check_value(given, rows: TermArray, box: Hyperrectangle, sense: int):
+    """`_optimize` on `given`, whose rows are `rows`: the value is their
+    exact sum at the vertex, and with no variable left the terms left are
+    the constant term."""
+    got, rest = _optimize(given, box, sense, 24)
+    assert got.value == given_sum(rows, got.vertex)
+    if not rest.variables():
+        assert rest.coef.tolist() == ([got.value] if got.value else [])
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_value_is_the_exact_sum_of_the_given_rows(seed, monkeypatch):
+    """At every checkpoint, for a store fed as the driver feeds it (its
+    running sum), the store's rows as a TermArray and as SignedTerms."""
+    box, calls = checkpoint_stores(seed, monkeypatch)
+    stores = [MintermStore(box.n), MintermStore(box.n)]
+    for checkpoint in calls:
+        for store, terms, sense in zip(stores, checkpoint, (+1, -1)):
+            store.extend(terms.pos[len(store):])
+            for given in (store, terms, terms.to_signed()):
+                check_value(given, terms, box, sense)
+
+
+@given(polynomials())
+@settings(max_examples=200, deadline=None)
+def test_value_of_a_polynomial_is_the_exact_sum_of_its_terms(case):
+    """Repeated terms and matching partners included: the value sums the
+    given terms, not the merged ones."""
+    terms, box, _, _ = case
+    rows = TermArray.from_signed(terms, box.n)
+    for sense in (+1, -1):
+        check_value(terms, rows, box, sense)
+        check_value(rows, rows, box, sense)
+
+
+def test_store_value_counts_a_repeat_and_restarts_when_the_vertex_moves():
+    box = Hyperrectangle((0.1, 0.5, 0.5), (0.4, 0.6, 0.6))
+    store = MintermStore(3)
+    for mask in (0b000, 0b001, 0b001):
+        store.append(mask)
+    first = check_value(store, store.terms(), box, +1)
+    # (1 - x0) x1 x2 five times turns the sign of the derivative in x0
+    for _ in range(5):
+        store.append(0b110)
+    second = check_value(store, store.terms(), box, +1)
+    assert first.vertex != second.vertex
+    assert check_value(store, store.terms(), box, +1) == second
+
+
+def test_no_whole_store_work_is_left(monkeypatch):
+    """On the checkpoints of `checkpoint_stores(1)`: a substitution always
+    leaves a variable of its rows free, and no round certifies rows
+    without variables, since a round that certifies every live variable
+    ends the search."""
+    fixes_all, constant = [], []
+    substitute, certify = TermArray.substitute, TermArray.certify
+
+    def spy_substitute(self, values):
+        fixes_all.append(set(values) >= set(self.variables()))
+        return substitute(self, values)
+
+    def spy_certify(self, lo, hi):
+        constant.append(not self.variables())
+        return certify(self, lo, hi)
+
+    monkeypatch.setattr(TermArray, "substitute", spy_substitute)
+    monkeypatch.setattr(TermArray, "certify", spy_certify)
+    checkpoint_stores(1, monkeypatch)  # the run, then undo
+    assert not any(fixes_all)
+    assert not any(constant)
+
+
 def test_second_round_certifies_what_the_first_could_not(monkeypatch):
     # f = x0 x1 - 0.5 (1 - x0) x1.  d/dx0 = 1.5 x1 > 0, but the termwise
     # interval of d/dx1 = x0 - 0.5 (1 - x0) straddles 0 until x0 is fixed.
@@ -197,8 +284,9 @@ def test_second_round_certifies_what_the_first_could_not(monkeypatch):
     monkeypatch.setattr(TermArray, "certify",
                         lambda self, a, b: rounds.append(len(self)) or certify(self, a, b))
     mx, mn = maximize(terms, box), minimize(terms, box)
-    # rows seen per round: two certifying rounds, then a constant row
-    assert rounds == [2, 1, 1, 2, 1, 1]
+    # rows seen per round: round 2 certifies the last variable, which
+    # ends the search
+    assert rounds == [2, 1, 2, 1]
     assert mx.exact and mx.vertex == (0.5, 0.2) and math.isclose(mx.value, 0.05)
     assert mn.exact and mn.vertex == (0.2, 0.2) and math.isclose(mn.value, -0.04)
 
@@ -345,7 +433,7 @@ def test_no_round_starts_after_the_deadline(monkeypatch):
 
     rounds = counting_certify(monkeypatch)
     full = robustness_bounds(*stores(), box)
-    assert len(rounds) > 2  # a round after the first on some side
+    assert rounds == [17]  # one round after the first, on one side
     rounds.clear()
     late = robustness_bounds(*stores(), box, deadline=time.monotonic() - 1.0)
     assert rounds == []
