@@ -76,6 +76,7 @@ from .errorspace import (
     n_words,
     row_keys,
     words_of,
+    words_of_bits,
 )
 
 import numpy as np
@@ -536,9 +537,7 @@ def _words_of_lines(lines, n: int, what: str) -> np.ndarray:
             raise ProtocolError(f"{what} {line!r}")
         got.append(line)
     bits = np.frombuffer("".join(got).encode("ascii"), dtype=np.uint8).reshape(len(got), n)
-    out = np.zeros((len(got), 8 * n_words(n)), dtype=np.uint8)
-    out[:, :-(-n // 8)] = np.packbits(bits == ord("1"), axis=1, bitorder="little")
-    return out.view("<u8")
+    return words_of_bits(bits == ord("1"))
 
 
 def serve(decoder: Decoder, stdin, stdout) -> None:

@@ -46,10 +46,9 @@ from .decoders import Decoder, LogicalErrorClassifier
 from .errorspace import (
     STRATEGIES,
     VisitOrder,
-    bits_of,
     ints_of,
     n_words,
-    supports_of_bits,
+    supports_of_words,
     words_of,
 )
 from .polynomial import (
@@ -213,7 +212,7 @@ class _BlockCore:
 
     def supports(self, masks: list[int]) -> np.ndarray:
         """Padded support rows of Python-int bitstrings."""
-        return supports_of_bits(bits_of(words_of(masks, n_words(self.n)), self.n))
+        return supports_of_words(words_of(masks, n_words(self.n)), self.n)
 
     def _read_ahead(self, m: int) -> None:
         """Evaluate the next m strings of the order into the buffer."""

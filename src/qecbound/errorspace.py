@@ -22,7 +22,9 @@ a prefix of that run, with an end derived from the one count.
 `Footprints` holds every channel's detector, observable and channel bit
 sets as rows of ceil(width/64) uint64 words, with an empty row n, so a
 block's syndromes are the XOR of one gathered row per support column,
-for every detector count.
+for every detector count.  Bit sets of any width become support rows
+through one function, `supports_of_words`, and bool rows become bit sets
+through `words_of_bits`.
 """
 
 from __future__ import annotations
@@ -142,13 +144,34 @@ def bits_of(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(bytes_of(words), axis=1, count=n, bitorder="little").view(bool)
 
 
-def supports_of_bits(bits: np.ndarray) -> np.ndarray:
-    """Padded support rows of [B, n] bool rows."""
+def words_of_bits(bits: np.ndarray) -> np.ndarray:
+    """[B, n] bool rows as [B, n_words(n)] uint64 bit sets (inverse of bits_of)."""
     n = bits.shape[1]
-    count = bits.sum(axis=1)
-    width = int(count.max(initial=0))
-    first = np.argsort(~bits, axis=1, kind="stable")[:, :width]
-    return np.where(np.arange(width) < count[:, None], first, n)
+    out = np.zeros((len(bits), 8 * n_words(n)), dtype=np.uint8)
+    out[:, :-(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def supports_of_words(words: np.ndarray, n: int) -> np.ndarray:
+    """Padded support rows of [B, words] bit sets: each row's channels in
+    ascending order, padded with n to the most bits of any row.  Each word
+    gives one column per bit a row has in it, lowest first; the columns
+    are sorted only when there are several words."""
+    cols = []
+    for w in range(words.shape[1]):
+        x = words[:, w].copy()
+        while x.any():
+            low = x & (~x + np.uint64(1))  # lowest bit set, 0 for none
+            var = np.bitwise_count(low - np.uint64(1)).astype(np.intp) + 64 * w
+            cols.append(np.where(low != 0, var, n))
+            x ^= low
+    if not cols:
+        return np.zeros((len(words), 0), dtype=np.intp)
+    sup = np.stack(cols, axis=1)
+    if words.shape[1] > 1:
+        sup.sort(axis=1)
+        sup = sup[:, :int(np.bitwise_count(words).sum(axis=1).max())]
+    return sup
 
 
 class Footprints:

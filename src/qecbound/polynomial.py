@@ -42,19 +42,21 @@ per-variable `derivative(i).termwise`, so the decisions equal that
 reference's.  Every variable takes it when a product could leave the
 normal range, judged from the rows actually fed, or when a live
 variable has an end at 1.  The pass is a running sum over rows
-(`_SignPass`) in factored form: rows of one cover share the product G
-of their 1 - x_j factors, and a row's other factors are G / N_k times a
-product of ratios x_j / (1 - x_j) over its positive literals, so a row
-costs its positive literals rather than every variable.  Per variable,
-the sum over the rows that hold 1 - x_k is one total per cover minus a
-sparse sum over the rows that hold x_k or a partner.  In its error
-bound, A counts the additions any one value takes part in; `certify`
-feeds a fresh pass every row at once.  A `MintermStore` keeps the pass
-of the last box it was asked about, so round 1 of a robustness
-checkpoint adds only the rows stored since the previous one.  A pass
-takes rows in weight order, as `hamming` stores them, and the store
-starts a fresh one when a row comes out of order; later rounds certify
-the substituted terms afresh.
+(`_SignPass`) in factored form.  A pass holds rows of one cover (the
+variables of a row's literals), as every store and substituted round
+does: they share the product G of their 1 - x_j factors, and a row's
+other factors are G / N_k times a product of ratios x_j / (1 - x_j) over
+its positive literals, so a row costs its positive literals rather than
+every variable.  Per variable, the sum over the rows that hold 1 - x_k
+is one total minus a sparse sum over the rows that hold x_k or a
+partner.  In its error bound, A counts the additions any one value takes
+part in.  `certify` feeds rows of one cover to a fresh pass all at once;
+rows of several covers take the per-variable reference.  A
+`MintermStore` keeps the pass of the last box it was asked about, so
+round 1 of a robustness checkpoint adds only the rows stored since the
+previous one.  A pass takes rows in weight order, as `hamming` stores
+them, and the store starts a fresh one when a row comes out of order;
+later rounds certify the substituted terms afresh.
 
 Summation.  Per-term products multiply their factors in variable order,
 and every value reported is their `math.fsum` sum, rounded once: the
@@ -83,7 +85,8 @@ import time
 from dataclasses import dataclass, field
 
 # Package module before numpy; see the note in decoders.py.
-from .errorspace import bits_of as _bits_of, n_words as _n_words, row_keys, words_of as _words_of
+from .errorspace import (bits_of as _bits_of, n_words as _n_words, row_keys,
+                         supports_of_words, words_of as _words_of)
 
 import numpy as np
 
@@ -141,9 +144,11 @@ class Hyperrectangle:
     @staticmethod
     def scaled(v, lo_scale: float, hi_scale: float) -> "Hyperrectangle":
         """Multiplicative box around a nominal point, clipped to [0, 1]."""
-        lo = tuple(max(0.0, x * lo_scale) for x in v)
-        hi = tuple(min(1.0, x * hi_scale) for x in v)
-        return Hyperrectangle(lo, hi)
+        lo = [x * lo_scale for x in v]
+        hi = [x * hi_scale for x in v]
+        if any(map(math.isnan, lo + hi)):  # max and min would drop a NaN, as from 0 * inf
+            raise ValueError(f"box scale ({lo_scale}, {hi_scale}) gives an end that is not a number")
+        return Hyperrectangle(tuple(max(0.0, x) for x in lo), tuple(min(1.0, x) for x in hi))
 
 
 class MintermEvaluator:
@@ -376,18 +381,22 @@ class TermArray:
         return TermArray(coef, self.pos & clear, self.neg & clear).merged()
 
     def certify(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Signs of every live variable's derivative bounds, in one pass.
+        """Signs of every live variable's derivative bounds.
 
         Returns (variables, lo_sign, hi_sign): the sorted variables that
         occur in some row and, for each, the signs (-1, 0 or 1) of d_lo and
-        d_hi in `self.derivative(var).termwise(lo, hi)`.  Rows must be
-        merged (no (pos, neg) twice).  This is a fresh `_SignPass` fed every
-        row at once."""
-        if not self.variables():
+        d_hi in `self.derivative(var).termwise(lo, hi)`.  Rows of one cover
+        (every store and substituted round) must be merged (no pos twice)
+        and take one fresh `_SignPass` fed every row at once; rows of
+        several covers take that reference for each variable."""
+        live = self.variables()
+        if not live:
             return (np.zeros(0, dtype=np.intp),) * 3
         covers = self.pos | self.neg
-        one = not (covers != covers[0]).any()
-        sign_pass = _SignPass(lo, hi, self.pos.shape[1], covers[0] if one else None)
+        if (covers != covers[0]).any():
+            signs = np.array([np.sign(self.derivative(var).termwise(lo, hi)) for var in live])
+            return np.array(live, dtype=np.intp), signs[:, 0], signs[:, 1]
+        sign_pass = _SignPass(lo, hi, covers[0])
         if not sign_pass.update(self):
             raise ValueError("certify needs merged rows")
         return sign_pass.signs(self)
@@ -449,25 +458,6 @@ class TermArray:
         return total
 
 
-def _row_key(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """One sortable key per (pos, neg) row."""
-    return row_keys(np.hstack((pos, neg)))
-
-
-def _supports(words: np.ndarray, n: int) -> np.ndarray:
-    """[rows, c] the variables of each row's bits in ascending order, padded
-    with n: per word, as many columns as the most bits a row has in it."""
-    cols = []
-    for w in range(words.shape[1]):
-        x = words[:, w].copy()
-        while x.any():
-            low = x & (~x + np.uint64(1))  # lowest bit set, 0 for none
-            var = np.bitwise_count(low - np.uint64(1)).astype(np.intp) + 64 * w
-            cols.append(np.where(low != 0, var, n))
-            x ^= low
-    return np.stack(cols, axis=1) if cols else np.zeros((len(words), 0), dtype=np.intp)
-
-
 class _SignPass:
     """`TermArray.certify` as a running sum over rows.
 
@@ -478,9 +468,9 @@ class _SignPass:
     the row's other factors at the box end that the coefficient's sign
     selects: at_min for a coefficient >= 0 on the d_lo side and for one
     < 0 on the d_hi side, at_max otherwise.  The pass also keeps A (see
-    `signs`), the variables that occur, the rows' keys, sorted, with their
-    coefficients, and the log2 range of the partial products (see
-    `signs`).  `update` adds rows and `signs` reads the signs off the sums.
+    `signs`), the rows' keys, sorted, with their coefficients, and the
+    log2 range of the partial products (see `signs`).  `update` adds rows
+    and `signs` reads the signs off the sums.
 
     Merging.  A row holding x_k merges in d/dx_k with its partner, the row
     with the same other literals and 1 - x_k.  Both have the same other
@@ -515,21 +505,19 @@ class _SignPass:
     what an earlier update added).  Each sum has one value per positive
     literal and T one per class, so an update costs O(positive literals
     + variables) rather than O(rows x variables).  `update` takes the
-    rows in pieces of one cover and at most _SIGN_CELLS positive-literal
-    cells.  The values that cancel stay in `mags`, which takes G / N_k
-    times |T| plus the sparse magnitudes: in floating point the error of
-    the difference is that of its parts.
+    rows in pieces of at most _SIGN_CELLS positive-literal cells.  The
+    values that cancel stay in `mags`, which takes G / N_k times |T| plus
+    the sparse magnitudes: in floating point the error of the difference
+    is that of its parts.
 
-    Keys.  A pass made with its rows' one `cover` keys a row by its pos
-    words (`row_keys`, one uint64 for n <= 64) and refuses rows of another
-    cover; every store and every substituted round has one cover.  A pass
-    without keys rows by (pos, neg) and takes each cover on its own.
+    Keys.  A pass holds rows of one `cover`, given when it is made, and
+    keys a row by its pos words (`row_keys`, one uint64 for n <= 64).
     """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, n_words: int,
-                 cover: np.ndarray | None = None) -> None:
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, cover: np.ndarray) -> None:
         self.lo, self.hi = lo, hi
-        self.cover = cover  # [n_words] pos | neg of every row, or None
+        self.cover = cover  # [n_words] pos | neg of every row
+        self.live = np.flatnonzero(_bits_of(cover[None, :], lo.size)[0])
         self.sums = np.zeros((2, lo.size))  # d_lo, d_hi
         self.mags = np.zeros((2, lo.size))
         self.count = 0  # A
@@ -547,13 +535,9 @@ class _SignPass:
         self.log_below = np.hstack((np.where(ratio > 0.0, np.minimum(log_r, 0.0), 0.0), pad))
         self.log_above = np.hstack((np.maximum(log_r, 0.0), pad))
         self.floor, self.ceiling = math.inf, -math.inf
-        self.occur = np.zeros(n_words, dtype=np.uint64)
-        empty = np.zeros((0, n_words), dtype=np.uint64)
-        self.keys, self.coef = self._key(empty, empty), np.zeros(0)
+        self.keys = row_keys(np.zeros((0, cover.size), dtype=np.uint64))
+        self.coef = np.zeros(0)
         self.heaviest = 0  # most positive literals of a row held
-
-    def _key(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        return _row_key(pos, neg) if self.cover is None else row_keys(pos)
 
     def update(self, rows: TermArray) -> bool:
         """Add rows; False, with nothing added, when a row's key is in the
@@ -564,42 +548,31 @@ class _SignPass:
         if not size:
             return True
         weight = np.bitwise_count(rows.pos).sum(axis=1)
-        covers = rows.pos | rows.neg
-        if weight.min() < self.heaviest or (
-                self.cover is not None and (covers != self.cover).any()):
+        if weight.min() < self.heaviest or ((rows.pos | rows.neg) != self.cover).any():
             return False
-        all_keys = np.concatenate((self.keys, self._key(rows.pos, rows.neg)))
+        all_keys = np.concatenate((self.keys, row_keys(rows.pos)))
         order = np.argsort(all_keys)
         all_keys = all_keys[order]
         if (all_keys[1:] == all_keys[:-1]).any():
             return False
         all_coef = np.concatenate((self.coef, rows.coef))[order]
-        groups = [rows]
-        if self.cover is None:
-            cover_keys = row_keys(covers)
-            by = np.argsort(cover_keys, kind="stable")
-            cuts = np.flatnonzero(cover_keys[by][1:] != cover_keys[by][:-1]) + 1
-            groups = [rows[g] for g in np.split(by, cuts)]
         step = max(1, _SIGN_CELLS // max(int(weight.max()), 1))
-        for group in groups:
-            for r0 in range(0, len(group), step):
-                piece = group[r0:r0 + step]
-                # log2(0) is -inf for the guard of `signs`, which then
-                # reads no sum that left the range
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    self._add(piece, all_keys, all_coef)
-                self.count += len(piece) + 4
-        self.occur |= np.bitwise_or.reduce(covers, axis=0)
+        for r0 in range(0, size, step):
+            piece = rows[r0:r0 + step]
+            # log2(0) is -inf for the guard of `signs`, which then reads no
+            # sum that left the range
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                self._add(piece, all_keys, all_coef)
+            self.count += len(piece) + 4
         self.keys, self.coef = all_keys, all_coef
         self.heaviest = int(weight.max())
         return True
 
     def _add(self, rows: TermArray, keys: np.ndarray, coef: np.ndarray) -> None:
-        """Add the operands of rows of one cover, in the factored form;
-        `keys` and `coef` are those of every row held, in key order."""
-        n = self.lo.size
-        cover = np.flatnonzero(_bits_of(rows.pos[:1] | rows.neg[:1], n)[0])
-        sup = _supports(rows.pos, n)
+        """Add the operands of rows, in the factored form; `keys` and `coef`
+        are those of every row held, in key order."""
+        n, cover = self.lo.size, self.live
+        sup = supports_of_words(rows.pos, n)
         cells = np.flatnonzero(sup < n)  # the positive literals, row by row
         t, var = cells // max(sup.shape[1], 1), sup.ravel()[cells]
         query = self._partner_keys(rows, t, var)
@@ -645,14 +618,9 @@ class _SignPass:
     def _partner_keys(self, rows: TermArray, t: np.ndarray, var: np.ndarray) -> np.ndarray:
         """Keys of rows t with variable var moved from pos to neg."""
         k, w = np.arange(t.size), var // 64
-        bit = np.left_shift(np.uint64(1), (var % 64).astype(np.uint64))
         pos = rows.pos[t]
-        pos[k, w] ^= bit
-        if self.cover is not None:
-            return row_keys(pos)
-        neg = rows.neg[t]
-        neg[k, w] ^= bit
-        return _row_key(pos, neg)
+        pos[k, w] ^= np.left_shift(np.uint64(1), (var % 64).astype(np.uint64))
+        return row_keys(pos)
 
     def signs(self, terms: TermArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`terms.certify(lo, hi)`, where `terms` holds the rows fed so far,
@@ -700,7 +668,7 @@ class _SignPass:
         live variable has an end at 1: a factor N is 0 and there is no G
         to factor out.  Otherwise a variable in doubt takes the reference,
         `terms.derivative(var).termwise`, itself."""
-        live = np.flatnonzero(_bits(self.occur[None, :], self.lo.size)[:, 0])
+        live = self.live if len(self.keys) else self.live[:0]
         if not live.size:
             return live, live, live
         sums, mags = self.sums[:, live], self.mags[:, live]
@@ -777,7 +745,7 @@ class MintermStore:
         if box != self._box:
             self._box, self._pass, self._fed = box, None, 0
         if self._pass is None or not self._pass.update(terms[self._fed:]):
-            self._pass = _SignPass(*_box_arrays(box), self._full.shape[1], self._full[0])
+            self._pass = _SignPass(*_box_arrays(box), self._full[0])
             self._pass.update(terms.merged())
         self._fed = len(terms)
         if len(self._pass.keys) < len(terms):  # a bitstring repeats

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoders import LogicalErrorClassifier
-from .errorspace import VisitOrder, ints_of, n_words, supports_of_bits
+from .errorspace import VisitOrder, ints_of, n_words, supports_of_words, words_of_bits
 from .polynomial import BoundAccumulators
 
 REJECTION_GUARD = 1_000_000
@@ -185,7 +185,7 @@ def direct_sampling_interval(model, v, decoder, n: int, alpha: float, rng_seed) 
     remaining = n
     while remaining > 0:
         take = min(remaining, _BATCH)
-        supp = supports_of_bits(_draw_batch(varr, rng, take))
+        supp = supports_of_words(words_of_bits(_draw_batch(varr, rng, take)), varr.size)
         hits += int(np.count_nonzero(classify(supp.T)))
         remaining -= take
     ci = kl_confidence_interval(hits / n, n, alpha)

@@ -25,6 +25,7 @@ from qecbound.errorspace import (
     bits_to_str,
     first_position_of_weight,
     ints_of,
+    row_keys,
     unrank_position,
     weight,
 )
@@ -34,7 +35,6 @@ from qecbound.polynomial import (
     TermArray,
     _bits,
     _chunk_rows,
-    _row_key,
 )
 from qecbound.sampling import sample_unseen_batch
 
@@ -225,6 +225,11 @@ def _others(f: np.ndarray) -> np.ndarray:
     f[-1] = pre[-1]
     np.multiply(pre[:-1], suf[1:], out=f[1:-1])
     return f
+
+
+def _row_key(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """One sortable key per (pos, neg) row."""
+    return row_keys(np.hstack((pos, neg)))
 
 
 def _partner_key(rows: TermArray, t: np.ndarray, var: np.ndarray) -> np.ndarray:

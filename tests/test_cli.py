@@ -157,6 +157,17 @@ def test_robustness_box_scale_needs_two_numbers(program_file, scale):
         main(["robustness", program_file, "--box-scale", scale])
 
 
+@pytest.mark.parametrize("scale", ["nan,1.1", "0.9,nan", "nan,nan", "0.9,inf"])
+def test_robustness_nan_box_scale_is_an_error(tmp_path, scale, capsys):
+    # channel 0 has rate 0, so the scale inf gives it the end 0 * inf = NaN
+    dem = tmp_path / "zero.dem"
+    dem.write_text("dem 2 1\nerror(0) D0 L0\nerror(0.01) D0 D1\nerror(0.01) D1\n")
+    assert main(["robustness", str(dem), "--decoder", "greedy", "--box-scale", scale]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "box scale" in err
+    assert "Traceback" not in err
+
+
 def test_negative_max_shots_is_an_error(program_file, capsys):
     assert main(["accuracy", program_file, "--max-shots", "-1"]) == 1
     err = capsys.readouterr().err

@@ -102,6 +102,15 @@ def test_hyperrectangle_scaled_clips():
     assert box.upper == (1.0, 0.02)
 
 
+@pytest.mark.parametrize("v,lo_scale,hi_scale", [
+    ((0.6, 0.01), math.nan, 1.1), ((0.6, 0.01), 0.9, math.nan), ((0.6, 0.01), math.nan, math.nan),
+    ((0.0, 0.01), 0.9, math.inf),  # 0 * inf is NaN
+])
+def test_hyperrectangle_scaled_rejects_a_nan_end(v, lo_scale, hi_scale):
+    with pytest.raises(ValueError, match="box scale"):
+        Hyperrectangle.scaled(v, lo_scale, hi_scale)
+
+
 def test_evaluate_terms_matches_direct():
     terms = terms_from_bitstrings([0b01, 0b10], 2)
     v = (0.3, 0.7)

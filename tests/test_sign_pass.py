@@ -14,6 +14,7 @@ import qecbound.polynomial as polynomial
 from qecbound import RunConfig, build_greedy_decoder
 from qecbound.errorspace import n_words, words_of
 from qecbound.polynomial import (
+    NEG,
     POS,
     Hyperrectangle,
     MintermStore,
@@ -25,6 +26,7 @@ from qecbound.polynomial import (
 
 from test_optimizer_properties import polynomials
 from test_optimizer_rounds import seeded_model
+from test_sign_pass_factored import reference_signs
 
 
 def rows(terms: TermArray, a: int, b: int) -> TermArray:
@@ -32,7 +34,7 @@ def rows(terms: TermArray, a: int, b: int) -> TermArray:
 
 
 def fed_in_parts(terms: TermArray, cuts, lo, hi):
-    sign_pass = _SignPass(lo, hi, terms.pos.shape[1])
+    sign_pass = _SignPass(lo, hi, terms.pos[0] | terms.neg[0])
     ends = [0, *cuts, len(terms)]
     for a, b in zip(ends, ends[1:]):
         assert sign_pass.update(rows(terms, a, b))
@@ -56,9 +58,13 @@ def test_rows_fed_in_parts_give_one_certify(case, cuts, rng):
     order.sort(key=lambda t: weight[t])
     arr = TermArray(arr.coef[order], arr.pos[order], arr.neg[order])
     lo, hi = np.array(box.lower), np.array(box.upper)
-    expect = arr.certify(lo, hi)
-    cuts = sorted(min(c, len(arr)) for c in cuts)
-    assert_same(fed_in_parts(arr, cuts, lo, hi), expect)
+    assert_same(arr.certify(lo, hi), reference_signs(arr, lo, hi))
+    # a pass holds rows of one cover: each cover's rows go to a pass of their own
+    covers, which = np.unique(arr.pos | arr.neg, axis=0, return_inverse=True)
+    for i in range(len(covers)):
+        part = arr[which.ravel() == i]
+        part_cuts = sorted(min(c, len(part)) for c in cuts)
+        assert_same(fed_in_parts(part, part_cuts, lo, hi), part.certify(lo, hi))
 
 
 def test_lighter_row_after_a_heavier_one_is_refused():
@@ -66,7 +72,7 @@ def test_lighter_row_after_a_heavier_one_is_refused():
     lo, hi = np.full(n, 0.1), np.full(n, 0.2)
     store = MintermStore(n)
     store.extend(words_of([0b0011, 0b0101, 0b0111], n_words(n)))
-    sign_pass = _SignPass(lo, hi, n_words(n))
+    sign_pass = _SignPass(lo, hi, words_of([(1 << n) - 1], n_words(n))[0])
     assert sign_pass.update(store.terms())
     state = [sign_pass.sums.copy(), sign_pass.mags.copy(), sign_pass.count,
              sign_pass.keys.copy(), sign_pass.coef.copy()]
@@ -84,17 +90,28 @@ def test_lighter_row_after_a_heavier_one_is_refused():
     assert_same(sign_pass.signs(store.terms()), store.terms().certify(lo, hi))
 
 
-def test_doubt_is_resolved_when_the_rows_come_in_two_updates():
-    # the example of test_certify_takes_the_reference_where_the_sign_is_in_doubt:
-    # d/dx0 = x1 + 1e-17 x2 - x3 at x1 = x2 = x3 = 1 sums to 0 in row order
+def test_doubt_is_resolved_when_the_rows_come_in_two_updates(monkeypatch):
+    # the example of test_certify_takes_the_reference_where_the_sign_is_in_doubt
+    # on one cover: d/dx0 = x1 (1-x2)(1-x3) + 1e-17 (1-x1) x2 (1-x3)
+    # - (1-x1)(1-x2) x3 at x1 = x2 = x3 = 0.5 sums to 0 in row order, but
+    # its exact value is 1.25e-18 > 0
     terms = TermArray.from_signed([
-        SignedTerm(1.0, ((0, POS), (1, POS))),
-        SignedTerm(1e-17, ((0, POS), (2, POS))),
-        SignedTerm(-1.0, ((0, POS), (3, POS))),
+        SignedTerm(1.0, ((0, POS), (1, POS), (2, NEG), (3, NEG))),
+        SignedTerm(1e-17, ((0, POS), (1, NEG), (2, POS), (3, NEG))),
+        SignedTerm(-1.0, ((0, POS), (1, NEG), (2, NEG), (3, POS))),
     ], 4)
-    lo, hi = np.array([0.2, 1.0, 1.0, 1.0]), np.array([0.5, 1.0, 1.0, 1.0])
+    lo, hi = np.array([0.2, 0.5, 0.5, 0.5]), np.array([0.5, 0.5, 0.5, 0.5])
+    assert terms.derivative(0).termwise(lo, hi) == (1.25e-18, 1.25e-18)
+    doubted, derivative = [], TermArray.derivative
+
+    def recorded_derivative(self, var):
+        doubted.append(var)
+        return derivative(self, var)
+
+    monkeypatch.setattr(TermArray, "derivative", recorded_derivative)
     live, lo_sign, hi_sign = fed_in_parts(terms, [2], lo, hi)
     assert live.tolist() == [0, 1, 2, 3]
+    assert 0 in doubted  # the pass's sum is in doubt, so x0 takes the reference
     assert (lo_sign[0], hi_sign[0]) == (1, 1)
 
 
@@ -315,3 +332,42 @@ def test_a_store_keeps_its_pass_while_it_is_empty(monkeypatch):
     assert len(built) == 2
     assert len(empty_calls) >= 2 and len(set(empty_calls)) == 1
     assert list(built.values()) == [1, 1]
+
+
+@pytest.mark.parametrize("scale", [(0.9, 1.1), (0.3, 3.0)])
+@pytest.mark.parametrize("strategy,distance", [("hamming", None), ("split", 3),
+                                               ("local-flip", None)])
+def test_every_pass_of_a_robustness_run_holds_one_cover(strategy, distance, scale, monkeypatch):
+    """Stores and substituted rounds hold rows of one cover: on 4096-shot
+    robustness runs every `certify` call and every row fed to a
+    `_SignPass` has its pass's one cover, so no run takes the per-variable
+    reference that `certify` keeps for rows of several covers."""
+    certified, made, fed = [], [], []
+    certify, init, update = TermArray.certify, _SignPass.__init__, _SignPass.update
+
+    def one_cover(rows: TermArray, cover) -> bool:
+        return bool(((rows.pos | rows.neg) == cover).all())
+
+    def checked_certify(self, lo, hi):
+        certified.append(not len(self) or one_cover(self, self.pos[0] | self.neg[0]))
+        return certify(self, lo, hi)
+
+    def checked_init(self, lo, hi, cover):
+        made.append(cover)
+        init(self, lo, hi, cover)
+
+    def checked_update(self, rows):
+        fed.append(one_cover(rows, self.cover))
+        return update(self, rows)
+
+    monkeypatch.setattr(TermArray, "certify", checked_certify)
+    monkeypatch.setattr(_SignPass, "__init__", checked_init)
+    monkeypatch.setattr(_SignPass, "update", checked_update)
+    model = seeded_model(1)
+    box = Hyperrectangle.scaled(model.concrete_probabilities(), *scale)
+    mid = tuple(0.5 * (a + b) for a, b in zip(box.lower, box.upper))
+    driver.run_robustness(model, build_greedy_decoder(model, mid), box,
+                          RunConfig(mode="robustness", strategy=strategy,
+                                    distance_ansatz=distance, max_shots=4096))
+    assert made and fed and certified
+    assert all(fed) and all(certified)

@@ -57,10 +57,10 @@ def in_weight_order(terms: TermArray, rng: random.Random) -> TermArray:
     return terms[np.array(order, dtype=np.intp)]
 
 
-def fed_in_parts(terms: TermArray, cuts, lo, hi, cover=None):
-    """A `_SignPass` and a `DenseSignPass`, each fed the rows in the parts
-    that `cuts` gives."""
-    new = _SignPass(lo, hi, terms.pos.shape[1], cover)
+def fed_in_parts(terms: TermArray, cuts, lo, hi, cover):
+    """A `_SignPass` and a `DenseSignPass`, each fed the rows, all of one
+    cover, in the parts that `cuts` gives."""
+    new = _SignPass(lo, hi, cover)
     dense = DenseSignPass(lo, hi, terms.pos.shape[1])
     ends = [0, *sorted(min(c, len(terms)) for c in cuts), len(terms)]
     for a, b in zip(ends, ends[1:]):
@@ -136,13 +136,15 @@ def test_signs_equal_the_per_variable_reference(case, cuts, rng):
         return
     terms = in_weight_order(terms, rng)
     lo, hi = np.array(box.lower), np.array(box.upper)
-    covers = terms.pos | terms.neg
-    cover = covers[0] if not (covers != covers[0]).any() and rng.random() < 0.5 else None
-    new, dense = fed_in_parts(terms, cuts, lo, hi, cover)
-    expect = reference_signs(terms, lo, hi)
-    assert_same(new.signs(terms), expect)
-    if not guarded(new, expect[0]):
-        assert_within_bound(new, dense, expect[0])
+    # a pass holds rows of one cover: each cover's rows go to passes of their own
+    covers, which = np.unique(terms.pos | terms.neg, axis=0, return_inverse=True)
+    for i, cover in enumerate(covers):
+        part = terms[which.ravel() == i]
+        new, dense = fed_in_parts(part, cuts, lo, hi, cover)
+        expect = reference_signs(part, lo, hi)
+        assert_same(new.signs(part), expect)
+        if not guarded(new, expect[0]):
+            assert_within_bound(new, dense, expect[0])
 
 
 @pytest.mark.parametrize("n,seed", [(39, 1), (39, 2), (70, 3), (150, 4)])
