@@ -63,6 +63,7 @@ from .polynomial import (
 )
 from .sampling import (
     RejectionGuardExceeded,
+    TailSampler,
     kl_confidence_interval,
     probabilistic_bounds,
     sample_unseen_batch,
@@ -211,7 +212,8 @@ class _BlockCore:
                      None if self.evaluator is None else self.evaluator.block(cols))
 
     def supports(self, masks: list[int]) -> np.ndarray:
-        """Padded support rows of Python-int bitstrings."""
+        """Padded support rows of Python-int bitstrings (the walk's
+        detours)."""
         return supports_of_words(words_of(masks, n_words(self.n)), self.n)
 
     def _read_ahead(self, m: int) -> None:
@@ -344,6 +346,7 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
     acc = BoundAccumulators()
     # Made only when sampling: the generator costs megabytes of RSS.
     rng = np.random.default_rng(config.seed) if config.sample_count else None
+    tail = TailSampler(v) if config.sample_count else None
     t0 = time.monotonic()
     # Enumeration and the tail sampler stop here.
     deadline = None if config.time_limit is None else t0 + config.time_limit
@@ -358,13 +361,13 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
         if not config.sample_count or shots == 1 << core.n:
             continue
         try:
-            samples = sample_unseen_batch(v, core.order, rng, config.sample_count,
+            samples = sample_unseen_batch(tail, core.order, rng, config.sample_count,
                                           deadline=deadline)
         except RejectionGuardExceeded:
             continue
-        if not samples:  # the time limit passed before the first batch
+        if not len(samples):  # the time limit passed before the first batch
             continue
-        hits = int(np.count_nonzero(core.classify(core.supports(samples).T)))
+        hits = int(np.count_nonzero(core.classify(supports_of_words(samples, core.n).T)))
         sampled += len(samples)
         ci = kl_confidence_interval(hits / len(samples), len(samples), config.alpha)
         plo, phi, alpha = probabilistic_bounds(acc, ci)

@@ -18,7 +18,9 @@ ends.  The order is also the visited set: its first `taken - held`
 strings (given, less the last ones held back, not yet visited), plus the
 `local-flip` walk's out-of-order extras.  How many of its first k
 strings each run gave is a function of k, so each run's visited part is
-a prefix of that run, with an end derived from the one count.
+a prefix of that run, with an end derived from the one count.  Membership
+is asked of a block of word rows at once: each row is compared with the
+two visited ends (`precedes`) and looked up among the extras.
 `Footprints` holds every channel's detector, observable and channel bit
 sets as rows of ceil(width/64) uint64 words, with an empty row n, so a
 block's syndromes are the XOR of one gathered row per support column,
@@ -83,15 +85,6 @@ def unrank_position(pos: int, n: int) -> int:
 
 def first_position_of_weight(w: int, n: int) -> int:
     return sum(comb(n, j) for j in range(w))
-
-
-def precedes(a: int, b: int) -> bool:
-    """Whether string `a` comes before `b` in the weight order."""
-    wa, wb = a.bit_count(), b.bit_count()
-    if wa != wb:
-        return wa < wb
-    d = a ^ b
-    return bool(a & d & -d)  # a holds the lowest channel where they differ
 
 
 STRATEGIES = ("hamming", "split", "local-flip")
@@ -161,7 +154,7 @@ def supports_of_words(words: np.ndarray, n: int) -> np.ndarray:
     for w in range(words.shape[1]):
         x = words[:, w].copy()
         while x.any():
-            low = x & (~x + np.uint64(1))  # lowest bit set, 0 for none
+            low = x & -x  # lowest bit set, 0 for none
             var = np.bitwise_count(low - np.uint64(1)).astype(np.intp) + 64 * w
             cols.append(np.where(low != 0, var, n))
             x ^= low
@@ -172,6 +165,24 @@ def supports_of_words(words: np.ndarray, n: int) -> np.ndarray:
         sup.sort(axis=1)
         sup = sup[:, :int(np.bitwise_count(words).sum(axis=1).max())]
     return sup
+
+
+def precedes(rows: np.ndarray, end: int) -> np.ndarray:
+    """Whether each of [B, words] bit sets comes before the string `end` in
+    the weight order: it is lighter, or it has the same weight and holds
+    the lowest channel where the two differ (the lowest set bit of their
+    XOR in the lowest word where they differ).  `end` may be wider than
+    the rows, as the order's end marker is."""
+    holds = np.zeros(len(rows), dtype=bool)
+    for j in range(rows.shape[1] - 1, -1, -1):  # a lower word that differs decides
+        r = rows[:, j]
+        d = r ^ np.uint64(end >> 64 * j & _WORD_MASK)
+        np.copyto(holds, r & d & -d != 0, where=d != 0)  # d & -d: lowest set bit
+    weights = np.bitwise_count(rows).sum(axis=1)
+    w = end.bit_count()
+    holds &= weights == w
+    holds |= weights < w
+    return holds
 
 
 class Footprints:
@@ -295,10 +306,13 @@ class VisitOrder:
     visits, which leave `extras` once the in-order prefix reaches them),
     so there are `len(order)` of them.  Each run's visited part is the
     prefix of it given by its share of `taken - held`, and each run starts
-    at a weight boundary.  A string is thus visited if it precedes the low
-    run's visited end, lies in `extras`, or has weight >= w and precedes
-    the high run's visited end.  The two end strings are unranked at the
-    first query after a `take` or `hold`.
+    at a weight boundary.  So `contains_rows` answers membership for a
+    block of word rows at once, by one rule: a row is visited if it
+    precedes the low run's visited end (it is lighter, or it has the same
+    weight and holds the lowest channel where the two differ), if it has
+    weight >= w and precedes the high run's visited end, or if it lies in
+    `extras`.  The two end strings are unranked at the first query after a
+    `take` or `hold`.
     """
 
     def __init__(self, n: int, distance: int | None = None) -> None:
@@ -315,10 +329,17 @@ class VisitOrder:
     def __len__(self) -> int:
         return self.taken - self.held + len(self.extras)
 
-    def __contains__(self, mask: int) -> bool:
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each string of [B, n_words(n)] uint64 rows is visited:
+        it precedes the low run's visited end, it has weight >= w and
+        precedes the high run's visited end, or it lies in `extras`."""
         lo, hi = self._ends or self._unrank_ends()
-        return (precedes(mask, lo) or mask in self.extras
-                or hi is not None and mask.bit_count() >= self.w and precedes(mask, hi))
+        seen = precedes(rows, lo)
+        if hi is not None:
+            seen |= precedes(rows, hi) & (np.bitwise_count(rows).sum(axis=1) >= self.w)
+        if self.extras:
+            seen |= np.isin(row_keys(rows), row_keys(words_of(list(self.extras), rows.shape[1])))
+        return seen
 
     def _low_share(self, k: int) -> int:
         """How many of the order's first k strings the low run gives."""

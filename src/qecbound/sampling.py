@@ -4,11 +4,14 @@ KL-Chernoff confidence intervals.
 Every string of weight below c, the lowest weight of any unvisited string,
 is visited, so the unexplored space lies in the tail "weight >= c".  The
 sampler draws from the model's distribution conditioned on that tail
-exactly, channel by channel from a table of tail probabilities, and
-rejects only the visited strings of the tail.  Accepted samples therefore
-follow the model's error distribution conditioned on the unexplored space,
-at any noise level.  Intervals invert the Kullback-Leibler form of the
-Chernoff bound by bisection.
+exactly, channel by channel, and rejects only the visited strings of the
+tail.  Accepted samples therefore follow the model's error distribution
+conditioned on the unexplored space, at any noise level.  Draws stay
+[count, n_words(n)] uint64 word rows from the draw to the classifier: a
+batch's membership is one `contains_rows` call on the visited set, and a
+run's `TailSampler` builds its table of set probabilities once per tail
+weight, not at every checkpoint.  Intervals invert the Kullback-Leibler
+form of the Chernoff bound by bisection.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoders import LogicalErrorClassifier
-from .errorspace import VisitOrder, ints_of, n_words, supports_of_words, words_of_bits
+from .errorspace import n_words, supports_of_words, words_of_bits
 from .polynomial import BoundAccumulators
 
 REJECTION_GUARD = 1_000_000
@@ -55,65 +58,87 @@ def _tail_table(v: np.ndarray, c: int) -> np.ndarray:
     return lg
 
 
-def _draw_tail(v: np.ndarray, lg: np.ndarray, rng: np.random.Generator,
-               count: int) -> list[int]:
-    """`count` bitstrings drawn from the model conditioned on weight >= c,
-    where c is the last column of the tail table `lg`.  Channel i is set
-    with probability v_i g[i+1, need-1] / g[i, need], where `need` is how
-    many more set bits the row still needs."""
-    n = v.size
-    lv = np.log(v)
-    u = rng.random((n, count))
-    need = np.full(count, lg.shape[1] - 1)
-    words = np.zeros((count, n_words(n)), dtype=np.uint64)
-    for i in range(n):
-        bit = u[i] < np.exp(lv[i] + lg[i + 1, np.maximum(need - 1, 0)] - lg[i, need])
-        words[:, i >> 6] |= bit.astype(np.uint64) << np.uint64(i & 63)
-        need = np.maximum(need - bit, 0)
-    return ints_of(words)
+def _set_probabilities(v: np.ndarray, c: int) -> np.ndarray:
+    """[n, c + 1] table: at row i, column `need`, the probability
+    v_i g[i+1, need-1] / g[i, need] that channel i is set in a row that
+    still needs `need` more set bits, from the tail table g of weight c.
+    The cells with need > n - i are -inf - -inf; no row reaches them, since
+    a row with need = n - i sets channel i with probability exactly 1."""
+    lg = _tail_table(v, c)
+    before = np.maximum(np.arange(c + 1) - 1, 0)
+    with np.errstate(invalid="ignore"):
+        return np.exp(np.log(v)[:, None] + lg[1:, before] - lg[:-1])
 
 
-def sample_unseen_batch(v, visited: VisitOrder, rng, count: int,
+class TailSampler:
+    """Draws from the model at rates v conditioned on the tail weight >= c,
+    channel by channel, as word rows.  It holds the set probabilities of
+    the largest c asked so far (`_set_probabilities`) and rebuilds them only
+    when a larger c is asked for; a run's lowest unvisited weight never
+    falls, so a run builds one table per tail weight."""
+
+    def __init__(self, v) -> None:
+        self.v = np.asarray(v, dtype=float)
+        self._p = np.zeros((self.v.size, 0))
+
+    def draw(self, c: int, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` bit sets drawn from the tail weight >= c, as
+        [count, n_words(n)] uint64 rows."""
+        n = self.v.size
+        if c >= self._p.shape[1]:
+            self._p = _set_probabilities(self.v, c)
+        u = rng.random((n, count))
+        need = np.full(count, c)
+        words = np.zeros((count, n_words(n)), dtype=np.uint64)
+        for i, (u_i, p_i) in enumerate(zip(u, self._p)):
+            bit = u_i < p_i[need]
+            words[:, i >> 6] |= bit.astype(np.uint64) << np.uint64(i & 63)
+            need = np.maximum(need - bit, 0)
+        return words
+
+
+def sample_unseen_batch(tail: TailSampler, visited, rng, count: int,
                         guard: int = REJECTION_GUARD,
-                        deadline: float | None = None) -> list[int]:
-    """Draw `count` bitstrings from the model distribution conditioned on
-    the complement of `visited`, which answers `e in visited` and
+                        deadline: float | None = None) -> np.ndarray:
+    """Draw `count` bitstrings, as [count, n_words(n)] uint64 rows, from
+    the model distribution of `tail` conditioned on the complement of
+    `visited`, which answers `visited.contains_rows(rows)` and
     `visited.lowest_unvisited_weight()` (a run passes its `VisitOrder`).
     Draws come from the tail weight >= c, with c the lowest unvisited
-    weight, and visited strings of that tail are redrawn.  Once `deadline`
+    weight, and visited strings of that tail are redrawn: each batch's
+    first unvisited draws are accepted in draw order, and the rejections
+    after its last acceptance carry into the next batch.  Once `deadline`
     (a `time.monotonic()` value) has passed, no further batch is drawn and
     the samples accepted so far, possibly none, are returned.  Raises
     RejectionGuardExceeded after `guard` consecutive rejections, or at
     once when every string is visited."""
     rng = _as_rng(rng)
-    varr = np.asarray(v, dtype=float)
     c = visited.lowest_unvisited_weight()
-    if c > varr.size:
+    if c > tail.v.size:
         raise RejectionGuardExceeded("every bitstring is visited")
-    lg = _tail_table(varr, c)
-    seen = visited.__contains__
-    accepted: list[int] = []
+    accepted = [np.zeros((0, n_words(tail.v.size)), dtype=np.uint64)]
+    got = 0
     rejects = 0  # consecutive rejections since the last acceptance
-    while len(accepted) < count:
+    while got < count:
         if deadline is not None and time.monotonic() > deadline:
             break
         # Twice the shortfall, and more after rejections, so that a nearly
         # visited tail reaches the guard in a few batches.
-        size = min(_BATCH, 2 * (count - len(accepted)) + rejects)
-        for e in _draw_tail(varr, lg, rng, size):
-            if seen(e):
-                rejects += 1
-                continue
-            rejects = 0
-            accepted.append(e)
-            if len(accepted) == count:
-                break
-        if rejects >= guard and len(accepted) < count:
+        size = min(_BATCH, 2 * (count - got) + rejects)
+        rows = tail.draw(c, rng, size)
+        free = np.flatnonzero(~visited.contains_rows(rows))[:count - got]
+        if free.size:
+            accepted.append(rows[free])
+            got += free.size
+            rejects = size - 1 - int(free[-1])
+        else:
+            rejects += size
+        if rejects >= guard and got < count:
             raise RejectionGuardExceeded(
                 f"{rejects} consecutive rejections; "
                 "enumeration already covers nearly all of the tail"
             )
-    return accepted
+    return np.concatenate(accepted)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ answers membership from the strings it gave; the helpers here do the same
 one string at a time: ranking a string to its position, one cursor per
 run of the visit order, flip neighbours, and a visited set fed by `add`
 whose membership ranks the string.  The per-shot helpers evaluate one
-minterm, accumulate one string and draw one unseen string.
+minterm, accumulate one string and draw one unseen string; the tail
+sampler's per-row draw and per-draw accept loop work on Python ints, one
+string at a time.
 `reference_ml_table` builds the ML table from chunks of bitstrings, each
 rebuilt from its bits.  `DenseSignPass` is the first pruning round with
 every row's other factors written out.  The tests compare the library
@@ -14,6 +16,7 @@ against them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from math import comb
 
@@ -25,6 +28,7 @@ from qecbound.errorspace import (
     bits_to_str,
     first_position_of_weight,
     ints_of,
+    n_words,
     row_keys,
     unrank_position,
     weight,
@@ -36,7 +40,14 @@ from qecbound.polynomial import (
     _bits,
     _chunk_rows,
 )
-from qecbound.sampling import sample_unseen_batch
+from qecbound.sampling import (
+    _BATCH,
+    REJECTION_GUARD,
+    RejectionGuardExceeded,
+    TailSampler,
+    _tail_table,
+    sample_unseen_batch,
+)
 
 
 def support(mask: int) -> tuple[int, ...]:
@@ -111,7 +122,57 @@ def accumulate(acc: BoundAccumulators, mask: int, is_logical_error: bool,
 def sample_unseen(v, visited, rng) -> int:
     """One draw from the model conditioned on the strings not in
     `visited`; see `sample_unseen_batch`."""
-    return sample_unseen_batch(v, visited, rng, 1)[0]
+    return ints_of(sample_unseen_batch(TailSampler(v), visited, rng, 1))[0]
+
+
+def draw_tail(v: np.ndarray, lg: np.ndarray, rng: np.random.Generator,
+              count: int) -> list[int]:
+    """`count` bitstrings drawn from the model conditioned on weight >= c,
+    where c is the last column of the tail table `lg`.  Channel i is set
+    with probability v_i g[i+1, need-1] / g[i, need], computed per row,
+    where `need` is how many more set bits the row still needs."""
+    n = v.size
+    lv = np.log(v)
+    u = rng.random((n, count))
+    need = np.full(count, lg.shape[1] - 1)
+    words = np.zeros((count, n_words(n)), dtype=np.uint64)
+    for i in range(n):
+        bit = u[i] < np.exp(lv[i] + lg[i + 1, np.maximum(need - 1, 0)] - lg[i, need])
+        words[:, i >> 6] |= bit.astype(np.uint64) << np.uint64(i & 63)
+        need = np.maximum(need - bit, 0)
+    return ints_of(words)
+
+
+def sample_unseen_draw_by_draw(v, visited, rng, count: int, guard: int = REJECTION_GUARD,
+                               deadline: float | None = None) -> list[int]:
+    """`sample_unseen_batch` one draw at a time: batches of `draw_tail`,
+    each string tested with `e in visited` and accepted or counted as a
+    rejection in draw order."""
+    varr = np.asarray(v, dtype=float)
+    c = visited.lowest_unvisited_weight()
+    if c > varr.size:
+        raise RejectionGuardExceeded("every bitstring is visited")
+    lg = _tail_table(varr, c)
+    accepted: list[int] = []
+    rejects = 0
+    while len(accepted) < count:
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        size = min(_BATCH, 2 * (count - len(accepted)) + rejects)
+        for e in draw_tail(varr, lg, rng, size):
+            if e in visited:
+                rejects += 1
+                continue
+            rejects = 0
+            accepted.append(e)
+            if len(accepted) == count:
+                break
+        if rejects >= guard and len(accepted) < count:
+            raise RejectionGuardExceeded(
+                f"{rejects} consecutive rejections; "
+                "enumeration already covers nearly all of the tail"
+            )
+    return accepted
 
 
 @dataclass
@@ -132,6 +193,11 @@ class ReferenceVisitedSet:
         pos = position_of(mask, self.n)
         a, b = self.high
         return mask in self.extras or pos < self.prefix or a <= pos < b
+
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Membership of each string of [B, words] uint64 rows, ranked one
+        at a time."""
+        return np.array([m in self for m in ints_of(rows)], dtype=bool)
 
     def add(self, mask: int) -> None:
         if mask in self:

@@ -2,9 +2,11 @@
 
 The reference below visits one bitstring at a time: one cursor per run of
 the weight order, taken in turn, a FIFO of `local-flip` detours, a
-`ReferenceVisitedSet` fed by `add` (membership by rank, not the library's
-rule), the scalar syndrome/observable functions and `decode`.  A run is
-exhausted once it has visited all 2^n strings.  Every record the driver
+`ReferenceVisitedSet` fed by `add` (membership by rank, one string at a
+time, not the library's rule; the tail sampler asks it through its
+`contains_rows`, with a fresh `TailSampler` at each checkpoint), the
+scalar syndrome/observable functions and `decode`.  A run is exhausted
+once it has visited all 2^n strings.  Every record the driver
 makes must equal the reference's bit for bit.
 """
 
@@ -16,7 +18,7 @@ import pytest
 from qecbound.compiler import DetectorErrorModel, parse_dem
 from qecbound.decoders import Decoder, GreedyDecoder, build_greedy_decoder
 from qecbound.driver import RunConfig, run_accuracy, run_robustness
-from qecbound.errorspace import observable_of, syndrome_of, unrank_position
+from qecbound.errorspace import ints_of, observable_of, syndrome_of, unrank_position
 from qecbound.polynomial import (
     FP_MARGIN,
     BoundAccumulators,
@@ -28,6 +30,7 @@ from qecbound.polynomial import (
 )
 from qecbound.sampling import (
     RejectionGuardExceeded,
+    TailSampler,
     kl_confidence_interval,
     probabilistic_bounds,
     sample_unseen_batch,
@@ -161,7 +164,8 @@ def reference_accuracy(model, decoder, v, config):
         records.append((shots + sampled, best[0], best[1], True))
         if config.sample_count and shots < 1 << model.n_channels:
             try:
-                samples = sample_unseen_batch(v, visited, rng, config.sample_count)
+                samples = ints_of(sample_unseen_batch(TailSampler(v), visited, rng,
+                                                      config.sample_count))
             except RejectionGuardExceeded:
                 return
             hits = sum(decoder.decode(syndrome_of(model, e)) != observable_of(model, e)

@@ -223,10 +223,10 @@ def test_visited_set_membership_matches_reference_set(seed, n):
 def test_precedes_is_the_weight_order():
     n = 5
     order = [unrank_position(p, n) for p in range(1 << n)]
-    for i, a in enumerate(order):
-        assert precedes(a, (2 << n) - 1)  # the order's end marker
-        for j, b in enumerate(order):
-            assert precedes(a, b) == (i < j)
+    rows = words_of(order, 1)
+    assert precedes(rows, (2 << n) - 1).all()  # the order's end marker
+    for j, b in enumerate(order):
+        assert precedes(rows, b).tolist() == [i < j for i in range(1 << n)]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
@@ -249,7 +249,22 @@ def test_frozen_membership_and_lowest_unvisited_weight(seed, n):
     before = repr(vs)
     unvisited = [m for m in range(size) if m not in vs]
     assert vs.lowest_unvisited_weight() == min((weight(m) for m in unvisited), default=n + 1)
+    assert vs.contains_rows(words_of(range(size), 1)).tolist() == [m in vs for m in range(size)]
     assert repr(vs) == before
+    # A visit order in any state (no distance or a random one, a random
+    # take and hold, random extras past its prefix) answers a block of
+    # every string as the reference layout of its positions does.
+    order = VisitOrder(n, None if rng.random() < 0.5 else int(rng.integers(0, 2 * n + 3)))
+    order.take(int(rng.integers(0, size + 1)))
+    order.hold(int(rng.integers(0, order.taken + 1)))
+    low_end, high_end = order._visited_ends()
+    high = order.runs[1].start
+    layout = ReferenceVisitedSet(n, low_end, high=(high, max(high, high_end)))
+    order.extras.update(m for m in range(size) if m not in layout and rng.random() < 0.3)
+    layout.extras = set(order.extras)
+    assert (order.contains_rows(words_of(range(size), 1)).tolist()
+            == [m in layout for m in range(size)])
+    assert order.lowest_unvisited_weight() == layout.lowest_unvisited_weight()
 
 
 def _mask(row, n):
@@ -257,7 +272,9 @@ def _mask(row, n):
 
 
 def _assert_visited(order, n, visited):
-    assert [m in order for m in range(1 << n)] == [m in visited for m in range(1 << n)]
+    """One block call over every string against the per-string reference."""
+    every = range(1 << n)
+    assert order.contains_rows(words_of(every, 1)).tolist() == [m in visited for m in every]
     assert len(order) == len(visited)
     assert order.lowest_unvisited_weight() == min(
         (weight(m) for m in range(1 << n) if m not in visited), default=n + 1)
@@ -302,6 +319,49 @@ def test_order_membership_matches_taken_strings(strategy, distance):
                 order.extras -= set(taken[:len(taken) - held])
             _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)
         assert sorted(taken) == list(range(1 << n))
+
+
+@pytest.mark.parametrize("n", [66, 70])
+@pytest.mark.parametrize("distance", [None, 3, 5])
+def test_two_word_membership_matches_the_reference(n, distance):
+    """Rows of two words.  The order is held back so that a visited end
+    is a string with a channel in the second word (each run's, for
+    `split`), and a block is asked of random rows of weight <= 3, the
+    strings next to each end and the strings that equal an end in its
+    first word but not in its second (so the lowest differing word is the
+    second), against the reference layout of the order's positions; with
+    extras past the prefix when the order has no high run, as the walk
+    leaves them."""
+    rng = np.random.default_rng(n + (distance or 0))
+    order = VisitOrder(n, distance)
+    order.take(5000)
+    start = order.runs[1].start
+    second_word = 0
+    for t in (1 << 65, 1 | 1 << 64, 1 | 1 << 65, 0b11 | 1 << 65, 0b110 | 1 << 64):
+        pos = position_of(t, n)
+        # visited count k whose low (or high) end is t; `split` needs the
+        # runs to alternate up to k, that is ceil(k/2) <= start
+        k = pos if distance is None else 2 * pos if pos < start else 2 * (pos - start) + 1
+        if k > order.taken or distance is not None and (k + 1) // 2 > start:
+            continue
+        order.hold(order.taken - k)
+        low_end, high_end = order._visited_ends()
+        assert pos in (low_end, high_end)
+        layout = ReferenceVisitedSet(n, low_end, high=(start, max(start, high_end)))
+        probes = [sum(1 << int(c) for c in rng.choice(n, size=k, replace=False))
+                  for k in rng.integers(0, 4, size=200)]
+        ends = [unrank_position(p, n) for p in (low_end, high_end) if p < 1 << n]
+        probes += [unrank_position(p, n) for end in (low_end, high_end)
+                   for p in range(max(0, end - 3), min(end + 3, 1 << n))]
+        probes += [e & (1 << 64) - 1 | 1 << j for e in ends for j in range(64, n)
+                   if e >> 64]
+        if distance is None:
+            order.extras = {m for m in probes if m not in layout and rng.random() < 0.2}
+            layout.extras = set(order.extras)
+        assert order.contains_rows(words_of(probes, 2)).tolist() == [m in layout for m in probes]
+        second_word += sum(m != e and weight(m) == weight(e) and (m ^ e) >> 64 << 64 == m ^ e
+                           for m in probes for e in ends)
+    assert second_word  # the rule compared some rows in their second word
 
 
 @pytest.mark.parametrize("distance", [0, 1, 3, 5, "2n+2"])

@@ -1,6 +1,7 @@
 """Exact conditional sampling of the unseen tail and KL-Chernoff intervals."""
 
 import math
+import time
 import warnings
 from itertools import product
 
@@ -11,20 +12,35 @@ from hypothesis import given, settings, strategies as st
 from qecbound.errorspace import (
     VisitOrder,
     first_position_of_weight,
+    ints_of,
     unrank_position,
     weight,
+    words_of,
 )
 from qecbound.polynomial import BoundAccumulators, MintermEvaluator
 from qecbound.sampling import (
     ConfidenceInterval,
     RejectionGuardExceeded,
+    TailSampler,
     kl_confidence_interval,
     probabilistic_bounds,
     _tail_table,
     sample_unseen_batch,
 )
 
-from reference import ReferenceVisitedSet, accumulate, sample_unseen
+from reference import (
+    ReferenceVisitedSet,
+    accumulate,
+    draw_tail,
+    sample_unseen,
+    sample_unseen_draw_by_draw,
+)
+
+
+def _sample(v, visited, rng, count, **kw) -> list[int]:
+    """`sample_unseen_batch` from a fresh `TailSampler(v)`, its rows read
+    as ints."""
+    return ints_of(sample_unseen_batch(TailSampler(v), visited, rng, count, **kw))
 
 
 def test_samples_avoid_visited_set():
@@ -34,7 +50,7 @@ def test_samples_avoid_visited_set():
     for pos in range(20):
         visited.add(unrank_position(pos, n))
     rng = np.random.default_rng(0)
-    samples = sample_unseen_batch(v, visited, rng, 500)
+    samples = _sample(v, visited, rng, 500)
     assert len(samples) == 500
     assert all(s not in visited for s in samples)
 
@@ -47,7 +63,7 @@ def test_sample_distribution_matches_conditional():
     for pos in range(5):  # weights 0 and 1 visited
         visited.add(unrank_position(pos, n))
     rng = np.random.default_rng(42)
-    samples = sample_unseen_batch(v, visited, rng, 40_000)
+    samples = _sample(v, visited, rng, 40_000)
     ev = MintermEvaluator(v)
     unseen = [e for e in range(1 << n) if e not in visited]
     z = sum(ev(e) for e in unseen)
@@ -94,7 +110,7 @@ def test_sample_distribution_with_extras_and_high_run():
     visited = ReferenceVisitedSet(n, 10, high=(high, high + 5))  # weight 2 partly visited
     visited.extras.update(unrank_position(p, n) for p in (12, 15, 50))
     assert visited.lowest_unvisited_weight() == 2
-    samples = sample_unseen_batch(v, visited, np.random.default_rng(4), 40_000)
+    samples = _sample(v, visited, np.random.default_rng(4), 40_000)
     _assert_frequencies_match(v, visited, samples)
 
 
@@ -128,7 +144,7 @@ def test_visited_layouts_give_identical_draws():
     draws = []
     for vs in layouts:
         assert vs.lowest_unvisited_weight() == 3
-        draws.append(sample_unseen_batch(v, vs, np.random.default_rng(8), 3000))
+        draws.append(_sample(v, vs, np.random.default_rng(8), 3000))
     assert draws[0] == draws[1] == draws[2]
     assert [repr(vs) for vs in layouts] == states  # sampling leaves the sets alone
     _assert_frequencies_match(v, layouts[0], draws[0])
@@ -150,10 +166,118 @@ def test_order_draws_like_its_reference_layout():
     for order, layout in [(split, ReferenceVisitedSet(n, 5, high=(7, 12))),
                           (walk, ReferenceVisitedSet(n, 24, {unrank_position(p, n)
                                                              for p in (26, 45)}))]:
-        assert [e in order for e in range(1 << n)] == [e in layout for e in range(1 << n)]
+        assert (order.contains_rows(words_of(range(1 << n), 1)).tolist()
+                == [e in layout for e in range(1 << n)])
         assert order.lowest_unvisited_weight() == layout.lowest_unvisited_weight()
-        assert (sample_unseen_batch(v, order, np.random.default_rng(8), 500)
-                == sample_unseen_batch(v, layout, np.random.default_rng(8), 500))
+        assert (_sample(v, order, np.random.default_rng(8), 500)
+                == _sample(v, layout, np.random.default_rng(8), 500))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_draws_equal_the_per_row_reference(seed):
+    """Every tail weight c <= n, 0 included: a fresh sampler, and one that
+    already holds the table of c = n, draw the rows of the per-row
+    reference bit for bit (read as ints), on random rates."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 70))
+    v = rng.uniform(1e-4, 0.7, size=n)
+    held = TailSampler(v)
+    held.draw(n, np.random.default_rng(0), 1)
+    for c in range(n + 1):
+        count = int(rng.integers(0, 300))
+        want = draw_tail(v, _tail_table(v, c), np.random.default_rng(c), count)
+        assert ints_of(TailSampler(v).draw(c, np.random.default_rng(c), count)) == want
+        assert ints_of(held.draw(c, np.random.default_rng(c), count)) == want
+        assert all(weight(e) >= c for e in want)
+
+
+class _Recording(TailSampler):
+    """A tail sampler that keeps every batch it draws."""
+
+    def __init__(self, v) -> None:
+        super().__init__(v)
+        self.batches = []
+
+    def draw(self, c, rng, count):
+        self.batches.append(super().draw(c, rng, count))
+        return self.batches[-1]
+
+
+def _accept_like_the_reference(v, visited, seed, count, guard):
+    """The batch sampler against the per-draw loop: the same rows in the
+    same order, or the same RejectionGuardExceeded.  Returns the
+    sampler's batches, each as its membership list, and whether it
+    raised."""
+    tail = _Recording(v)
+    try:
+        got = ints_of(sample_unseen_batch(tail, visited, np.random.default_rng(seed), count,
+                                          guard=guard))
+    except RejectionGuardExceeded as exc:
+        got = str(exc)
+    try:
+        want = sample_unseen_draw_by_draw(v, visited, np.random.default_rng(seed), count,
+                                          guard=guard)
+    except RejectionGuardExceeded as exc:
+        want = str(exc)
+    assert got == want
+    return [visited.contains_rows(rows).tolist() for rows in tail.batches], isinstance(got, str)
+
+
+def _random_layout(n, rng):
+    """A prefix of the weight order and extras past it, most of the tail."""
+    vs = ReferenceVisitedSet(n, int(rng.integers(0, 1 << n)))
+    vs.extras.update(m for m in range(1 << n)
+                     if m not in vs and rng.random() < rng.uniform(0.5, 0.97))
+    return vs
+
+
+def test_acceptance_matches_the_per_draw_loop():
+    """On random layouts, counts and guards the batch sampler accepts and
+    raises as the per-draw loop does.  Among them: (a) a guard that trips
+    only because a batch's trailing rejections carry into the next, after
+    an acceptance, and (b) a count reached in the middle of a batch."""
+    carried = mid_batch = 0
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        v = rng.uniform(0.05, 0.6, size=n)
+        visited = _random_layout(n, rng)
+        if visited.lowest_unvisited_weight() > n:
+            continue
+        count, guard = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+        batches, raised = _accept_like_the_reference(v, visited, seed, count, guard)
+        if raised and len(batches) >= 2:
+            last, before = batches[-1], batches[-2]
+            accepted_at = [i for i, s in enumerate(before) if not s]
+            trailing = len(before) - 1 - accepted_at[-1] if accepted_at else 0
+            carried += all(last) and len(last) < guard and 0 < trailing
+        if not raised:
+            free = sum(not s for s in batches[-1]) if batches else 0
+            mid_batch += free > count - sum(not s for b in batches[:-1] for s in b)
+    assert carried and mid_batch
+
+
+def test_guard_trips_on_rejections_carried_over_a_batch():
+    """Only 0b100 and 0b111 are unvisited (about 7e-10 of the tail): a
+    count of 10 draws batches of 20, then 40; a guard of 50 trips only at
+    the second, on the 60 rejections of both."""
+    v = (0.5, 0.5, 1e-9)
+    visited = ReferenceVisitedSet(3, 3, {0b011, 0b101, 0b110})
+    batches, raised = _accept_like_the_reference(v, visited, 1, 10, 50)
+    assert raised and [len(b) for b in batches] == [20, 40]
+
+
+def test_past_deadline_returns_no_rows():
+    """A deadline that has passed: no batch is drawn, zero rows come back,
+    as from the per-draw loop."""
+    v = (0.3,) * 5
+    visited = ReferenceVisitedSet(5, 3)
+    deadline = time.monotonic() - 1.0
+    tail = _Recording(v)
+    rows = sample_unseen_batch(tail, visited, np.random.default_rng(0), 10, deadline=deadline)
+    assert rows.shape == (0, 1) and rows.dtype == np.uint64 and not tail.batches
+    assert sample_unseen_draw_by_draw(v, visited, np.random.default_rng(0), 10,
+                                      deadline=deadline) == []
 
 
 def test_deep_tail_does_not_underflow():
@@ -163,7 +287,7 @@ def test_deep_tail_does_not_underflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lg = _tail_table(np.asarray(v), c)
-        samples = sample_unseen_batch(v, visited, np.random.default_rng(5), 50)
+        samples = _sample(v, visited, np.random.default_rng(5), 50)
     assert not np.isnan(lg).any()
     assert len(samples) == 50
     assert all(weight(e) >= c for e in samples)
@@ -184,7 +308,7 @@ def test_sampler_draws_the_last_unvisited_string():
     for pos in range(7):  # everything but the all-ones string
         visited.add(unrank_position(pos, n))
     rng = np.random.default_rng(1)
-    assert sample_unseen_batch(v, visited, rng, 10, guard=50_000) == [0b111] * 10
+    assert _sample(v, visited, rng, 10, guard=50_000) == [0b111] * 10
 
 
 def test_rejection_guard_trips_when_tail_nearly_visited():
@@ -199,7 +323,7 @@ def test_rejection_guard_trips_when_tail_nearly_visited():
     assert visited.extras == {0b011, 0b101, 0b110}
     rng = np.random.default_rng(1)
     with pytest.raises(RejectionGuardExceeded):
-        sample_unseen_batch(v, visited, rng, 10, guard=50_000)
+        _sample(v, visited, rng, 10, guard=50_000)
 
 
 def test_guard_resets_on_acceptance():
@@ -211,7 +335,7 @@ def test_guard_resets_on_acceptance():
     for pos in range(37):  # weights 0..2
         visited.add(unrank_position(pos, n))
     rng = np.random.default_rng(2)
-    samples = sample_unseen_batch(v, visited, rng, 2000, guard=2000)
+    samples = _sample(v, visited, rng, 2000, guard=2000)
     assert len(samples) == 2000
 
 
@@ -280,6 +404,6 @@ def test_replay_determinism():
     v = (0.2,) * n
     visited = ReferenceVisitedSet(n)
     visited.add(0)
-    a = sample_unseen_batch(v, visited, np.random.default_rng(99), 200)
-    b = sample_unseen_batch(v, visited, np.random.default_rng(99), 200)
+    a = _sample(v, visited, np.random.default_rng(99), 200)
+    b = _sample(v, visited, np.random.default_rng(99), 200)
     assert a == b

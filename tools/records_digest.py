@@ -11,7 +11,9 @@ process imports `qecbound` too).  One line per spec:
     <workload> <seed> <records_digest> <failed_checks>
 
 so the records of two commits compare with one `diff` of two outputs.
-Standard library only.
+The exit status is 1 when any spec reports failed checks (after every
+line is printed), so a scripted comparison cannot pass over a failing
+spec.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    failing = 0  # specs that report failed checks
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in WORKLOADS:
@@ -51,9 +54,12 @@ def main() -> int:
                     raise SystemExit(f"{name} seed {seed}: child exited {out.returncode}\n"
                                      f"{out.stderr.strip()[-2000:]}")
                 result = json.loads(out.stdout.strip().splitlines()[-1])
-                print(name, seed, result["records_digest"], result["checks"]["failed"],
-                      flush=True)
-    return 0
+                failed = result["checks"]["failed"]
+                failing += failed > 0
+                print(name, seed, result["records_digest"], failed, flush=True)
+    if failing:
+        print(f"{failing} spec(s) reported failed checks", file=sys.stderr)
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":
