@@ -101,7 +101,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", help="DEM file or program file ('-' for stdin)")
     p.add_argument("--decoder", default="ml", help="ml | greedy | exec:<command>")
     p.add_argument("--strategy", default="hamming", choices=STRATEGIES)
-    p.add_argument("--distance", type=int, default=None, help="distance ansatz for split")
     p.add_argument("--max-shots", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.add_argument("--seed", type=int, default=0)
@@ -112,7 +111,6 @@ def _run_config(args, **mode_fields) -> RunConfig:
     """A RunConfig from the flags both run commands share, plus `mode_fields`."""
     return RunConfig(
         strategy=args.strategy,
-        distance_ansatz=args.distance,
         max_shots=args.max_shots,
         time_limit=args.time_limit,
         seed=args.seed,

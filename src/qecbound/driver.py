@@ -1,24 +1,22 @@
 """End-to-end orchestration: enumerate, decode, classify, refresh bounds.
 
 One block core serves both modes.  The visit order is read in blocks of
-support rows from one `errorspace.VisitOrder`: `hamming` is the weight
-order itself; `split` reads a low and a high run of the weight order,
-taking one string from each in turn until either run ends; `local-flip`
-follows each logical error found in the weight order with its unvisited
-one-bit flips, in ascending bit-set order, before the order resumes.  The
-order is also the visited set: its first `taken - held` strings (what it
-gave, less the rows not yet read) plus the walk's detours as extras,
-each run's share of them a function of that count.  No string is
-visited twice, so `len(order)` is the number of visits: the refill and
-the checkpoint loop both read it, and a run is exhausted once it has
-visited 2^n strings.  Each block gets its minterms with numpy, and its
-decoder verdicts from a `LogicalErrorClassifier` made for the run, which
-sends the unique syndromes it has not seen to one `decode_batch` call.
-Every strategy refills alike: once the last block is read and no detour
-is pending, the next min(`BLOCK_ROWS`, visits left) strings of the order
-are evaluated ahead of the checkpoints.  The checkpoint loop reads the block
-in slices (the walk puts each slice's detours in their places), so the
-tail sampler sees only the visited strings.  A refill never asks for
+support rows from one `errorspace.VisitOrder`, the weight order: `hamming`
+reads it as it is; `local-flip` follows each logical error found in it
+with its unvisited one-bit flips, in ascending bit-set order, before the
+order resumes.  The order is also the visited set: its first
+`taken - held` strings (what it gave, less the rows not yet read) plus
+the walk's detours as extras.  No string is visited twice, so
+`len(order)` is the number of visits: the refill and the checkpoint loop
+both read it, and a run is exhausted once it has visited 2^n strings.
+Each block gets its minterms with numpy, and its decoder verdicts from a
+`LogicalErrorClassifier` made for the run, which sends the unique
+syndromes it has not seen to one `decode_batch` call.  Both strategies
+refill alike: once the last block is read and no detour is pending, the
+next min(`BLOCK_ROWS`, visits left) strings of the order are evaluated
+ahead of the checkpoints.  The checkpoint loop reads the block in slices
+(the walk puts each slice's detours in their places), so the tail
+sampler sees only the visited strings.  A refill never asks for
 more strings than the run has visits left, a time limit is overrun by at
 most one block, and the tail sampler draws no batch past it.
 
@@ -78,7 +76,6 @@ TERM_CAP_DEFAULT = 10_000_000
 class RunConfig:
     mode: str = "accuracy"  # accuracy | robustness
     strategy: str = "hamming"
-    distance_ansatz: int | None = None  # split only
     max_shots: int | None = None
     time_limit: float | None = None  # seconds
     sample_count: int = 0  # per-checkpoint samples; accuracy mode only
@@ -92,8 +89,7 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
-        for name in ("distance_ansatz", "max_shots", "time_limit", "sample_count", "f_max",
-                     "term_cap"):
+        for name in ("max_shots", "time_limit", "sample_count", "f_max", "term_cap"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN too
                 raise ValueError(f"{name} must be >= 0")
@@ -101,10 +97,6 @@ class RunConfig:
             raise ValueError("sampling is supported in accuracy mode only")
         if self.sample_count and not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.strategy == "split" and self.distance_ansatz is None:
-            raise ValueError("split strategy requires a distance ansatz")
-        if self.strategy != "split" and self.distance_ansatz is not None:
-            raise ValueError(f"distance_ansatz is used by split only, not {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ class _BlockCore:
         self.n = model.n_channels
         self.classify = LogicalErrorClassifier(model, decoder)
         self.evaluator = evaluator
-        self.order = VisitOrder(self.n, config.distance_ansatz)
+        self.order = VisitOrder(self.n)
         self.max_shots = 1 << self.n if config.max_shots is None else min(config.max_shots,
                                                                          1 << self.n)
         self.walks = config.strategy == "local-flip"
@@ -275,7 +267,7 @@ class _BlockCore:
         """The unvisited one-bit flips of `mask`, the last string of the
         in-order prefix, in ascending order.  A flip that clears a bit lands
         inside the prefix, so only those that set a bit are left; they lie
-        past it and are visited as extras (the walk keeps no high run)."""
+        past it and are visited as extras."""
         extras = self.order.extras
         return [e for i in range(self.n)
                 if not mask >> i & 1 and (e := mask | 1 << i) not in extras]

@@ -1,32 +1,27 @@
 """Error bitstrings and enumeration of the error space.
 
 Bitstrings are plain ints with bit ``i`` selecting channel ``i``; textual
-renderings put bit 0 leftmost.  The base enumeration order is ascending
-Hamming weight, with ties broken by lexicographic order of the ascending
-support tuples (combinatorial number system ranks).
+renderings put bit 0 leftmost.  The visit order is ascending Hamming
+weight, with ties broken by lexicographic order of the ascending support
+tuples (combinatorial number system ranks).
 
 Blocks.  The enumeration core reads the order in blocks of support-index
 rows: row r lists the channels of one bitstring in ascending order, padded
-with n to the block's width.  A `WeightRun` (a range of weight classes)
-unranks a block's rows of one class in numpy, one `searchsorted` per
-column into a prefix table of binomials (`rank_table`,
-`combination_rows`); the table holds int64 while every value fits and
-Python ints past that, with the same code either way.  Every visit order
-is read as runs of the weight order (`VisitOrder`): one run, or for
-`split` a low and a high run taking turns, one string each, until either
-ends.  The order is also the visited set: its first `taken - held`
+with n to the block's width.  `VisitOrder.take` unranks a block's rows of
+one weight class in numpy, one `searchsorted` per column into a prefix
+table of binomials (`rank_table`, `combination_rows`); the table holds
+int64 while every value fits and Python ints past that, with the same code
+either way.  The order is also the visited set: its first `taken - held`
 strings (given, less the last ones held back, not yet visited), plus the
-`local-flip` walk's out-of-order extras.  How many of its first k
-strings each run gave is a function of k, so each run's visited part is
-a prefix of that run, with an end derived from the one count.  Membership
-is asked of a block of word rows at once: each row is compared with the
-two visited ends (`precedes`) and looked up among the extras.
-`Footprints` holds every channel's detector, observable and channel bit
-sets as rows of ceil(width/64) uint64 words, with an empty row n, so a
-block's syndromes are the XOR of one gathered row per support column,
-for every detector count.  Bit sets of any width become support rows
-through one function, `supports_of_words`, and bool rows become bit sets
-through `words_of_bits`.
+`local-flip` walk's out-of-order extras.  The visited part of the order
+is a prefix, so membership is asked of a block of word rows at once: each
+row is compared with the prefix's end (`precedes`) and looked up among the
+extras.  `Footprints` holds every channel's detector, observable and
+channel bit sets as rows of ceil(width/64) uint64 words, with an empty row
+n, so a block's syndromes are the XOR of one gathered row per support
+column, for every detector count.  Bit sets of any width become support
+rows through one function, `supports_of_words`, and bool rows become bit
+sets through `words_of_bits`.
 """
 
 from __future__ import annotations
@@ -83,11 +78,7 @@ def unrank_position(pos: int, n: int) -> int:
         w += 1
 
 
-def first_position_of_weight(w: int, n: int) -> int:
-    return sum(comb(n, j) for j in range(w))
-
-
-STRATEGIES = ("hamming", "split", "local-flip")
+STRATEGIES = ("hamming", "local-flip")
 
 
 def n_words(n: int) -> int:
@@ -241,38 +232,6 @@ def combination_rows(table: np.ndarray, first: int, count: int) -> np.ndarray:
     return out.T
 
 
-class WeightRun:
-    """Weight classes [w0, w1) of the weight order, read as support rows
-    padded with n to a common width; `position` counts from the start of
-    the whole order, and the run ends at `end`."""
-
-    def __init__(self, n: int, w0: int, w1: int) -> None:
-        self.n = n
-        self._w, self._w1 = min(w0, n + 1), min(w1, n + 1)
-        self.start = self.position = first_position_of_weight(self._w, n)
-        self.end = first_position_of_weight(self._w1, n)
-        self._class_start = self.start  # position of weight class _w's first string
-        self._table: np.ndarray | None = None  # its rank table, once read
-
-    def take(self, m: int) -> np.ndarray:
-        """The next m rows (fewer once the run ends)."""
-        parts = []
-        while m and self.position < self.end:
-            size = comb(self.n, self._w)
-            if self._table is None:
-                self._table = rank_table(self.n, self._w)
-            first = self.position - self._class_start
-            got = min(m, size - first)
-            parts.append(combination_rows(self._table, first, got))
-            m -= got
-            self.position += got
-            if first + got == size:  # weight class _w is done
-                self._w += 1
-                self._class_start += size
-                self._table = None
-        return _stack_rows(parts, self.n)
-
-
 def _stack_rows(parts, n: int) -> np.ndarray:
     """Support-row arrays stacked, padded with n to the widest."""
     if len(parts) == 1:
@@ -287,117 +246,82 @@ def _stack_rows(parts, n: int) -> np.ndarray:
 
 
 class VisitOrder:
-    """A run's visit order, read in blocks of support rows, and the set of
-    strings it has visited.
-
-    The weight order is cut into a low run [0, start) and a high run
-    [start, 2^n), of L and H strings.  The two runs take turns, one string
-    each and the low run first, until either ends; the other then
-    continues alone.  Given a distance d (`split`), start is the first
-    string of weight w = floor(d/2)+1; without one the high run is empty
-    and the order is the weight order itself.  So the order's first k
-    strings hold the low run's first max(min(ceil(k/2), L), k - H) and
-    the high run's first rest: each run's share is a function of k.
+    """A run's visit order, the weight order read in blocks of support
+    rows, and the set of strings it has visited.
 
     The order's state is two counts: `taken`, the strings `take` gave, and
     `held`, how many of the last of them `hold` marks as not yet visited
     (rows taken ahead).  The visited strings are the order's first
     `taken - held`, plus `extras` (the `local-flip` walk's out-of-order
     visits, which leave `extras` once the in-order prefix reaches them),
-    so there are `len(order)` of them.  Each run's visited part is the
-    prefix of it given by its share of `taken - held`, and each run starts
-    at a weight boundary.  So `contains_rows` answers membership for a
-    block of word rows at once, by one rule: a row is visited if it
-    precedes the low run's visited end (it is lighter, or it has the same
-    weight and holds the lowest channel where the two differ), if it has
-    weight >= w and precedes the high run's visited end, or if it lies in
-    `extras`.  The two end strings are unranked at the first query after a
-    `take` or `hold`.
+    so there are `len(order)` of them.  `take` reads on from position
+    `taken`, one weight class at a time through that class's rank table.
+    `contains_rows` answers membership for a block of word rows at once,
+    by one rule: a row is visited if it precedes the prefix's end (it is
+    lighter, or it has the same weight and holds the lowest channel where
+    the two differ) or if it lies in `extras`.  The end string is unranked
+    at the first query after a `take` or `hold`.
     """
 
-    def __init__(self, n: int, distance: int | None = None) -> None:
-        self.w = n + 1 if distance is None else distance // 2 + 1
-        self.runs = (WeightRun(n, 0, self.w), WeightRun(n, self.w, n + 1))
-        self._lengths = (self.runs[0].end, self.runs[1].end - self.runs[1].start)  # L and H
+    def __init__(self, n: int) -> None:
         self.n = n
         self.extras: set[int] = set()
         self.taken = 0  # strings given by `take`
         self.held = 0  # the last of them not yet visited
-        # (low run's visited end, high run's visited end or None while it has none)
-        self._ends: tuple | None = None
+        self._w = 0  # weight class of the string at position `taken`
+        self._class_start = 0  # position of weight class _w's first string
+        self._table: np.ndarray | None = None  # its rank table, once read
+        self._end: int | None = None  # the visited prefix's end string
 
     def __len__(self) -> int:
         return self.taken - self.held + len(self.extras)
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Whether each string of [B, n_words(n)] uint64 rows is visited:
-        it precedes the low run's visited end, it has weight >= w and
-        precedes the high run's visited end, or it lies in `extras`."""
-        lo, hi = self._ends or self._unrank_ends()
-        seen = precedes(rows, lo)
-        if hi is not None:
-            seen |= precedes(rows, hi) & (np.bitwise_count(rows).sum(axis=1) >= self.w)
+        it precedes the visited prefix's end or it lies in `extras`."""
+        if self._end is None:
+            pos = self.taken - self.held
+            # Past the end: the all-ones string of n + 1 bits, which every string precedes.
+            self._end = unrank_position(pos, self.n) if pos < 1 << self.n else (2 << self.n) - 1
+        seen = precedes(rows, self._end)
         if self.extras:
             seen |= np.isin(row_keys(rows), row_keys(words_of(list(self.extras), rows.shape[1])))
         return seen
-
-    def _low_share(self, k: int) -> int:
-        """How many of the order's first k strings the low run gives."""
-        low, high = self._lengths
-        return max(min((k + 1) // 2, low), k - high)
-
-    def _visited_ends(self) -> list[int]:
-        """Each run's visited end, as a position in the weight order."""
-        k = self.taken - self.held
-        low = self._low_share(k)
-        return [low, self.runs[1].start + k - low]
-
-    def _unrank_ends(self) -> tuple:
-        def at(pos: int) -> int:
-            # Past the end: the all-ones string of n + 1 bits, which every string precedes.
-            return unrank_position(pos, self.n) if pos < 1 << self.n else (2 << self.n) - 1
-
-        low, high = self._visited_ends()
-        self._ends = (at(low), at(high) if high > self.runs[1].start else None)
-        return self._ends
 
     def hold(self, count: int) -> None:
         """Mark the last `count` strings given as not yet visited (until
         the next `hold`)."""
         if not 0 <= count <= self.taken:
             raise ValueError(f"cannot hold {count} of the {self.taken} strings given")
-        self.held, self._ends = count, None
+        self.held, self._end = count, None
 
     def lowest_unvisited_weight(self) -> int:
-        """The lowest weight of any unvisited string (n + 1 if none): in
-        each run, the first string past its visited end not in `extras`."""
-        lowest = self.n + 1
-        for pos, run in zip(self._visited_ends(), self.runs):
-            for mask in (unrank_position(p, self.n) for p in range(pos, run.end)):
-                if mask not in self.extras:
-                    lowest = min(lowest, mask.bit_count())
-                    break
-        return lowest
+        """The lowest weight of any unvisited string (n + 1 if none): the
+        first string past the visited prefix not in `extras`."""
+        for pos in range(self.taken - self.held, 1 << self.n):
+            mask = unrank_position(pos, self.n)
+            if mask not in self.extras:
+                return mask.bit_count()
+        return self.n + 1
 
     def take(self, m: int) -> np.ndarray:
-        """The next m strings of the order (fewer at its end).  While both
-        runs last, even positions of the order come from the low run; past
-        2 min(L, H), all come from the longer run."""
-        low, high = self.runs
-        first, self.taken = self.taken, min(self.taken + m, 1 << self.n)
-        low_rows = low.take(self._low_share(self.taken) - low.position)
-        high_rows = high.take(self.taken - first - len(low_rows))
-        self._ends = None
-        if not len(high_rows):  # every take of `hamming` and `local-flip`
-            return low_rows
-        i = np.arange(first, self.taken)
-        low_len, high_len = self._lengths
-        from_low = np.where(i < 2 * min(low_len, high_len), i % 2 == 0, low_len > high_len)
-        rows = np.full((len(i), max(low_rows.shape[1], high_rows.shape[1])), self.n,
-                       dtype=np.intp)
-        rows[from_low, :low_rows.shape[1]] = low_rows
-        rows[~from_low, :high_rows.shape[1]] = high_rows
-        return rows
+        """The next m strings of the order (fewer at its end)."""
+        parts = []
+        stop = min(self.taken + m, 1 << self.n)
+        while self.taken < stop:
+            size = comb(self.n, self._w)
+            if self._table is None:
+                self._table = rank_table(self.n, self._w)
+            first = self.taken - self._class_start
+            got = min(stop - self.taken, size - first)
+            parts.append(combination_rows(self._table, first, got))
+            self.taken += got
+            if first + got == size:  # weight class _w is done
+                self._w += 1
+                self._class_start += size
+                self._table = None
+        self._end = None
+        return _stack_rows(parts, self.n)
 
 
 def syndrome_of(model: DetectorErrorModel, mask: int) -> int:

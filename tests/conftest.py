@@ -94,6 +94,21 @@ def kept_case(strategy: str, variant: int) -> tuple[str, int]:
     return strategy, variant
 
 
+def kept_order(strategy: str, distance, monkeypatch) -> str:
+    """The library strategy that a parametrized case runs.  A `split` case
+    (the library's former strategy, with its distance ansatz) runs
+    `hamming` on the two-run test order `reference.SplitOrder(n, distance)`,
+    installed in the driver in place of `VisitOrder`; other cases run as
+    named, on the library's order."""
+    if strategy != "split":
+        return strategy
+    import qecbound.driver as driver
+    from reference import SplitOrder
+
+    monkeypatch.setattr(driver, "VisitOrder", lambda n: SplitOrder(n, distance))
+    return "hamming"
+
+
 @pytest.fixture
 def repetition_program_text() -> str:
     return REPETITION_PROGRAM

@@ -3,8 +3,10 @@
 The library enumerates the weight order in blocks, and its visit order
 answers membership from the strings it gave; the helpers here do the same
 one string at a time: ranking a string to its position, one cursor per
-run of the visit order, flip neighbours, and a visited set fed by `add`
-whose membership ranks the string.  The per-shot helpers evaluate one
+run of a visit order, flip neighbours, and a visited set fed by `add`
+whose membership ranks the string.  `SplitOrder` is a visit order of two
+runs of the weight order, taken in turn, that the tests run the driver
+on in place of `VisitOrder`.  The per-shot helpers evaluate one
 minterm, accumulate one string and draw one unseen string; the tail
 sampler's per-row draw and per-draw accept loop work on Python ints, one
 string at a time.
@@ -26,12 +28,15 @@ from qecbound.errorspace import (
     Footprints,
     bits_of,
     bits_to_str,
-    first_position_of_weight,
+    combination_rows,
     ints_of,
     n_words,
+    precedes,
+    rank_table,
     row_keys,
     unrank_position,
     weight,
+    words_of,
 )
 from qecbound.polynomial import (
     BoundAccumulators,
@@ -67,6 +72,10 @@ def rank_in_weight_class(mask: int, n: int) -> int:
     return r
 
 
+def first_position_of_weight(w: int, n: int) -> int:
+    return sum(comb(n, j) for j in range(w))
+
+
 def position_of(mask: int, n: int) -> int:
     """Global position in the weight order over all 2^n strings."""
     return first_position_of_weight(weight(mask), n) + rank_in_weight_class(mask, n)
@@ -93,14 +102,122 @@ class WeightOrderCursor:
 
 def run_cursors(n: int, distance: int | None = None) -> list[WeightOrderCursor]:
     """One cursor from position 0 and one from the high start: the first
-    position of weight floor(d/2)+1 given a distance d (`split`), the end
-    of the order otherwise.  The low cursor eventually reaches the high
+    position of weight floor(d/2)+1 given a distance d (`SplitOrder`), the
+    end of the order otherwise.  The low cursor eventually reaches the high
     start, so the cursors overlap.  Taking one position from each cursor
     in turn, and dropping positions already taken, gives the visit order
-    that `VisitOrder` produces in blocks.
+    that `SplitOrder` produces in blocks (`VisitOrder` without a distance).
     """
     w = n + 1 if distance is None else distance // 2 + 1
     return [WeightOrderCursor(n), WeightOrderCursor(n, first_position_of_weight(w, n))]
+
+
+def weight_order_rows(n: int, first: int, count: int) -> np.ndarray:
+    """Positions first, ..., first + count - 1 of the weight order as
+    support rows, padded with n to the widest."""
+    parts = []
+    w = start = 0  # weight class w begins at position start
+    while count > 0:
+        size = comb(n, w)
+        if first < start + size:
+            got = min(count, start + size - first)
+            parts.append(combination_rows(rank_table(n, w), first - start, got))
+            first += got
+            count -= got
+        start += size
+        w += 1
+    rows = np.full((sum(len(p) for p in parts), max((p.shape[1] for p in parts), default=0)),
+                   n, dtype=np.intp)
+    r = 0
+    for p in parts:
+        rows[r:r + len(p), :p.shape[1]] = p
+        r += len(p)
+    return rows
+
+
+class SplitOrder:
+    """A visit order in which heavier strings come before lighter ones,
+    with the interface of `errorspace.VisitOrder` that a run uses.
+
+    The weight order is cut into a low run [0, start) and a high run
+    [start, 2^n), of L and H strings, start the first string of weight
+    w = floor(d/2)+1 for a distance d.  The two runs take turns, one string
+    each and the low run first, until either ends; the other then
+    continues alone, so the order's first k strings hold the low run's
+    first max(min(ceil(k/2), L), k - H).  (This was the order of the
+    library's former `split` strategy.)  The visited strings are the
+    order's first `taken - held` plus `extras`, and a row is visited if it
+    precedes the low run's visited end, if it has weight >= w and precedes
+    the high run's visited end, or if it lies in `extras`.  Tests install
+    it in the driver (`conftest.kept_order`), so the block core, the sign
+    pass and the tail sampler also meet a visited set that is no prefix of
+    the weight order and rows stored heavier before lighter.
+    """
+
+    def __init__(self, n: int, distance: int) -> None:
+        self.n = n
+        self.w = min(distance // 2 + 1, n + 1)
+        self.start = first_position_of_weight(self.w, n)
+        self.extras: set[int] = set()
+        self.taken = 0
+        self.held = 0
+
+    def __len__(self) -> int:
+        return self.taken - self.held + len(self.extras)
+
+    def low_share(self, k: int) -> int:
+        """How many of the order's first k strings the low run gives."""
+        return max(min((k + 1) // 2, self.start), k - ((1 << self.n) - self.start))
+
+    def visited_ends(self) -> tuple[int, int]:
+        """Each run's visited end, as a position in the weight order."""
+        k = self.taken - self.held
+        low = self.low_share(k)
+        return low, self.start + k - low
+
+    def take(self, m: int) -> np.ndarray:
+        """The next m strings of the order (fewer at its end)."""
+        first, self.taken = self.taken, min(self.taken + m, 1 << self.n)
+        shares = [self.low_share(k) for k in range(first, self.taken + 1)]
+        low = weight_order_rows(self.n, shares[0], shares[-1] - shares[0])
+        high = weight_order_rows(self.n, self.start + first - shares[0],
+                                 self.taken - first - len(low))
+        from_low = np.diff(np.array(shares, dtype=object)).astype(bool)
+        rows = np.full((len(from_low), max(low.shape[1], high.shape[1])), self.n,
+                       dtype=np.intp)
+        rows[from_low, :low.shape[1]] = low
+        rows[~from_low, :high.shape[1]] = high
+        return rows
+
+    def hold(self, count: int) -> None:
+        """Mark the last `count` strings given as not yet visited."""
+        if not 0 <= count <= self.taken:
+            raise ValueError(f"cannot hold {count} of the {self.taken} strings given")
+        self.held = count
+
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        def at(pos: int) -> int:
+            # Past the end: the all-ones string of n + 1 bits, which every string precedes.
+            return unrank_position(pos, self.n) if pos < 1 << self.n else (2 << self.n) - 1
+
+        low, high = self.visited_ends()
+        seen = precedes(rows, at(low))
+        if high > self.start:
+            seen |= precedes(rows, at(high)) & (np.bitwise_count(rows).sum(axis=1) >= self.w)
+        if self.extras:
+            seen |= np.isin(row_keys(rows), row_keys(words_of(list(self.extras), rows.shape[1])))
+        return seen
+
+    def lowest_unvisited_weight(self) -> int:
+        """In each run, the weight of the first string past its visited end
+        not in `extras`; the lowest of them (n + 1 if none)."""
+        lowest = self.n + 1
+        for pos, end in zip(self.visited_ends(), (self.start, 1 << self.n)):
+            for mask in (unrank_position(p, self.n) for p in range(pos, end)):
+                if mask not in self.extras:
+                    lowest = min(lowest, weight(mask))
+                    break
+        return lowest
 
 
 def local_moves_flip(mask: int, n: int) -> set[int]:
@@ -182,7 +299,7 @@ class ReferenceVisitedSet:
     explicit `extras`.  Membership ranks the string.  `add` visits one
     string at a time and promotes extras into the prefix as the prefix
     catches up, so extras never duplicate the prefix; layouts with a high
-    run are built with the constructor."""
+    run (`SplitOrder`'s) are built with the constructor."""
 
     n: int
     prefix: int = 0

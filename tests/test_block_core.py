@@ -1,7 +1,9 @@
 """The batched enumeration core against a per-shot reference.
 
 The reference below visits one bitstring at a time: one cursor per run of
-the weight order, taken in turn, a FIFO of `local-flip` detours, a
+the weight order, taken in turn (a `split` case runs the driver on the
+test order `reference.SplitOrder`, see `conftest.kept_order`), a FIFO of
+`local-flip` detours, a
 `ReferenceVisitedSet` fed by `add` (membership by rank, one string at a
 time, not the library's rule; the tail sampler asks it through its
 `contains_rows`, with a fresh `TailSampler` at each checkpoint), the
@@ -36,7 +38,7 @@ from qecbound.sampling import (
     sample_unseen_batch,
 )
 
-from conftest import kept_case, random_model
+from conftest import kept_case, kept_order, random_model
 from test_optimizer_rounds import seeded_model
 from reference import ReferenceVisitedSet, accumulate, local_moves_flip, run_cursors
 
@@ -50,7 +52,9 @@ STRATEGIES = [
 # More split inputs: the low run reaches the high start before the high
 # run takes anything (d = 0), the high run is empty (d = 2n+2, so that
 # d//2+1 > n), and, with 3-row blocks, runs end inside a block.  Each
-# order runs on several random models (the `variant` of `_model`).
+# order runs on several random models (the `variant` of `_model`); the
+# library's orders also run with 3-row blocks, where a hold spans a
+# partly read block.
 SPLIT_DISTANCES = [0, 1, 3, 5, "2n+2"]
 ORDER_CASES = [
     pytest.param(strategy, distance, variant, None, id=f"{strategy}-{distance}-{variant}")
@@ -61,6 +65,9 @@ ORDER_CASES = [
     for distance in SPLIT_DISTANCES
     for variant, rows in [(k, None) for k in range(1, 7)] + [(5, 3)]
     if not (distance == 3 and variant <= 4 and rows is None)
+] + [
+    pytest.param(strategy, None, 5, 3, id=f"{strategy}-None-5-rows3")
+    for strategy in ("hamming", "local-flip")
 ]
 
 
@@ -97,8 +104,8 @@ class CountingDecoder(Decoder):
 class _ReferenceOrder:
     """Per-shot visit order: run cursors in turn plus the detour FIFO."""
 
-    def __init__(self, config, n):
-        self.cursors = run_cursors(n, config.distance_ansatz)
+    def __init__(self, config, n, distance):
+        self.cursors = run_cursors(n, distance)
         self.walks = config.strategy == "local-flip"
         self.n = n
         self.visited = ReferenceVisitedSet(n)
@@ -125,10 +132,11 @@ class _ReferenceOrder:
         self.pending.extend(sorted(local_moves_flip(mask, self.n)))
 
 
-def _reference_walk(model, decoder, config, visit, checkpoint):
+def _reference_walk(model, decoder, config, distance, visit, checkpoint):
     """Visit strings one by one; checkpoint at 1, 2, 4, ... and at the end.
-    Returns the shots and whether all 2^n strings were visited."""
-    order = _ReferenceOrder(config, model.n_channels)
+    `distance` places the high run of a `SplitOrder` (None: the weight
+    order).  Returns the shots and whether all 2^n strings were visited."""
+    order = _ReferenceOrder(config, model.n_channels, distance)
     size = 1 << model.n_channels
     stop = size if config.max_shots is None else min(size, config.max_shots)
     shots, cp_shots, next_cp = 0, None, 1
@@ -148,7 +156,7 @@ def _reference_walk(model, decoder, config, visit, checkpoint):
     return shots, shots == size
 
 
-def reference_accuracy(model, decoder, v, config):
+def reference_accuracy(model, decoder, v, config, distance=None):
     evaluator = MintermEvaluator(v)
     acc = BoundAccumulators()
     rng = np.random.default_rng(config.seed)
@@ -176,14 +184,14 @@ def reference_accuracy(model, decoder, v, config):
             records.append((shots + sampled, plo, phi, False))
 
     shots, exhausted = _reference_walk(
-        model, decoder, config, lambda e, is_log: accumulate(acc, e, is_log, evaluator),
+        model, decoder, config, distance, lambda e, is_log: accumulate(acc, e, is_log, evaluator),
         checkpoint)
     lo, hi = accuracy_bounds(acc)
     final = (shots + sampled, exhausted) + ((lo, lo) if exhausted else tuple(best))
     return records, final
 
 
-def reference_robustness(model, decoder, box, config):
+def reference_robustness(model, decoder, box, config, distance=None):
     n = model.n_channels
     l_store, s_store = MintermStore(n), MintermStore(n)
     records = []
@@ -196,11 +204,11 @@ def reference_robustness(model, decoder, box, config):
         records.append((shots, max(0.0, rb.lower - FP_MARGIN), min(1.0, rb.upper + FP_MARGIN),
                         rb.lower_exact, rb.upper_exact))
 
-    _reference_walk(model, decoder, config, visit, checkpoint)
+    _reference_walk(model, decoder, config, distance, visit, checkpoint)
     return records
 
 
-def reference_robustness_final(model, decoder, box, config):
+def reference_robustness_final(model, decoder, box, config, distance=None):
     """The final summary from the per-checkpoint `robustness_bounds` of the
     per-shot walk.  Correctly decoded strings past the term cap are
     dropped; once any were, the upper side gets None and so stays at its
@@ -227,7 +235,7 @@ def reference_robustness_final(model, decoder, box, config):
             best[0], witness = lo, rb.witness_vertex
         best[1] = min(best[1], min(1.0, rb.upper + FP_MARGIN))
 
-    shots, exhausted = _reference_walk(model, decoder, config, visit, checkpoint)
+    shots, exhausted = _reference_walk(model, decoder, config, distance, visit, checkpoint)
     exact = exhausted and rb.lower_exact and rb.upper_exact
     return {
         "shots": shots,
@@ -278,15 +286,16 @@ def test_accuracy_records_match_per_shot_reference(strategy, distance, variant, 
     if block_rows is not None:
         monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
     strategy, variant = kept_case(strategy, variant)
+    strategy = kept_order(strategy, distance, monkeypatch)
     model = _model(n, variant)
     v = model.concrete_probabilities()
     if decoder_kind == "zero":
         dec = ZeroDecoder(model.n_detectors, model.n_observables)
     else:
         dec = build_greedy_decoder(model)
-    config = RunConfig(strategy=strategy, distance_ansatz=distance, max_shots=max_shots)
+    config = RunConfig(strategy=strategy, max_shots=max_shots)
     trace = run_accuracy(model, dec, v, config)
-    records, final = reference_accuracy(model, dec, v, config)
+    records, final = reference_accuracy(model, dec, v, config, distance)
     assert _strip(trace) == records
     assert _final(trace) == final
 
@@ -305,13 +314,13 @@ def test_hybrid_records_match_per_shot_reference(strategy, distance, variant, n,
     if block_rows is not None:
         monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
     strategy, variant = kept_case(strategy, variant)
+    strategy = kept_order(strategy, distance, monkeypatch)
     model = _model(n, variant)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
-    config = RunConfig(strategy=strategy, distance_ansatz=distance,
-                       max_shots=40, sample_count=60, seed=5)
+    config = RunConfig(strategy=strategy, max_shots=40, sample_count=60, seed=5)
     trace = run_accuracy(model, dec, v, config)
-    records, final = reference_accuracy(model, dec, v, config)
+    records, final = reference_accuracy(model, dec, v, config, distance)
     assert any(not r[3] for r in records)
     assert _strip(trace) == records
     assert _final(trace) == final
@@ -329,14 +338,14 @@ def test_robustness_records_match_per_shot_reference(strategy, distance, variant
     if block_rows is not None:
         monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
     strategy, variant = kept_case(strategy, variant)
+    strategy = kept_order(strategy, distance, monkeypatch)
     model = _model(n, variant)
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
     box = Hyperrectangle.scaled(v, 0.9, 1.1)
-    config = RunConfig(mode="robustness", strategy=strategy, distance_ansatz=distance,
-                       max_shots=max_shots, f_max=8)
+    config = RunConfig(mode="robustness", strategy=strategy, max_shots=max_shots, f_max=8)
     trace = run_robustness(model, dec, box, config)
-    expect = reference_robustness(model, dec, box, config)
+    expect = reference_robustness(model, dec, box, config, distance)
     # the driver's records keep the best bounds so far
     lo, hi, got = 0.0, 1.0, []
     for shots, r_lo, r_hi, lo_exact, hi_exact in expect:
@@ -355,18 +364,20 @@ def test_robustness_records_match_per_shot_reference(strategy, distance, variant
 @pytest.mark.parametrize("variant", [1, 3])
 @pytest.mark.parametrize("strategy,distance", STRATEGIES)
 def test_robustness_final_matches_per_shot_reference(strategy, distance, variant,
-                                                     n, max_shots, term_cap, scale):
+                                                     n, max_shots, term_cap, scale,
+                                                     monkeypatch):
     strategy, variant = kept_case(strategy, variant)
+    strategy = kept_order(strategy, distance, monkeypatch)
     model = _model(n, variant)
     model = model.with_probabilities([p * scale for p in model.concrete_probabilities()])
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
     box = Hyperrectangle.scaled(v, 0.9, 1.1)
     cap = {} if term_cap is None else {"term_cap": term_cap}
-    config = RunConfig(mode="robustness", strategy=strategy, distance_ansatz=distance,
-                       max_shots=max_shots, f_max=8, **cap)
+    config = RunConfig(mode="robustness", strategy=strategy, max_shots=max_shots, f_max=8,
+                       **cap)
     final = run_robustness(model, dec, box, config).final
-    assert final == reference_robustness_final(model, dec, box, config)
+    assert final == reference_robustness_final(model, dec, box, config, distance)
     assert final["upper_frozen"] == (term_cap is not None)
 
 

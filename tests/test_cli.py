@@ -101,8 +101,7 @@ def test_accuracy_run_with_trace(program_file, tmp_path, capsys):
 def test_accuracy_greedy_and_flags(program_file, capsys):
     rc = main([
         "accuracy", program_file, "--decoder", "greedy",
-        "--strategy", "split", "--distance", "3",
-        "--max-shots", "4", "--seed", "5",
+        "--strategy", "local-flip", "--max-shots", "4", "--seed", "5",
     ])
     assert rc == 0
     assert "interrupted" in capsys.readouterr().err
@@ -189,20 +188,28 @@ def test_nan_time_limit_is_an_error(program_file, capsys):
     assert "Traceback" not in err
 
 
+def _usage_error(argv, capsys) -> str:
+    """argparse's exit 2 on `argv`, before any run: its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no trace
+    return captured.err
+
+
+# There is one visit order: `split` and its distance ansatz are no longer
+# options, so argparse rejects either flag before any run.
 def test_negative_distance_is_an_error(program_file, capsys):
-    assert main(["accuracy", program_file, "--strategy", "split", "--distance", "-5"]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "distance_ansatz" in err
+    err = _usage_error(["accuracy", program_file, "--strategy", "split", "--distance", "-5"],
+                       capsys)
+    assert "argument --strategy: invalid choice: 'split'" in err
 
 
 def test_distance_without_split_is_an_error(program_file, capsys):
-    argv = ["accuracy", program_file, "--decoder", "greedy", "--strategy", "hamming",
-            "--distance", "3"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert "error: distance_ansatz is used by split only, not 'hamming'" in captured.err
-    assert captured.out == ""  # no trace
-    assert "Traceback" not in captured.err
+    err = _usage_error(["accuracy", program_file, "--decoder", "greedy", "--strategy",
+                        "hamming", "--distance", "3"], capsys)
+    assert "unrecognized arguments: --distance 3" in err
 
 
 def test_serve_ml_dimension_mismatch_is_an_error(program_file, monkeypatch, capsys):

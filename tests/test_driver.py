@@ -26,7 +26,7 @@ from qecbound.driver import (
 from qecbound.frontend import parse_program
 from qecbound.polynomial import Hyperrectangle
 
-from conftest import exact_rate, kept_case, random_model
+from conftest import exact_rate, kept_case, kept_order, random_model
 
 
 class ZeroDecoder(Decoder):
@@ -98,17 +98,18 @@ def test_sound_records_bracket_exact_rate_and_are_monotone(repetition_model):
 ])
 # The name and the leading id (1, 2, 4) predate the removal of worker
 # counts and are kept so the case ids stay stable; the id now picks the
-# random model.  The `local-both` ids are kept the same way (see kept_case).
+# random model.  The `local-both` ids are kept the same way (see kept_case),
+# and a `split` case runs the test order `SplitOrder` (see kept_order).
 @pytest.mark.parametrize("variant", [1, 2, 4])
-def test_strategies_and_workers_agree_at_exhaustion(strategy, distance, variant):
+def test_strategies_and_workers_agree_at_exhaustion(strategy, distance, variant, monkeypatch):
     strategy, variant = kept_case(strategy, variant)
+    strategy = kept_order(strategy, distance, monkeypatch)
     rng = np.random.default_rng(4 + variant)
     model = random_model(rng, n_channels=9, n_det=4)
     v = model.concrete_probabilities()
     dec = build_ml_decoder(model, v)
     exact = exact_rate(model, dec, v)
-    config = RunConfig(strategy=strategy, distance_ansatz=distance)
-    trace = run_accuracy(model, dec, v, config)
+    trace = run_accuracy(model, dec, v, RunConfig(strategy=strategy))
     assert trace.final["exhausted"]
     assert trace.final["shots"] == 1 << model.n_channels
     assert math.isclose(trace.final["lower"], exact, rel_tol=1e-12, abs_tol=1e-12)
@@ -271,14 +272,15 @@ def test_exhausted_finals_give_one_exact_value(repetition_program_text, p):
 
 @pytest.mark.parametrize("strategy,distance", [("hamming", None), ("split", 1),
                                                ("local-flip", None)])
-def test_run_stopped_at_two_to_the_n_shots_is_exhausted(strategy, distance):
+def test_run_stopped_at_two_to_the_n_shots_is_exhausted(strategy, distance, monkeypatch):
     """A run stopped by `max_shots` = 2^n has visited every string: its
     final is exhausted and gives the exact rate on both sides, as a run
     with no shot limit does, in both modes."""
+    strategy = kept_order(strategy, distance, monkeypatch)
     model = parse_dem("dem 2 1\nerror(0.1) D0 L0\nerror(0.1) D0 D1\nerror(0.1) D1\n")
     v = model.concrete_probabilities()
     dec = build_ml_decoder(model, v)
-    plan = {"strategy": strategy, "distance_ansatz": distance}
+    plan = {"strategy": strategy}
     final = run_accuracy(model, dec, v, RunConfig(max_shots=8, **plan)).final
     assert final["shots"] == 8 and final["exhausted"]
     unlimited = run_accuracy(model, dec, v, RunConfig(**plan)).final
@@ -309,7 +311,8 @@ def _order_case_model(case):
 @pytest.mark.parametrize("case", [*range(20), "three-channel"])
 def test_exhausted_final_is_one_sum_in_any_visit_order(case, monkeypatch):
     """An exhausted accuracy final is the run's logical minterms summed and
-    rounded once, whatever the strategy and the block size."""
+    rounded once, whatever the strategy (or the test order `SplitOrder`)
+    and the block size."""
     import qecbound.driver as driver
     from qecbound.errorspace import observable_of, syndrome_of
     from qecbound.polynomial import MintermEvaluator
@@ -324,8 +327,9 @@ def test_exhausted_final_is_one_sum_in_any_visit_order(case, monkeypatch):
         monkeypatch.setattr(driver, "BLOCK_ROWS", block_rows)
         for strategy, distance in (("hamming", None), ("split", 1), ("split", 3),
                                    ("local-flip", None)):
-            config = RunConfig(strategy=strategy, distance_ansatz=distance)
-            final = run_accuracy(model, dec, v, config).final
+            with monkeypatch.context() as order_patch:
+                config = RunConfig(strategy=kept_order(strategy, distance, order_patch))
+                final = run_accuracy(model, dec, v, config).final
             assert final["exhausted"] and final["lower"] == final["upper"]
             finals.add(final["lower"])
     assert finals == {want}
@@ -498,20 +502,17 @@ def test_config_validation():
     with pytest.raises(ValueError, match="time_limit"):
         RunConfig(time_limit=float("nan"))
     RunConfig(max_shots=0, time_limit=0.0)
-    with pytest.raises(ValueError, match="distance"):
+    # `split` is no longer a strategy (see test_distance_without_split_is_rejected).
+    with pytest.raises(ValueError, match="unknown strategy 'split'"):
         RunConfig(strategy="split")
-    for distance in (-1, -5):
-        with pytest.raises(ValueError, match="distance_ansatz"):
-            RunConfig(strategy="split", distance_ansatz=distance)
-    RunConfig(strategy="split", distance_ansatz=0)
 
 
 @pytest.mark.parametrize("strategy", ["hamming", "local-flip"])
 def test_distance_without_split_is_rejected(strategy):
-    """A distance ansatz only places split's high run; any other strategy
-    rejects it instead of running as if it were not given."""
-    message = f"distance_ansatz is used by split only, not '{strategy}'"
-    with pytest.raises(ValueError, match=message):
+    """A distance ansatz placed the high run of the former `split`
+    strategy; no strategy takes one now, so a config given one is an
+    error rather than a run that ignores it."""
+    with pytest.raises(TypeError, match="distance_ansatz"):
         RunConfig(strategy=strategy, distance_ansatz=3)
     RunConfig(strategy=strategy)
 

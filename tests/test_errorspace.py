@@ -1,5 +1,5 @@
-"""Weight-order enumeration, ranking, the visit order's runs and its
-membership, and the reference visited set."""
+"""Weight-order enumeration, ranking, the visit order and its membership,
+the two-run test order `SplitOrder`, and the reference visited set."""
 
 import random
 from itertools import combinations, islice
@@ -9,14 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qecbound.driver import RunConfig
 from qecbound.errorspace import (
     STRATEGIES,
     VisitOrder,
-    WeightRun,
     bits_to_str,
     combination_rows,
-    first_position_of_weight,
     ints_of,
     precedes,
     rank_table,
@@ -30,7 +27,9 @@ from qecbound.errorspace import (
 from conftest import kept_case
 from reference import (
     ReferenceVisitedSet,
+    SplitOrder,
     WeightOrderCursor,
+    first_position_of_weight,
     local_moves_flip,
     position_of,
     rank_in_weight_class,
@@ -114,10 +113,10 @@ def test_cursor_enumerates_everything_once():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_hamming_partition_covers_space(n):
+    cur = WeightOrderCursor(n)
     seen = []
-    for cur in run_cursors(n):
-        while not cur.exhausted:
-            seen.append(cur.next())
+    while not cur.exhausted:
+        seen.append(cur.next())
     assert sorted(seen) == list(range(1 << n))
 
 
@@ -131,34 +130,27 @@ def test_split_partition_covers_space_with_overlap(distance):
     assert seen == set(range(1 << n))
 
 
-def test_split_requires_distance():
-    with pytest.raises(ValueError, match="split strategy requires a distance ansatz"):
-        RunConfig(strategy="split")
-    with pytest.raises(ValueError, match="distance_ansatz must be >= 0"):
-        RunConfig(strategy="split", distance_ansatz=-1)
-
-
 def test_split_high_block_starts_at_expected_weight():
     n = 8
     cursors = run_cursors(n, 4)
     first_high = cursors[1].next()
     assert weight(first_high) == 3  # floor(4/2) + 1
+    assert _mask(SplitOrder(n, 4).take(2)[1], n) == first_high
 
 
 def test_split_alternates_low_and_high_strings():
-    """Weight 0, the first weight-2 string, the first weight-1 string, and
-    so on, one from each run, until the low run ends; blocks of any size
-    continue the alternation where the last one stopped."""
+    """`SplitOrder`: weight 0, the first weight-2 string, the first weight-1
+    string, and so on, one from each run, until the low run ends; blocks
+    of any size continue the alternation where the last one stopped."""
     n = 5
     order = brute_force_order(n)
     low, high = order[:1 + n], order[1 + n:]  # d = 3: the high run starts at weight 2
     expect = [m for pair in zip(low, high) for m in pair] + high[len(low):]
     assert expect[:3] == [0b00000, 0b00011, 0b00001]
-    visits = VisitOrder(n, 3)
+    visits = SplitOrder(n, 3)
     got = []
     for m in (1, 2, 3, 1, 4, 7, 100):
-        rows = visits.take(m)
-        got += [sum(1 << int(c) for c in row if c < n) for row in rows]
+        got += [_mask(row, n) for row in visits.take(m)]
     assert got == expect
 
 
@@ -167,7 +159,7 @@ def test_local_moves_flip():
 
 
 def test_strategies():
-    assert STRATEGIES == ("hamming", "split", "local-flip")
+    assert STRATEGIES == ("hamming", "local-flip")
 
 
 def test_visited_set_in_order():
@@ -251,15 +243,14 @@ def test_frozen_membership_and_lowest_unvisited_weight(seed, n):
     assert vs.lowest_unvisited_weight() == min((weight(m) for m in unvisited), default=n + 1)
     assert vs.contains_rows(words_of(range(size), 1)).tolist() == [m in vs for m in range(size)]
     assert repr(vs) == before
-    # A visit order in any state (no distance or a random one, a random
-    # take and hold, random extras past its prefix) answers a block of
-    # every string as the reference layout of its positions does.
-    order = VisitOrder(n, None if rng.random() < 0.5 else int(rng.integers(0, 2 * n + 3)))
+    # A visit order in any state (the library's or a `SplitOrder` of a
+    # random distance, a random take and hold, random extras past its
+    # prefix) answers a block of every string as the reference layout of
+    # its positions does.
+    order = VisitOrder(n) if rng.random() < 0.5 else SplitOrder(n, int(rng.integers(0, 2 * n + 3)))
     order.take(int(rng.integers(0, size + 1)))
     order.hold(int(rng.integers(0, order.taken + 1)))
-    low_end, high_end = order._visited_ends()
-    high = order.runs[1].start
-    layout = ReferenceVisitedSet(n, low_end, high=(high, max(high, high_end)))
+    layout = _layout_of(order)
     order.extras.update(m for m in range(size) if m not in layout and rng.random() < 0.3)
     layout.extras = set(order.extras)
     assert (order.contains_rows(words_of(range(size), 1)).tolist()
@@ -271,6 +262,15 @@ def _mask(row, n):
     return sum(1 << int(c) for c in row if c < n)
 
 
+def _layout_of(order) -> ReferenceVisitedSet:
+    """The reference layout of the positions an order has visited in
+    order (its extras aside)."""
+    if isinstance(order, SplitOrder):
+        low, high = order.visited_ends()
+        return ReferenceVisitedSet(order.n, low, high=(order.start, max(order.start, high)))
+    return ReferenceVisitedSet(order.n, order.taken - order.held)
+
+
 def _assert_visited(order, n, visited):
     """One block call over every string against the per-string reference."""
     every = range(1 << n)
@@ -280,8 +280,9 @@ def _assert_visited(order, n, visited):
         (weight(m) for m in range(1 << n) if m not in visited), default=n + 1)
 
 
-# Every strategy, and split over the distances of test_block_core; the
-# `local-both` id runs `local-flip` on other seeds (see kept_case).
+# Every strategy, and the test order `SplitOrder` over the distances of
+# test_block_core; the `local-both` id runs `local-flip` on other seeds
+# (see kept_case).
 ORDER_PLANS = [(s, None) for s in ("hamming", "local-flip", "local-both")] + [
     ("split", d) for d in (0, 1, 3, 5, "2n+2")]
 
@@ -295,13 +296,13 @@ def test_order_membership_matches_taken_strings(strategy, distance):
     for `local-flip`, which lie past the in-order prefix and leave it once
     the prefix reaches them, as the walk's do; membership of every string,
     the count and the lowest unvisited weight are asked after each `take`
-    and each `hold`, so ends kept from before either would fail."""
+    and each `hold`, so an end kept from before either would fail."""
     strategy, variant = kept_case(strategy, 1)
     for seed in range(10 * variant - 10, 10 * variant):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
         d = 2 * n + 2 if distance == "2n+2" else distance
-        order = VisitOrder(n, d)
+        order = VisitOrder(n) if d is None else SplitOrder(n, d)
         taken: list[int] = []
         held = 0
         while len(taken) < 1 << n:
@@ -324,30 +325,31 @@ def test_order_membership_matches_taken_strings(strategy, distance):
 @pytest.mark.parametrize("n", [66, 70])
 @pytest.mark.parametrize("distance", [None, 3, 5])
 def test_two_word_membership_matches_the_reference(n, distance):
-    """Rows of two words.  The order is held back so that a visited end
-    is a string with a channel in the second word (each run's, for
-    `split`), and a block is asked of random rows of weight <= 3, the
+    """Rows of two words.  The order (the library's, or the test order
+    `SplitOrder` for a distance) is held back so that a visited end is a
+    string with a channel in the second word (each run's, for
+    `SplitOrder`), and a block is asked of random rows of weight <= 3, the
     strings next to each end and the strings that equal an end in its
     first word but not in its second (so the lowest differing word is the
     second), against the reference layout of the order's positions; with
     extras past the prefix when the order has no high run, as the walk
     leaves them."""
     rng = np.random.default_rng(n + (distance or 0))
-    order = VisitOrder(n, distance)
+    order = VisitOrder(n) if distance is None else SplitOrder(n, distance)
     order.take(5000)
-    start = order.runs[1].start
+    start = 1 << n if distance is None else order.start
     second_word = 0
     for t in (1 << 65, 1 | 1 << 64, 1 | 1 << 65, 0b11 | 1 << 65, 0b110 | 1 << 64):
         pos = position_of(t, n)
-        # visited count k whose low (or high) end is t; `split` needs the
-        # runs to alternate up to k, that is ceil(k/2) <= start
+        # visited count k whose low (or high) end is t; `SplitOrder` needs
+        # the runs to alternate up to k, that is ceil(k/2) <= start
         k = pos if distance is None else 2 * pos if pos < start else 2 * (pos - start) + 1
         if k > order.taken or distance is not None and (k + 1) // 2 > start:
             continue
         order.hold(order.taken - k)
-        low_end, high_end = order._visited_ends()
+        layout = _layout_of(order)
+        low_end, high_end = layout.prefix, max(start, layout.high[1])
         assert pos in (low_end, high_end)
-        layout = ReferenceVisitedSet(n, low_end, high=(start, max(start, high_end)))
         probes = [sum(1 << int(c) for c in rng.choice(n, size=k, replace=False))
                   for k in rng.integers(0, 4, size=200)]
         ends = [unrank_position(p, n) for p in (low_end, high_end) if p < 1 << n]
@@ -366,19 +368,19 @@ def test_two_word_membership_matches_the_reference(n, distance):
 
 @pytest.mark.parametrize("distance", [0, 1, 3, 5, "2n+2"])
 def test_split_holds_match_taken_strings(distance):
-    """Holds on `split`: the held rows of a take may come from both runs.
-    After a hold, each run's visited part is what it gave less its share
-    of the held rows; after a take, the last hold's count carries over, so
-    the visited strings are the first `len(taken) - count` in order of
-    `take`.  Membership of every string, the count and the lowest
-    unvisited weight are asked after each `take` and each `hold` of random
-    size (0 too)."""
+    """Holds on the test order `SplitOrder`: the held rows of a take may
+    come from both runs.  After a hold, each run's visited part is what it
+    gave less its share of the held rows; after a take, the last hold's
+    count carries over, so the visited strings are the first
+    `len(taken) - count` in order of `take`.  Membership of every string,
+    the count and the lowest unvisited weight are asked after each `take`
+    and each `hold` of random size (0 too)."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
         d = 2 * n + 2 if distance == "2n+2" else distance
         w = d // 2 + 1
-        order = VisitOrder(n, d)
+        order = SplitOrder(n, d)
         given: tuple[list[int], list[int]] = ([], [])  # by the low and the high run
         taken: list[int] = []
         count = 0
@@ -400,36 +402,33 @@ def test_split_holds_match_taken_strings(distance):
 
 @pytest.mark.parametrize("n", range(13))
 def test_weight_runs_are_the_combinations(n):
-    """Every weight range [w0, w1), read in takes of random size (0 too),
-    gives the rows of `itertools.combinations`, weight class by weight
-    class, each padded with n to the width of its take."""
+    """The visit order, read in takes of random size (0 too, and past its
+    end), gives the rows of `itertools.combinations`, weight class by
+    weight class, each padded with n to the width of its take."""
     rng = np.random.default_rng(n)
-    for w0 in range(n + 2):
-        for w1 in range(w0, n + 2):
-            run = WeightRun(n, w0, w1)
-            expect = [c for k in range(w0, w1) for c in combinations(range(n), k)]
-            got = []
-            while run.position < run.end:
-                rows = run.take(int(rng.integers(0, 2 + len(expect) // 4)))
-                for row in rows.tolist():
-                    k = sum(c < n for c in row)
-                    assert row[k:] == [n] * (len(row) - k)
-                    got.append(tuple(row[:k]))
-            assert got == expect
-            assert run.position == run.end == first_position_of_weight(min(w1, n + 1), n)
-            assert run.take(3).shape[0] == 0
+    expect = [c for k in range(n + 1) for c in combinations(range(n), k)]
+    for _ in range(3):
+        order = VisitOrder(n)
+        got = []
+        while order.taken < 1 << n:
+            rows = order.take(int(rng.integers(0, 2 + len(expect) // 4)))
+            for row in rows.tolist():
+                k = sum(c < n for c in row)
+                assert row[k:] == [n] * (len(row) - k)
+                got.append(tuple(row[:k]))
+        assert got == expect
+        assert order.taken == 1 << n
+        assert order.take(3).shape[0] == 0
 
 
 def test_unranking_is_exact_past_int64():
     """The rank tables switch to Python ints once C(n, m) passes 2^63: the
-    high runs of split at n = 213 (weight 12) and n = 70 (weight 40) start
+    weight classes at n = 213 (weight 12) and n = 70 (weight 40) start
     with the combinations, and the first and last ranks of classes on
     either side of the switch unrank as `unrank_in_weight_class` does."""
-    for n, d in [(213, 23), (70, 79)]:
-        w = d // 2 + 1
-        rows = VisitOrder(n, d).take(200)
-        high = [tuple(c for c in row if c < n) for row in rows[1::2].tolist()]
-        assert high == list(islice(combinations(range(n), w), 100))
+    for n, w in [(213, 12), (70, 40)]:
+        rows = combination_rows(rank_table(n, w), 0, 100)
+        assert [tuple(row) for row in rows.tolist()] == list(islice(combinations(range(n), w), 100))
     assert rank_table(66, 33).dtype == np.int64 and rank_table(67, 33).dtype == object
     for n, k in [(66, 33), (66, 66), (67, 33), (67, 34), (70, 40), (213, 12), (213, 200)]:
         table = rank_table(n, k)

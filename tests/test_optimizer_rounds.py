@@ -31,6 +31,7 @@ from qecbound.polynomial import (
     robustness_bounds,
 )
 
+from conftest import kept_order
 from test_optimizer_properties import polynomials
 
 
@@ -396,14 +397,20 @@ def counting_certify(monkeypatch) -> list[int]:
 def wide_box_run(seed: int, strategy: str = "hamming", distance: int | None = None):
     """`seeded_model(seed)`, the box x[0.5, 2] around its rates, where later
     checkpoints need rounds after the first, and a function that runs a
-    4096-shot robustness run on them."""
+    4096-shot robustness run on them (a `split` run on the test order
+    `SplitOrder`, installed for that run only; see `kept_order`)."""
     model = seeded_model(seed)
     box = Hyperrectangle.scaled(model.concrete_probabilities(), 0.5, 2.0)
     mid = tuple(0.5 * (a + b) for a, b in zip(box.lower, box.upper))
     decoder = build_greedy_decoder(model, mid)
-    config = RunConfig(mode="robustness", strategy=strategy, distance_ansatz=distance,
-                       max_shots=4096)
-    return box, lambda: driver.run_robustness(model, decoder, box, config)
+
+    def run():
+        with pytest.MonkeyPatch.context() as order_patch:
+            config = RunConfig(mode="robustness", max_shots=4096,
+                               strategy=kept_order(strategy, distance, order_patch))
+            return driver.run_robustness(model, decoder, box, config)
+
+    return box, run
 
 
 def test_no_round_starts_after_the_deadline(monkeypatch):
@@ -448,7 +455,8 @@ def test_no_round_starts_after_the_deadline(monkeypatch):
     assert late_signed == late
 
 
-@pytest.mark.parametrize("strategy,distance", [("hamming", None), ("split", 3)])
+@pytest.mark.parametrize("strategy,distance", [("hamming", None), ("split", 3),
+                                               ("local-flip", None)])
 def test_records_past_the_deadline_are_sound(strategy, distance, monkeypatch):
     """A 4096-shot robustness run on the wide box whose every checkpoint is
     optimized past its deadline: no checkpoint runs a round after the

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from qecbound.errorspace import (
     VisitOrder,
-    first_position_of_weight,
     ints_of,
     unrank_position,
     weight,
@@ -31,7 +30,9 @@ from qecbound.sampling import (
 from reference import (
     ReferenceVisitedSet,
     accumulate,
+    SplitOrder,
     draw_tail,
+    first_position_of_weight,
     sample_unseen,
     sample_unseen_draw_by_draw,
 )
@@ -103,7 +104,7 @@ def test_tail_table_matches_brute_force(n):
 
 
 def test_sample_distribution_with_extras_and_high_run():
-    """Frontier prefix, extras and a split high run all present."""
+    """Frontier prefix, extras and a high run (`SplitOrder`'s) all present."""
     n = 6
     v = (0.3, 0.15, 0.45, 0.2, 0.35, 0.25)
     high = first_position_of_weight(3, n)
@@ -151,13 +152,13 @@ def test_visited_layouts_give_identical_draws():
 
 
 def test_order_draws_like_its_reference_layout():
-    """A run hands the sampler its VisitOrder: mid-way through a `split`
-    order, and through a held-back local walk with extras, it gives the
-    same members, lowest unvisited weight and draws as the reference
-    layout of the same positions."""
+    """A run hands the sampler its visit order: mid-way through the
+    two-run test order `SplitOrder`, and through a held-back local walk
+    with extras, it gives the same members, lowest unvisited weight and
+    draws as the reference layout of the same positions."""
     n = 6
     v = (0.3, 0.15, 0.45, 0.2, 0.35, 0.25)
-    split = VisitOrder(n, 3)
+    split = SplitOrder(n, 3)
     split.take(10)  # positions 0-4 of the low run, 7-11 of the high run
     walk = VisitOrder(n)
     walk.take(30)

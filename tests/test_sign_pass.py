@@ -24,6 +24,7 @@ from qecbound.polynomial import (
     robustness_bounds,
 )
 
+from conftest import kept_order
 from test_optimizer_properties import polynomials
 from test_optimizer_rounds import seeded_model
 from test_sign_pass_factored import reference_signs
@@ -272,9 +273,13 @@ def test_each_row_reaches_the_pass_once(monkeypatch):
     ("hamming", None), ("split", 3), ("split", 5), ("local-flip", None)])
 def test_first_round_of_every_checkpoint_matches_certify(strategy, distance, monkeypatch):
     """On 4096-shot robustness runs every `first_round` equals a fresh
-    certify of the merged terms, whichever order the strategy stores rows
-    in.  `hamming` stores them in weight order, so a pass that holds rows
-    never starts over; the other orders make one start over."""
+    certify of the merged terms, whichever order the strategy (or the test
+    order `SplitOrder`) stores rows in.  `hamming` stores them in weight
+    order, so a pass that holds rows never starts over; `local-flip`'s
+    detours and `SplitOrder`'s high run store a heavier row before lighter
+    ones, which makes one start over."""
+    out_of_order = strategy != "hamming"
+    strategy = kept_order(strategy, distance, monkeypatch)
     first_round = MintermStore.first_round
     calls, restarts = [], []
 
@@ -294,10 +299,9 @@ def test_first_round_of_every_checkpoint_matches_certify(strategy, distance, mon
     box = Hyperrectangle.scaled(model.concrete_probabilities(), 0.9, 1.1)
     mid = tuple(0.5 * (a + b) for a, b in zip(box.lower, box.upper))
     driver.run_robustness(model, build_greedy_decoder(model, mid), box,
-                          RunConfig(mode="robustness", strategy=strategy,
-                                    distance_ansatz=distance, max_shots=4096))
+                          RunConfig(mode="robustness", strategy=strategy, max_shots=4096))
     assert len(calls) > 20
-    assert (not restarts) == (strategy == "hamming")
+    assert bool(restarts) == out_of_order
 
 
 def test_a_store_keeps_its_pass_while_it_is_empty(monkeypatch):
@@ -342,6 +346,7 @@ def test_every_pass_of_a_robustness_run_holds_one_cover(strategy, distance, scal
     robustness runs every `certify` call and every row fed to a
     `_SignPass` has its pass's one cover, so no run takes the per-variable
     reference that `certify` keeps for rows of several covers."""
+    strategy = kept_order(strategy, distance, monkeypatch)
     certified, made, fed = [], [], []
     certify, init, update = TermArray.certify, _SignPass.__init__, _SignPass.update
 
@@ -367,7 +372,6 @@ def test_every_pass_of_a_robustness_run_holds_one_cover(strategy, distance, scal
     box = Hyperrectangle.scaled(model.concrete_probabilities(), *scale)
     mid = tuple(0.5 * (a + b) for a, b in zip(box.lower, box.upper))
     driver.run_robustness(model, build_greedy_decoder(model, mid), box,
-                          RunConfig(mode="robustness", strategy=strategy,
-                                    distance_ansatz=distance, max_shots=4096))
+                          RunConfig(mode="robustness", strategy=strategy, max_shots=4096))
     assert made and fed and certified
     assert all(fed) and all(certified)

@@ -24,6 +24,7 @@ from qecbound.polynomial import (
     _SignPass,
 )
 
+from conftest import kept_order
 from reference import DenseSignPass
 from test_compiler import repetition_memory_text
 from test_optimizer_rounds import seeded_model
@@ -265,12 +266,12 @@ def test_records_equal_those_of_per_variable_first_rounds(strategy, distance, se
     """Bit for bit, the robustness records of 4096-shot runs equal the
     records made when every checkpoint's first round is the per-variable
     reference."""
+    strategy = kept_order(strategy, distance, monkeypatch)
     model = seeded_model(seed)
     box = Hyperrectangle.scaled(model.concrete_probabilities(), 0.9, 1.1)
     mid = tuple(0.5 * (a + b) for a, b in zip(box.lower, box.upper))
     decoder = build_greedy_decoder(model, mid)
-    config = RunConfig(mode="robustness", strategy=strategy, distance_ansatz=distance,
-                       max_shots=4096)
+    config = RunConfig(mode="robustness", strategy=strategy, max_shots=4096)
 
     def run():
         trace = driver.run_robustness(model, decoder, box, config)
