@@ -1,10 +1,13 @@
 """Decoders behind a uniform black-box interface.
 
-A decoder maps a syndrome (int bitmask over detectors) to predicted
-observable bits (int bitmask over observables) and is stateless across
-shots.  Built-ins: an exact maximum-likelihood lookup table and a greedy
-footprint-peeling heuristic.  External decoders attach over a
-line-oriented subprocess protocol:
+A decoder maps syndromes to predicted observable bits and is stateless
+across shots.  A run hands it syndromes as uint64 word rows, [B,
+n_words(n_det)], and reads its predictions as [B, n_words(n_obs)] rows
+(`Decoder.decode_words`); Python-int bit sets appear only at the edges:
+`decode`, `decode_batch` and the wire text.  Built-ins: an exact
+maximum-likelihood lookup table and a greedy footprint-peeling
+heuristic.  External decoders attach over a line-oriented subprocess
+protocol:
 
     analyzer -> INIT <n_det> <n_obs>
     decoder  -> READY
@@ -19,7 +22,7 @@ lines from it and writes the chunk in one write.  Both ends read the k
 lines one `readline` at a time and check each as it arrives, so a bad
 or missing line fails at once; the k lines are then packed into words
 in one pass.  The server reads a whole batch, decodes it with one
-`decode_batch` call and answers it in one write, encoded the same way.
+`decode_words` call and answers it in one write, encoded the same way.
 
 The ML table.  `build_ml_decoder` sums each (syndrome, observable)
 class's minterms over all 2^n bitstrings in array passes.  The classes
@@ -39,14 +42,19 @@ class.
 Batched decoding.  The enumeration core and the samplers classify whole
 blocks of bitstrings with `LogicalErrorClassifier`: the block's unique
 syndromes that are not yet in its `SyndromeCache` (syndrome ->
-prediction) go to one `decode_batch` call.  The cache belongs to the
+prediction) go to one `decode_words` call, as word rows.  A user decoder
+overrides `decode` or `decode_batch`, on ints, and the base
+`decode_words` converts to and from words around it, as it does for
+the ML table.  Greedy and the `exec:` client implement `decode_words`
+on the words, and their `decode_batch` is the int adapter around it.  The cache belongs to the
 classifier, which lives for one run, so repeated runs make the same
 decoder calls and each starts cold.  The classifier also hands its cache
-to the decoder (`Decoder.use_cache`).  `GreedyDecoder.decode_batch`
-peels a whole batch in rounds: each round scores every distinct residual
-once against every channel in one [rows, channels] array and XORs in
-each row's best channel.  The scores come from a table of each channel's
-score for every value of every syndrome byte, one gather per byte.
+to the decoder (`Decoder.use_cache`).  `GreedyDecoder.decode_words`
+peels a whole batch in rounds: each round scores the residuals against
+every channel in one [rows, channels] array (round 1 the rows as given,
+later rounds each distinct residual once) and XORs in each row's best
+channel.  The scores come from a table of each channel's score for
+every value of every syndrome byte, one gather per byte.
 Peeling is recursive, so a row whose residual is then in the cache XORs
 in the cached prediction and is done.  The weight order decodes the
 lighter errors inside an error before the error itself, so greedy mostly
@@ -88,8 +96,8 @@ ML_CHUNK = 1 << 16
 # Syndromes a SyndromeCache takes at most: its inserts copy the cache, and
 # a long run can see a new syndrome in nearly every string.
 CACHE_CAP = 1 << 18
-# Cells of each [rows, channels] score array `GreedyDecoder.decode_batch`
-# makes; its rows are a chunk of the distinct residuals.
+# Cells of each [rows, channels] score array `GreedyDecoder.decode_words`
+# makes; its rows are a chunk of one round's residuals.
 GREEDY_CELLS = 1 << 14
 # Bytes a greedy decoder's score table may take ([syndrome bytes, 256,
 # live channels] int16); past it, scores are counted from the words.  The
@@ -106,7 +114,12 @@ class ProtocolError(RuntimeError):
 
 
 class Decoder:
-    """Base interface; subclasses implement decode(syndrome) -> int."""
+    """Base interface.  A run calls only `decode_words`: [B,
+    n_words(n_det)] uint64 syndrome rows in, [B, n_words(n_obs)] uint64
+    prediction rows out.  A user decoder overrides `decode` (one int
+    syndrome to int observable bits) or `decode_batch` (a list of them);
+    the base `decode_words` converts its rows through `decode_batch`,
+    which calls `decode` once per syndrome."""
 
     kind: str
     n_det: int
@@ -118,12 +131,31 @@ class Decoder:
     def decode_batch(self, syndromes) -> list[int]:
         return [self.decode(s) for s in syndromes]
 
+    def decode_words(self, rows: np.ndarray) -> np.ndarray:
+        return words_of(self.decode_batch(ints_of(rows)), n_words(self.n_obs))
+
     def use_cache(self, cache: SyndromeCache) -> None:
         """Take the cache of a run's classifier, which maps syndromes to
         this decoder's own predictions.  Ignored unless overridden."""
 
     def close(self) -> None:
         pass
+
+
+class _WordDecoder(Decoder):
+    """A decoder whose own method is `decode_words`.  `decode_batch` and
+    `decode` are its int edge: a syndrome outside [0, 2^n_det) raises
+    ValueError before `decode_words` is called."""
+
+    def decode(self, syndrome: int) -> int:
+        return self.decode_batch([syndrome])[0]
+
+    def decode_batch(self, syndromes) -> list[int]:
+        syndromes = list(syndromes)
+        if syndromes and (min(syndromes) < 0 or max(syndromes) >> self.n_det):
+            bad = next(s for s in syndromes if s < 0 or s >> self.n_det)
+            raise ValueError(f"syndrome {bad} is outside [0, 2^{self.n_det})")
+        return ints_of(self.decode_words(words_of(syndromes, n_words(self.n_det))))
 
 
 @dataclass
@@ -221,7 +253,7 @@ def build_ml_decoder(model: DetectorErrorModel, v) -> MlDecoder:
 
 
 @dataclass
-class GreedyDecoder(Decoder):
+class GreedyDecoder(_WordDecoder):
     """Greedy footprint peeling: repeatedly XOR in the channel whose
     detector footprint best covers the residual syndrome."""
 
@@ -297,33 +329,38 @@ class GreedyDecoder(Decoder):
         score -= self._live_weight
         return score
 
-    def decode_batch(self, syndromes) -> list[int]:
-        """decode() for every syndrome, peeling the whole batch in rounds.  A
-        round scores each distinct active residual once against every live
-        channel (`_scores`, in chunks of at most `GREEDY_CELLS` cells); the
-        channels lie in `_order`, so argmax picks the first strictly best
-        one, as decode() does.  A row whose best score is not above 0 gives
-        up.
+    def decode_words(self, rows: np.ndarray) -> np.ndarray:
+        """decode() for every row, peeling the whole batch in rounds.  A
+        round scores each active residual against every live channel
+        (`_scores`, in chunks of at most `GREEDY_CELLS` cells); the channels
+        lie in `_order`, so argmax picks the first strictly best one, as
+        decode() does.  A row whose best score is not above 0 gives up.
+        Round 1 scores the rows as given (a classifier's rows are distinct
+        already, and a duplicate costs only its own cells); later rounds
+        score each distinct residual once.
 
         Peeling is recursive: if decode() picks channel b for residual r,
         then decode(r) = obs[b] ^ decode(r ^ det[b]).  So after each round
         a row whose new residual is in the cache (`use_cache`) XORs in its
         prediction and is done."""
-        residual = words_of(list(syndromes), self._det.shape[1])
+        residual = np.array(rows, dtype=np.uint64)
         answer = np.zeros((len(residual), self._obs.shape[1]), dtype=np.uint64)
         live, cache = self._live, self._cache
         step = max(1, GREEDY_CELLS // max(1, live.size))
         active = np.flatnonzero(residual.any(axis=1)) if live.size else np.empty(0, np.intp)
+        dedupe = False
         while active.size:
-            _, first, inv = np.unique(row_keys(np.take(residual, active, axis=0)),
-                                      return_index=True, return_inverse=True)
-            rows = np.take(residual, active[first], axis=0)
+            rows = np.take(residual, active, axis=0)
+            if dedupe:
+                _, first, inv = np.unique(row_keys(rows), return_index=True, return_inverse=True)
+                rows = rows[first]
             best = np.empty(len(rows), dtype=np.intp)
             for a in range(0, len(rows), step):
                 score = self._scores(rows[a:a + step])
                 j = score.argmax(axis=1)
                 best[a:a + step] = np.where(score[np.arange(len(j)), j] > 0, live[j], -1)
-            best = best[inv.reshape(-1)]
+            if dedupe:
+                best = best[inv.reshape(-1)]
             found = best >= 0  # rows without a scoring channel give up
             active, best = active[found], best[found]
             residual[active] ^= np.take(self._det, best, axis=0)
@@ -332,7 +369,8 @@ class GreedyDecoder(Decoder):
             at, hit = cache.find(row_keys(np.take(residual, active, axis=0)))
             answer[active[hit]] ^= key_words(cache.pred[at[hit]], answer.shape[1])
             active = active[~hit]
-        return ints_of(answer)
+            dedupe = True
+        return answer
 
 
 def build_greedy_decoder(model: DetectorErrorModel, v=None) -> GreedyDecoder:
@@ -342,7 +380,7 @@ def build_greedy_decoder(model: DetectorErrorModel, v=None) -> GreedyDecoder:
 
 
 @dataclass
-class ExternalDecoder(Decoder):
+class ExternalDecoder(_WordDecoder):
     """Client side of the subprocess wire protocol."""
 
     command: str
@@ -384,30 +422,32 @@ class ExternalDecoder(Decoder):
             raise ProtocolError("decoder process closed its output")
         return line.rstrip("\n")
 
-    def decode(self, syndrome: int) -> int:
-        return self.decode_batch([syndrome])[0]
-
-    def decode_batch(self, syndromes) -> list[int]:
+    def decode_words(self, rows: np.ndarray) -> np.ndarray:
         """Each chunk's lines are cut from one encoding of the whole batch
         and sent in one write; its replies are read and checked line by
-        line and parsed in one pass (`_words_of_lines`)."""
-        syndromes = list(syndromes)
-        if syndromes and (min(syndromes) < 0 or max(syndromes) >> self.n_det):
-            bad = next(s for s in syndromes if s < 0 or s >> self.n_det)
-            raise ValueError(f"syndrome {bad} is outside [0, 2^{self.n_det})")
-        text = _lines_of(words_of(syndromes, n_words(self.n_det)), self.n_det)
+        line and parsed in one pass (`_words_of_lines`).  Rows of the
+        wrong number of words, or with a bit at or above n_det, raise
+        ValueError before anything is sent."""
+        wd = n_words(self.n_det)
+        if rows.ndim != 2 or rows.shape[1] != wd:
+            raise ValueError(f"syndrome rows of shape {rows.shape}, not [rows, {wd}]")
+        over = (rows & words_of_bits(np.arange(64 * wd)[None] >= self.n_det)).any(axis=1)
+        if over.any():
+            raise ValueError(f"syndrome row {np.flatnonzero(over)[0]} has a bit "
+                             f"at or above {self.n_det}")
+        text = _lines_of(rows, self.n_det)
         width = self.n_det + 1
-        out: list[int] = []
+        out = [np.zeros((0, n_words(self.n_obs)), dtype=np.uint64)]
         # A chunk's replies fit in the reply pipe, which holds at least
         # PIPE_BUF bytes, so a decoder that answers each syndrome as it
         # reads it can read the whole chunk while the client writes.
         step = max(1, select.PIPE_BUF // (self.n_obs + 1))
-        for start in range(0, len(syndromes), step):
-            k = min(step, len(syndromes) - start)
+        for start in range(0, len(rows), step):
+            k = min(step, len(rows) - start)
             self._send(f"DECODE {k}\n" + text[start * width:(start + k) * width])
             replies = (self._recv() for _ in range(k))
-            out += ints_of(_words_of_lines(replies, self.n_obs, "malformed decoder reply"))
-        return out
+            out.append(_words_of_lines(replies, self.n_obs, "malformed decoder reply"))
+        return np.concatenate(out)
 
     def close(self) -> None:
         try:
@@ -477,9 +517,9 @@ class LogicalErrorClassifier:
     the syndrome differs from the observables.
 
     A block's unique syndromes that are not in the classifier's
-    `SyndromeCache` go to one `decode_batch` call, and then join it.  The
-    classifier hands its fresh cache to the decoder (`use_cache`), so a
-    greedy decoder reads its residuals from it."""
+    `SyndromeCache` go to one `decode_words` call, as word rows, and then
+    join it.  The classifier hands its fresh cache to the decoder
+    (`use_cache`), so a greedy decoder reads its residuals from it."""
 
     def __init__(self, model: DetectorErrorModel, decoder: Decoder) -> None:
         self.footprints = Footprints(model)
@@ -497,8 +537,7 @@ class LogicalErrorClassifier:
         pred[known] = self.cache.pred[at[known]]
         if not known.all():
             new = ~known
-            syndromes = ints_of(key_words(keys[new], wd))
-            pred[new] = row_keys(words_of(self.decoder.decode_batch(syndromes), fp.obs.shape[1]))
+            pred[new] = row_keys(self.decoder.decode_words(key_words(keys[new], wd)))
             self.cache.add(at[new], keys[new], pred[new])
         return pred[inv.reshape(-1)] != row_keys(both[:, wd:])
 
@@ -546,7 +585,7 @@ def serve(decoder: Decoder, stdin, stdout) -> None:
     input inside a batch, at once: a `DECODE k` header reserves nothing.
 
     Each `DECODE k` batch is read whole before it is answered, with one
-    `decode_batch` call and one write: a client may write the whole batch
+    `decode_words` call and one write: a client may write the whole batch
     before it reads, and replies sent line by line could fill the reply
     pipe while that client is still writing."""
     line = stdin.readline()
@@ -573,6 +612,5 @@ def serve(decoder: Decoder, stdin, stdout) -> None:
         rows = _words_of_lines((s.strip() for s in lines), n_det, "malformed syndrome")
         if len(rows) < k:
             raise ProtocolError(f"input ended after {len(rows)} of {k} lines of a DECODE batch")
-        preds = decoder.decode_batch(ints_of(rows))
-        stdout.write(_lines_of(words_of(preds, n_words(n_obs)), n_obs))
+        stdout.write(_lines_of(decoder.decode_words(rows), n_obs))
         stdout.flush()

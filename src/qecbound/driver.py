@@ -11,7 +11,7 @@ the walk's detours as extras.  No string is visited twice, so
 both read it, and a run is exhausted once it has visited 2^n strings.
 Each block gets its minterms with numpy, and its decoder verdicts from a
 `LogicalErrorClassifier` made for the run, which sends the unique
-syndromes it has not seen to one `decode_batch` call.  Both strategies
+syndromes it has not seen to one `decode_words` call.  Both strategies
 refill alike: once the last block is read and no detour is pending, the
 next min(`BLOCK_ROWS`, visits left) strings of the order are evaluated
 ahead of the checkpoints.  The checkpoint loop reads the block in slices

@@ -17,6 +17,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import qecbound.decoders as decoders
 from qecbound.compiler import DetectorErrorModel, parse_dem
 from qecbound.decoders import Decoder, GreedyDecoder, build_greedy_decoder
 from qecbound.driver import RunConfig, run_accuracy, run_robustness
@@ -408,39 +409,38 @@ def test_repeated_runs_on_one_decoder_repeat_calls():
 
 
 class ForwardingDecoder:
-    """Forwards `decode_batch(syndromes)` and lends every other attribute
-    from the decoder it wraps, as a tracing proxy does."""
+    """Forwards `decode_words(rows)` and lends every other attribute from
+    the decoder it wraps, as a tracing proxy does."""
 
     def __init__(self, inner):
         self.inner = inner
         self.batches = []
 
-    def decode_batch(self, syndromes):
-        syndromes = list(syndromes)
-        self.batches.append(syndromes)
-        return self.inner.decode_batch(syndromes)
+    def decode_words(self, rows):
+        self.batches.append(sorted(ints_of(rows)))
+        return self.inner.decode_words(rows)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
 
 def _greedy_batches(monkeypatch) -> list:
-    """The syndrome lists `GreedyDecoder.decode_batch` is called with,
-    from now on."""
+    """The syndromes of each `GreedyDecoder.decode_words` call from now
+    on, as sorted ints."""
     batches = []
-    decode_batch = GreedyDecoder.decode_batch
+    decode_words = GreedyDecoder.decode_words
 
-    def spy(self, syndromes):
-        batches.append(list(syndromes))
-        return decode_batch(self, syndromes)
+    def spy(self, rows):
+        batches.append(sorted(ints_of(rows)))
+        return decode_words(self, rows)
 
-    monkeypatch.setattr(GreedyDecoder, "decode_batch", spy)
+    monkeypatch.setattr(GreedyDecoder, "decode_words", spy)
     return batches
 
 
 @pytest.mark.parametrize("n,shots", [(9, None), (39, 4096), (70, 2048)])
 def test_a_forwarding_decoder_gives_the_same_records_and_calls(n, shots, monkeypatch):
-    """A wrapper that forwards only `decode_batch` still hands the run's
+    """A wrapper that forwards only `decode_words` still hands the run's
     cache to the greedy decoder inside it, through `__getattr__`."""
     model = seeded_model(1) if n == 39 else _model(n)
     v = model.concrete_probabilities()
@@ -453,6 +453,7 @@ def test_a_forwarding_decoder_gives_the_same_records_and_calls(n, shots, monkeyp
     inner = build_greedy_decoder(model)
     wrapped = ForwardingDecoder(inner)
     assert _strip(run_accuracy(model, wrapped, v, config)) == records
+    assert bare_batches
     assert wrapped.batches == batches == bare_batches
     assert len(inner._cache) == len(bare._cache) > 0
 
@@ -477,10 +478,35 @@ def test_each_run_hands_the_decoder_a_fresh_cache(monkeypatch):
         run_accuracy(model, dec, v, RunConfig(max_shots=4096))
         calls.append(batches[:])
         del batches[:]
+    assert calls[0]
     assert calls[0] == calls[1]
     (first, first_len), (second, second_len) = handed
     assert first is not second and first_len == second_len == 0
     assert dec._cache is second and len(second) == len(first) > 0
+
+
+def test_a_greedy_run_decodes_without_python_ints(monkeypatch):
+    """Syndromes stay uint64 word rows from the classifier through the
+    greedy decoder and back: a 4096-shot `hamming` run calls neither
+    `ints_of` nor `words_of` of the decoders module once the decoder is
+    built."""
+    model = seeded_model(1)
+    dec = build_greedy_decoder(model)
+    calls = []
+
+    def counted(name):
+        convert = getattr(decoders, name)
+
+        def call(*args):
+            calls.append(name)
+            return convert(*args)
+        return call
+
+    for name in ("ints_of", "words_of"):
+        monkeypatch.setattr(decoders, name, counted(name))
+    trace = run_accuracy(model, dec, model.concrete_probabilities(), RunConfig(max_shots=4096))
+    assert trace.records and len(dec._cache) > 0
+    assert calls == []
 
 
 def test_blocks_are_evaluated_ahead_of_the_checkpoints(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import qecbound.decoders as decoders
 from qecbound.compiler import DetectorErrorModel, compile_to_dem, parse_dem, write_dem
 from qecbound.decoders import (
+    Decoder,
     GreedyDecoder,
     MlDecoder,
     ProtocolError,
@@ -23,6 +24,7 @@ from qecbound.decoders import (
     serve,
 )
 from qecbound.errorspace import (
+    bits_to_str,
     ints_of,
     key_words,
     n_words,
@@ -36,6 +38,7 @@ from qecbound.polynomial import MintermEvaluator
 
 from conftest import exact_rate, random_model
 from reference import reference_ml_table
+from test_wire_protocol import _codec_cases, _Recorder
 
 
 @pytest.fixture
@@ -475,7 +478,13 @@ def _greedy_cases(draw):
 def test_greedy_decode_batch_is_decode_on_random_models(case):
     model, batch = case
     dec = GreedyDecoder(model)
-    assert dec.decode_batch(batch) == [dec.decode(s) for s in batch]
+    want = [dec.decode(s) for s in batch]
+    assert dec.decode_batch(batch) == want
+    rows = words_of(batch, n_words(model.n_detectors))
+    got = dec.decode_words(rows)
+    assert got.shape == (len(batch), n_words(model.n_observables)) and got.dtype == np.uint64
+    assert ints_of(got) == want
+    assert ints_of(rows) == batch  # the caller's rows are left as they were
 
 
 def _add_to_cache(cache: SyndromeCache, dec: GreedyDecoder, syndromes) -> None:
@@ -484,8 +493,7 @@ def _add_to_cache(cache: SyndromeCache, dec: GreedyDecoder, syndromes) -> None:
     words = words_of(syndromes, n_words(dec.n_det))
     keys, first = np.unique(row_keys(words), return_index=True)
     at, hit = cache.find(keys)
-    pred = words_of(dec.decode_batch(ints_of(words[first][~hit])), n_words(dec.n_obs))
-    cache.add(at[~hit], keys[~hit], row_keys(pred))
+    cache.add(at[~hit], keys[~hit], row_keys(dec.decode_words(words[first][~hit])))
 
 
 @given(_greedy_cases(), st.data())
@@ -595,3 +603,112 @@ def test_greedy_decode_batch_on_a_circuit_model():
                  for w in (2, 3) for _ in range(150)]
     dec = GreedyDecoder(model)
     assert dec.decode_batch(syndromes) == [dec.decode(s) for s in syndromes]
+
+
+def _words(syndromes, n: int) -> np.ndarray:
+    return words_of(list(syndromes), n_words(n))
+
+
+@pytest.mark.parametrize("n_det", [0, 5, 64, 65, 130])
+def test_greedy_decode_words_is_decode_row_for_row(n_det):
+    """Tied footprints and rates, channels with empty footprints, and
+    duplicate and all-zero rows, which round 1 scores as given; a model
+    without detectors answers 0 to its one syndrome."""
+    rng = np.random.default_rng(n_det)
+    if n_det:
+        tied = _footprint_model(rng, 24, n_det, 2, [0.01, 0.02])
+        det = (*tied.det_footprints, 0, 0)
+    else:
+        det = (0,) * 26
+    model = DetectorErrorModel(
+        n_channels=26, n_detectors=n_det, n_observables=2,
+        probabilities=tuple(float(rng.choice([0.01, 0.02])) for _ in range(26)),
+        det_footprints=det, obs_footprints=tuple(int(rng.integers(0, 4)) for _ in range(26)))
+    dec = GreedyDecoder(model)
+    full = (1 << n_det) - 1
+    syndromes = [syndrome_of(model, int(e)) for e in rng.integers(0, 1 << 26, size=100)]
+    syndromes += [int.from_bytes(rng.bytes(17), "little") & full for _ in range(50)]
+    syndromes = [0, full, *syndromes, 0, *syndromes[:30]]
+    assert ints_of(dec.decode_words(_words(syndromes, n_det))) == [dec.decode(s)
+                                                                   for s in syndromes]
+    assert dec.decode_words(_words([], n_det)).shape == (0, 1)
+
+
+@pytest.mark.parametrize("n_det", [2, 64, 65, 130, 300])
+def test_ml_decode_words_is_the_table(n_det):
+    """Row for row `table.get(s, 0)`, at one to five words a row: the
+    table's syndromes, syndromes no error makes, and ones the table does
+    not hold."""
+    rng = np.random.default_rng(n_det)
+    full = (1 << n_det) - 1
+    n = 10
+    model = DetectorErrorModel(
+        n_channels=n, n_detectors=n_det, n_observables=3,
+        probabilities=tuple(float(rng.choice([0.05, 0.1])) for _ in range(n)),
+        det_footprints=tuple(int.from_bytes(rng.bytes(38), "little") & full or 1
+                             for _ in range(n)),
+        obs_footprints=tuple(int(rng.integers(0, 8)) for _ in range(n)))
+    dec = build_ml_decoder(model, model.concrete_probabilities())
+    assert len(dec.table) > 2 and any(dec.table.values())
+    held = list(dec.table)
+    others = [0, full, 1 << n_det - 1] + [int.from_bytes(rng.bytes(38), "little") & full
+                                          for _ in range(50)]
+    batch = [*held, *others, *held[::-1]]
+    rng.shuffle(batch)
+    got = dec.decode_words(_words(batch, n_det))
+    assert got.shape == (len(batch), 1)
+    assert ints_of(got) == [dec.table.get(s, 0) for s in batch]
+    assert ints_of(MlDecoder(n_det, 3, {}).decode_words(_words(batch, n_det))) == [0] * len(batch)
+
+
+def test_a_decoder_that_defines_only_decode_answers_words():
+    """The base `decode_words` converts through `decode_batch`, which
+    calls `decode`, at two words in and two words out."""
+
+    class Shifted(Decoder):
+        kind = "shifted"
+        n_det, n_obs = 130, 65
+
+        def decode(self, syndrome):
+            return syndrome >> 3 & (1 << 65) - 1
+
+    rng = np.random.default_rng(130)
+    batch = [0, (1 << 130) - 1, *(int.from_bytes(rng.bytes(17), "little") >> 6
+                                  for _ in range(40))]
+    got = Shifted().decode_words(_words(batch, 130))
+    assert got.shape == (len(batch), 2)
+    assert ints_of(got) == [s >> 3 & (1 << 65) - 1 for s in batch]
+
+
+@given(_codec_cases())
+@settings(max_examples=100, deadline=None)
+def test_external_decode_words_is_decode_batch(case):
+    """The same bytes go out and the same predictions come back."""
+    n_det, n_obs, batch, table = case
+    replies = [bits_to_str(table[s], n_obs) for s in batch]
+    by_ints, by_words = _Recorder("unused", n_det, n_obs), _Recorder("unused", n_det, n_obs)
+    by_ints.replies, by_words.replies = replies[:], replies[:]
+    got = by_words.decode_words(_words(batch, n_det))
+    assert got.shape == (len(batch), n_words(n_obs))
+    assert ints_of(got) == by_ints.decode_batch(batch) == [table[s] for s in batch]
+    assert by_words.sent == by_ints.sent
+    assert not by_words.replies
+
+
+@pytest.mark.parametrize("n_det", [0, 1, 63, 64, 65, 130])
+def test_external_decode_words_refuses_bad_rows_before_sending(n_det):
+    """A bit at or above n_det, or rows of the wrong number of words, raise
+    ValueError, and nothing is written."""
+    wd = n_words(n_det)
+    client = _Recorder("unused", n_det, 1)
+    for bit in {b for b in (n_det, 64 * wd - 1) if n_det <= b < 64 * wd}:
+        rows = np.zeros((3, wd), dtype=np.uint64)
+        rows[2, bit // 64] = np.uint64(1) << np.uint64(bit % 64)
+        with pytest.raises(ValueError, match=f"row 2 has a bit at or above {n_det}"):
+            client.decode_words(rows)
+    for width in (wd - 1, wd + 1):
+        with pytest.raises(ValueError, match="syndrome rows of shape"):
+            client.decode_words(np.zeros((3, width), dtype=np.uint64))
+    with pytest.raises(ValueError, match="syndrome rows of shape"):
+        client.decode_words(np.zeros(wd, dtype=np.uint64))
+    assert client.sent == []
