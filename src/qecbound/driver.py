@@ -4,11 +4,12 @@ One block core serves both modes.  The visit order is read in blocks of
 support rows from one `errorspace.VisitOrder`, the weight order: `hamming`
 reads it as it is; `local-flip` follows each logical error found in it
 with its unvisited one-bit flips, in ascending bit-set order, before the
-order resumes.  The order is also the visited set: its first
-`taken - held` strings (what it gave, less the rows not yet read) plus
-the walk's detours as extras.  No string is visited twice, so
-`len(order)` is the number of visits: the refill and the checkpoint loop
-both read it, and a run is exhausted once it has visited 2^n strings.
+order resumes.  The order is also the visited set: its visited prefix,
+which `next_block` advances by the in-order rows it used (the walk's
+skips too), plus the walk's detours as extras.  No string is visited
+twice, so `len(order)` is the number of visits: the refill and the
+checkpoint loop both read it, and a run is exhausted once it has visited
+2^n strings.
 Each block gets its minterms with numpy, and its decoder verdicts from a
 `LogicalErrorClassifier` made for the run, which sends the unique
 syndromes it has not seen to one `decode_words` call.  Both strategies
@@ -81,15 +82,18 @@ class RunConfig:
     sample_count: int = 0  # per-checkpoint samples; accuracy mode only
     alpha: float = 0.01
     seed: int = 0
-    f_max: int = F_MAX_DEFAULT
-    term_cap: int = TERM_CAP_DEFAULT
 
     def __post_init__(self) -> None:
         if self.mode not in ("accuracy", "robustness"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
-        for name in ("max_shots", "time_limit", "sample_count", "f_max", "term_cap"):
+        for name in ("max_shots", "sample_count", "seed"):
+            value = getattr(self, name)
+            if ((value is not None or name != "max_shots")  # max_shots None: no limit
+                    and (isinstance(value, bool) or not isinstance(value, int))):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("max_shots", "time_limit", "sample_count", "seed"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN too
                 raise ValueError(f"{name} must be >= 0")
@@ -210,7 +214,7 @@ class _BlockCore:
 
     def _read_ahead(self, m: int) -> None:
         """Evaluate the next m strings of the order into the buffer."""
-        self.rows, self.cursor = self.evaluate(self.order.take(m)), 0
+        self.rows, self.cursor = self.evaluate(self.order.read(m)), 0
         if self.walks:
             self.ints, self.flags = ints_of(self.rows.masks), self.rows.logical.tolist()
 
@@ -219,12 +223,13 @@ class _BlockCore:
         visited (possibly none; at least one while any is unvisited)."""
         if self.cursor == len(self.rows) and not self.pending:
             self._read_ahead(min(BLOCK_ROWS, self.max_shots - len(self.order)))
+        start = self.cursor
         if self.walks:
             block = self._walk(limit)
         else:
             block = self.rows.select(slice(self.cursor, self.cursor + limit))
             self.cursor += len(block)
-        self.order.hold(len(self.rows) - self.cursor)
+        self.order.advance(self.cursor - start)
         return block
 
     def _walk(self, limit: int) -> _Rows:
@@ -396,13 +401,13 @@ def run_robustness(model: DetectorErrorModel, decoder: Decoder,
 
     def sink(rows: _Rows) -> None:
         l_store.extend(rows.masks[rows.logical])
-        s_not_l_store.extend(rows.masks[~rows.logical][:config.term_cap - len(s_not_l_store)])
+        s_not_l_store.extend(rows.masks[~rows.logical][:TERM_CAP_DEFAULT - len(s_not_l_store)])
 
     for shots in _checkpoints(core, deadline, sink):
         # Every string went to one store: S-minus-L dropped some past the cap.
-        frozen = shots - len(l_store) > config.term_cap
+        frozen = shots - len(l_store) > TERM_CAP_DEFAULT
         rb = robustness_bounds(l_store, None if frozen else s_not_l_store, box,
-                               f_max=config.f_max, deadline=deadline)
+                               f_max=F_MAX_DEFAULT, deadline=deadline)
         if _sound_record(trace, shots, rb.lower, rb.upper, t0,
                          lower_exact=rb.lower_exact, upper_exact=rb.upper_exact):
             witness = rb.witness_vertex

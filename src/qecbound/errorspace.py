@@ -7,25 +7,26 @@ tuples (combinatorial number system ranks).
 
 Blocks.  The enumeration core reads the order in blocks of support-index
 rows: row r lists the channels of one bitstring in ascending order, padded
-with n to the block's width.  `VisitOrder.take` unranks a block's rows of
+with n to the block's width.  `VisitOrder.read` unranks a block's rows of
 one weight class in numpy, one `searchsorted` per column into a prefix
 table of binomials (`rank_table`, `combination_rows`); the table holds
 int64 while every value fits and Python ints past that, with the same code
-either way.  The order is also the visited set: its first `taken - held`
-strings (given, less the last ones held back, not yet visited), plus the
-`local-flip` walk's out-of-order extras.  The visited part of the order
-is a prefix, so membership is asked of a block of word rows at once: each
-row is compared with the prefix's end (`precedes`) and looked up among the
-extras.  `Footprints` holds every channel's detector, observable and
-channel bit sets as rows of ceil(width/64) uint64 words, with an empty row
-n, so a block's syndromes are the XOR of one gathered row per support
-column, for every detector count.  Bit sets of any width become support
-rows through one function, `supports_of_words`, and bool rows become bit
-sets through `words_of_bits`.
+either way.  The order is also the visited set: its first `prefix`
+strings, which `advance` moves on, plus the `local-flip` walk's
+out-of-order extras.  The visited part of the order is a prefix, so
+membership is asked of a block of word rows at once: each row is compared
+with the prefix's end (`precedes`) and looked up among the extras.
+`Footprints` holds every channel's detector, observable and channel bit
+sets as rows of ceil(width/64) uint64 words, with an empty row n, so a
+block's syndromes are the XOR of one gathered row per support column, for
+every detector count.  Bit sets of any width become support rows through
+one function, `supports_of_words`, and bool rows become bit sets through
+`words_of_bits`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
 from math import comb
 
@@ -50,32 +51,6 @@ def str_to_bits(s: str) -> int:
 
 def weight(mask: int) -> int:
     return mask.bit_count()
-
-
-def unrank_in_weight_class(r: int, n: int, k: int) -> int:
-    """The weight-k string of rank `r` in lex order of supports."""
-    mask = 0
-    c = 0
-    for j in range(k):
-        while True:
-            cnt = comb(n - 1 - c, k - 1 - j)
-            if r < cnt:
-                break
-            r -= cnt
-            c += 1
-        mask |= 1 << c
-        c += 1
-    return mask
-
-
-def unrank_position(pos: int, n: int) -> int:
-    w = 0
-    while True:
-        c = comb(n, w)
-        if pos < c:
-            return unrank_in_weight_class(pos, n, w)
-        pos -= c
-        w += 1
 
 
 STRATEGIES = ("hamming", "local-flip")
@@ -249,79 +224,91 @@ class VisitOrder:
     """A run's visit order, the weight order read in blocks of support
     rows, and the set of strings it has visited.
 
-    The order's state is two counts: `taken`, the strings `take` gave, and
-    `held`, how many of the last of them `hold` marks as not yet visited
-    (rows taken ahead).  The visited strings are the order's first
-    `taken - held`, plus `extras` (the `local-flip` walk's out-of-order
-    visits, which leave `extras` once the in-order prefix reaches them),
-    so there are `len(order)` of them.  `take` reads on from position
-    `taken`, one weight class at a time through that class's rank table.
-    `contains_rows` answers membership for a block of word rows at once,
-    by one rule: a row is visited if it precedes the prefix's end (it is
-    lighter, or it has the same weight and holds the lowest channel where
-    the two differ) or if it lies in `extras`.  The end string is unranked
-    at the first query after a `take` or `hold`.
+    The order's state is one count, `prefix`, the length of the visited
+    prefix, plus `extras` (the `local-flip` walk's out-of-order visits,
+    which leave `extras` once the prefix reaches them), so there are
+    `len(order)` visited strings.  `read` gives the rows of the positions
+    past the prefix and marks nothing; `advance` is the order's only move.
+    Every string comes from its weight class's rank table by the rule of
+    `combination_rows`: a block in numpy, a single string (`string_at`) by
+    `bisect` on the table's rows.  The class of a position is found from
+    cumulative binomials.  `contains_rows` answers membership for a block
+    of word rows at once, by one rule: a row is visited if it precedes the
+    prefix's end (it is lighter, or it has the same weight and holds the
+    lowest channel where the two differ) or if it lies in `extras`.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.extras: set[int] = set()
-        self.taken = 0  # strings given by `take`
-        self.held = 0  # the last of them not yet visited
-        self._w = 0  # weight class of the string at position `taken`
-        self._class_start = 0  # position of weight class _w's first string
-        self._table: np.ndarray | None = None  # its rank table, once read
-        self._end: int | None = None  # the visited prefix's end string
+        self.prefix = 0  # the visited prefix's length
+        # position of each weight class's first string, and 2^n
+        self._starts = list(accumulate((comb(n, w) for w in range(n + 1)), initial=0))
+        self._tables: dict[int, tuple[np.ndarray, list]] = {}  # rank tables, as arrays and lists
 
     def __len__(self) -> int:
-        return self.taken - self.held + len(self.extras)
+        return self.prefix + len(self.extras)
+
+    def _class(self, pos: int) -> int:
+        """The weight class of position pos (n + 1 at 2^n)."""
+        return bisect_right(self._starts, pos) - 1
+
+    def _table(self, w: int) -> tuple[np.ndarray, list]:
+        if w not in self._tables:
+            table = rank_table(self.n, w)
+            self._tables[w] = table, table.tolist()
+        return self._tables[w]
+
+    def string_at(self, pos: int) -> int:
+        """The string at position pos < 2^n, by the rule of
+        `combination_rows` with `bisect` in place of `searchsorted`."""
+        w = self._class(pos)
+        rank, after, mask = pos - self._starts[w], 0, 0
+        for t in self._table(w)[1]:
+            rank += t[after]
+            c = bisect_right(t, rank) - 1
+            rank -= t[c]
+            mask |= 1 << c
+            after = c + 1
+        return mask
+
+    def read(self, m: int) -> np.ndarray:
+        """The next m strings past the visited prefix (fewer at the order's
+        end), as padded support rows; marks nothing."""
+        parts = []
+        pos, stop = self.prefix, min(self.prefix + m, 1 << self.n)
+        while pos < stop:
+            w = self._class(pos)
+            got = min(stop, self._starts[w + 1]) - pos
+            parts.append(combination_rows(self._table(w)[0], pos - self._starts[w], got))
+            pos += got
+        return _stack_rows(parts, self.n)
+
+    def advance(self, k: int) -> None:
+        """Mark the next k strings past the visited prefix visited."""
+        if not 0 <= k <= (1 << self.n) - self.prefix:
+            raise ValueError(f"cannot advance {k} from position {self.prefix} of {1 << self.n}")
+        self.prefix += k
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Whether each string of [B, n_words(n)] uint64 rows is visited:
         it precedes the visited prefix's end or it lies in `extras`."""
-        if self._end is None:
-            pos = self.taken - self.held
-            # Past the end: the all-ones string of n + 1 bits, which every string precedes.
-            self._end = unrank_position(pos, self.n) if pos < 1 << self.n else (2 << self.n) - 1
-        seen = precedes(rows, self._end)
+        # Past the end: the all-ones string of n + 1 bits, which every string precedes.
+        end = self.string_at(self.prefix) if self.prefix < 1 << self.n else (2 << self.n) - 1
+        seen = precedes(rows, end)
         if self.extras:
             seen |= np.isin(row_keys(rows), row_keys(words_of(list(self.extras), rows.shape[1])))
         return seen
 
-    def hold(self, count: int) -> None:
-        """Mark the last `count` strings given as not yet visited (until
-        the next `hold`)."""
-        if not 0 <= count <= self.taken:
-            raise ValueError(f"cannot hold {count} of the {self.taken} strings given")
-        self.held, self._end = count, None
-
     def lowest_unvisited_weight(self) -> int:
         """The lowest weight of any unvisited string (n + 1 if none): the
-        first string past the visited prefix not in `extras`."""
-        for pos in range(self.taken - self.held, 1 << self.n):
-            mask = unrank_position(pos, self.n)
-            if mask not in self.extras:
-                return mask.bit_count()
-        return self.n + 1
-
-    def take(self, m: int) -> np.ndarray:
-        """The next m strings of the order (fewer at its end)."""
-        parts = []
-        stop = min(self.taken + m, 1 << self.n)
-        while self.taken < stop:
-            size = comb(self.n, self._w)
-            if self._table is None:
-                self._table = rank_table(self.n, self._w)
-            first = self.taken - self._class_start
-            got = min(stop - self.taken, size - first)
-            parts.append(combination_rows(self._table, first, got))
-            self.taken += got
-            if first + got == size:  # weight class _w is done
-                self._w += 1
-                self._class_start += size
-                self._table = None
-        self._end = None
-        return _stack_rows(parts, self.n)
+        class of the first position past the visited prefix whose string
+        is not in `extras`."""
+        pos = self.prefix
+        if self.extras:
+            while pos < 1 << self.n and self.string_at(pos) in self.extras:
+                pos += 1
+        return self._class(pos)
 
 
 def syndrome_of(model: DetectorErrorModel, mask: int) -> int:

@@ -2,14 +2,15 @@
 
 The library enumerates the weight order in blocks, and its visit order
 answers membership from the strings it gave; the helpers here do the same
-one string at a time: ranking a string to its position, one cursor per
-run of a visit order, flip neighbours, and a visited set fed by `add`
-whose membership ranks the string.  `SplitOrder` is a visit order of two
-runs of the weight order, taken in turn, that the tests run the driver
-on in place of `VisitOrder`.  The per-shot helpers evaluate one
-minterm, accumulate one string and draw one unseen string; the tail
-sampler's per-row draw and per-draw accept loop work on Python ints, one
-string at a time.
+one string at a time: ranking a string to its position and unranking a
+position by the binomial comb loop (the independent reference for the
+order's reads), one cursor per run of a visit order, flip neighbours,
+and a visited set fed by `add` whose membership ranks the string.
+`SplitOrder` is a visit order of two runs of the weight order, taken in
+turn, that the tests run the driver on in place of `VisitOrder`.  The
+per-shot helpers evaluate one minterm, accumulate one string and draw
+one unseen string; the tail sampler's per-row draw and per-draw accept
+loop work on Python ints, one string at a time.
 `reference_ml_table` builds the ML table from chunks of bitstrings, each
 rebuilt from its bits.  `DenseSignPass` is the first pruning round with
 every row's other factors written out.  The tests compare the library
@@ -34,7 +35,6 @@ from qecbound.errorspace import (
     precedes,
     rank_table,
     row_keys,
-    unrank_position,
     weight,
     words_of,
 )
@@ -70,6 +70,35 @@ def rank_in_weight_class(mask: int, n: int) -> int:
             r += comb(n - 1 - a, k - 1 - j)
         prev = c
     return r
+
+
+def unrank_in_weight_class(r: int, n: int, k: int) -> int:
+    """The weight-k string of rank `r` in lex order of supports: each
+    channel in turn, skipping the C(n - 1 - c, k - 1 - j) strings of every
+    lower channel c."""
+    mask = 0
+    c = 0
+    for j in range(k):
+        while True:
+            cnt = comb(n - 1 - c, k - 1 - j)
+            if r < cnt:
+                break
+            r -= cnt
+            c += 1
+        mask |= 1 << c
+        c += 1
+    return mask
+
+
+def unrank_position(pos: int, n: int) -> int:
+    """The string at position `pos` of the weight order over all 2^n."""
+    w = 0
+    while True:
+        c = comb(n, w)
+        if pos < c:
+            return unrank_in_weight_class(pos, n, w)
+        pos -= c
+        w += 1
 
 
 def first_position_of_weight(w: int, n: int) -> int:
@@ -145,8 +174,9 @@ class SplitOrder:
     each and the low run first, until either ends; the other then
     continues alone, so the order's first k strings hold the low run's
     first max(min(ceil(k/2), L), k - H).  (This was the order of the
-    library's former `split` strategy.)  The visited strings are the
-    order's first `taken - held` plus `extras`, and a row is visited if it
+    library's former `split` strategy.)  As the library's order, its state
+    is one count, `prefix`, that only `advance` moves: the visited strings
+    are the order's first `prefix` plus `extras`, and a row is visited if it
     precedes the low run's visited end, if it has weight >= w and precedes
     the high run's visited end, or if it lies in `extras`.  Tests install
     it in the driver (`conftest.kept_order`), so the block core, the sign
@@ -159,11 +189,10 @@ class SplitOrder:
         self.w = min(distance // 2 + 1, n + 1)
         self.start = first_position_of_weight(self.w, n)
         self.extras: set[int] = set()
-        self.taken = 0
-        self.held = 0
+        self.prefix = 0
 
     def __len__(self) -> int:
-        return self.taken - self.held + len(self.extras)
+        return self.prefix + len(self.extras)
 
     def low_share(self, k: int) -> int:
         """How many of the order's first k strings the low run gives."""
@@ -171,17 +200,17 @@ class SplitOrder:
 
     def visited_ends(self) -> tuple[int, int]:
         """Each run's visited end, as a position in the weight order."""
-        k = self.taken - self.held
-        low = self.low_share(k)
-        return low, self.start + k - low
+        low = self.low_share(self.prefix)
+        return low, self.start + self.prefix - low
 
-    def take(self, m: int) -> np.ndarray:
-        """The next m strings of the order (fewer at its end)."""
-        first, self.taken = self.taken, min(self.taken + m, 1 << self.n)
-        shares = [self.low_share(k) for k in range(first, self.taken + 1)]
+    def read(self, m: int) -> np.ndarray:
+        """The next m strings past the visited prefix (fewer at the
+        order's end); marks nothing."""
+        first, stop = self.prefix, min(self.prefix + m, 1 << self.n)
+        shares = [self.low_share(k) for k in range(first, stop + 1)]
         low = weight_order_rows(self.n, shares[0], shares[-1] - shares[0])
         high = weight_order_rows(self.n, self.start + first - shares[0],
-                                 self.taken - first - len(low))
+                                 stop - first - len(low))
         from_low = np.diff(np.array(shares, dtype=object)).astype(bool)
         rows = np.full((len(from_low), max(low.shape[1], high.shape[1])), self.n,
                        dtype=np.intp)
@@ -189,11 +218,11 @@ class SplitOrder:
         rows[~from_low, :high.shape[1]] = high
         return rows
 
-    def hold(self, count: int) -> None:
-        """Mark the last `count` strings given as not yet visited."""
-        if not 0 <= count <= self.taken:
-            raise ValueError(f"cannot hold {count} of the {self.taken} strings given")
-        self.held = count
+    def advance(self, k: int) -> None:
+        """Mark the next k strings past the visited prefix visited."""
+        if not 0 <= k <= (1 << self.n) - self.prefix:
+            raise ValueError(f"cannot advance {k} from position {self.prefix} of {1 << self.n}")
+        self.prefix += k
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         def at(pos: int) -> int:

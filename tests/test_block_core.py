@@ -21,7 +21,7 @@ import qecbound.decoders as decoders
 from qecbound.compiler import DetectorErrorModel, parse_dem
 from qecbound.decoders import Decoder, GreedyDecoder, build_greedy_decoder
 from qecbound.driver import RunConfig, run_accuracy, run_robustness
-from qecbound.errorspace import ints_of, observable_of, syndrome_of, unrank_position
+from qecbound.errorspace import ints_of, observable_of, syndrome_of
 from qecbound.polynomial import (
     FP_MARGIN,
     BoundAccumulators,
@@ -41,7 +41,8 @@ from qecbound.sampling import (
 
 from conftest import kept_case, kept_order, random_model
 from test_optimizer_rounds import seeded_model
-from reference import ReferenceVisitedSet, accumulate, local_moves_flip, run_cursors
+from reference import (ReferenceVisitedSet, accumulate, local_moves_flip, run_cursors,
+                       unrank_position)
 
 STRATEGIES = [
     ("hamming", None),
@@ -193,6 +194,8 @@ def reference_accuracy(model, decoder, v, config, distance=None):
 
 
 def reference_robustness(model, decoder, box, config, distance=None):
+    import qecbound.driver as driver
+
     n = model.n_channels
     l_store, s_store = MintermStore(n), MintermStore(n)
     records = []
@@ -201,7 +204,7 @@ def reference_robustness(model, decoder, box, config, distance=None):
         (l_store if is_log else s_store).append(e)
 
     def checkpoint(shots, visited):
-        rb = robustness_bounds(l_store, s_store, box, f_max=config.f_max)
+        rb = robustness_bounds(l_store, s_store, box, f_max=driver.F_MAX_DEFAULT)
         records.append((shots, max(0.0, rb.lower - FP_MARGIN), min(1.0, rb.upper + FP_MARGIN),
                         rb.lower_exact, rb.upper_exact))
 
@@ -214,6 +217,8 @@ def reference_robustness_final(model, decoder, box, config, distance=None):
     per-shot walk.  Correctly decoded strings past the term cap are
     dropped; once any were, the upper side gets None and so stays at its
     last sound value."""
+    import qecbound.driver as driver
+
     n = model.n_channels
     l_store, s_store = MintermStore(n), MintermStore(n)
     best = [0.0, 1.0]
@@ -223,14 +228,15 @@ def reference_robustness_final(model, decoder, box, config, distance=None):
         nonlocal dropped
         if is_log:
             l_store.append(e)
-        elif len(s_store) < config.term_cap:
+        elif len(s_store) < driver.TERM_CAP_DEFAULT:
             s_store.append(e)
         else:
             dropped = True
 
     def checkpoint(shots, visited):
         nonlocal witness, rb
-        rb = robustness_bounds(l_store, None if dropped else s_store, box, f_max=config.f_max)
+        rb = robustness_bounds(l_store, None if dropped else s_store, box,
+                               f_max=driver.F_MAX_DEFAULT)
         lo = max(0.0, rb.lower - FP_MARGIN)
         if lo >= best[0]:
             best[0], witness = lo, rb.witness_vertex
@@ -344,7 +350,8 @@ def test_robustness_records_match_per_shot_reference(strategy, distance, variant
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
     box = Hyperrectangle.scaled(v, 0.9, 1.1)
-    config = RunConfig(mode="robustness", strategy=strategy, max_shots=max_shots, f_max=8)
+    monkeypatch.setattr(driver, "F_MAX_DEFAULT", 8)
+    config = RunConfig(mode="robustness", strategy=strategy, max_shots=max_shots)
     trace = run_robustness(model, dec, box, config)
     expect = reference_robustness(model, dec, box, config, distance)
     # the driver's records keep the best bounds so far
@@ -367,6 +374,8 @@ def test_robustness_records_match_per_shot_reference(strategy, distance, variant
 def test_robustness_final_matches_per_shot_reference(strategy, distance, variant,
                                                      n, max_shots, term_cap, scale,
                                                      monkeypatch):
+    import qecbound.driver as driver
+
     strategy, variant = kept_case(strategy, variant)
     strategy = kept_order(strategy, distance, monkeypatch)
     model = _model(n, variant)
@@ -374,9 +383,10 @@ def test_robustness_final_matches_per_shot_reference(strategy, distance, variant
     v = model.concrete_probabilities()
     dec = build_greedy_decoder(model)
     box = Hyperrectangle.scaled(v, 0.9, 1.1)
-    cap = {} if term_cap is None else {"term_cap": term_cap}
-    config = RunConfig(mode="robustness", strategy=strategy, max_shots=max_shots, f_max=8,
-                       **cap)
+    monkeypatch.setattr(driver, "F_MAX_DEFAULT", 8)
+    if term_cap is not None:
+        monkeypatch.setattr(driver, "TERM_CAP_DEFAULT", term_cap)
+    config = RunConfig(mode="robustness", strategy=strategy, max_shots=max_shots)
     final = run_robustness(model, dec, box, config).final
     assert final == reference_robustness_final(model, dec, box, config, distance)
     assert final["upper_frozen"] == (term_cap is not None)

@@ -181,6 +181,13 @@ def test_negative_sample_count_is_an_error(program_file, capsys):
     assert "Traceback" not in err
 
 
+def test_negative_seed_is_an_error(program_file, capsys):
+    assert main(["accuracy", program_file, "--seed", "-3", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "seed" in err
+    assert "Traceback" not in err
+
+
 def test_nan_time_limit_is_an_error(program_file, capsys):
     assert main(["accuracy", program_file, "--time-limit", "nan"]) == 1
     err = capsys.readouterr().err

@@ -368,13 +368,14 @@ def test_robustness_sound_under_interruption():
             assert rec.upper >= worst - 1e-12
 
 
-def test_robustness_term_cap_freezes_upper(repetition_model):
+def test_robustness_term_cap_freezes_upper(repetition_model, monkeypatch):
+    import qecbound.driver as driver
+
+    monkeypatch.setattr(driver, "TERM_CAP_DEFAULT", 2)
     v = repetition_model.concrete_probabilities()
     dec = build_ml_decoder(repetition_model, v)
     box = Hyperrectangle((0.009,) * 3, (0.011,) * 3)
-    trace = run_robustness(
-        repetition_model, dec, box, RunConfig(mode="robustness", term_cap=2)
-    )
+    trace = run_robustness(repetition_model, dec, box, RunConfig(mode="robustness"))
     assert trace.final["upper_frozen"]
     expect = 3 * 0.011**2 * 0.989 + 0.011**3
     # lower still converges; upper stays a sound over-estimate
@@ -416,13 +417,16 @@ def test_final_checkpoint_not_repeated(repetition_model):
     assert all(a < b for a, b in zip(enumerated, enumerated[1:]))
 
 
-def test_truncated_vertex_search_upper_is_sound():
+def test_truncated_vertex_search_upper_is_sound(monkeypatch):
     """Two channels with footprint D0 L0, a decoder that always predicts 0,
     box [0,1]^2 and no vertex search: the worst case is 1.0 at x = (1, 0)."""
+    import qecbound.driver as driver
+
+    monkeypatch.setattr(driver, "F_MAX_DEFAULT", 0)
     model = parse_dem("dem 1 1\nerror(0.1) D0 L0\nerror(0.1) D0 L0\n")
     dec = ZeroDecoder(model.n_detectors, model.n_observables)
     box = Hyperrectangle((0.0, 0.0), (1.0, 1.0))
-    trace = run_robustness(model, dec, box, RunConfig(mode="robustness", f_max=0))
+    trace = run_robustness(model, dec, box, RunConfig(mode="robustness"))
     assert trace.final["exhausted"]
     for rec in trace.sound_records:
         assert rec.lower <= 1.0 <= rec.upper
@@ -496,7 +500,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="alpha"):
             RunConfig(sample_count=10, alpha=alpha)
     RunConfig(alpha=0.0)  # alpha is unused without sampling
-    for name in ("max_shots", "time_limit", "term_cap", "f_max"):
+    for name in ("max_shots", "time_limit"):
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: -1})
     with pytest.raises(ValueError, match="time_limit"):
@@ -505,6 +509,17 @@ def test_config_validation():
     # `split` is no longer a strategy (see test_distance_without_split_is_rejected).
     with pytest.raises(ValueError, match="unknown strategy 'split'"):
         RunConfig(strategy="split")
+
+
+@pytest.mark.parametrize("name,value", [
+    ("max_shots", 2.5), ("max_shots", True), ("sample_count", True), ("sample_count", 3.0),
+    ("sample_count", None), ("seed", -3), ("seed", 1.5), ("seed", False), ("seed", None)])
+def test_config_rejects_counts_that_are_not_integers(name, value):
+    """`max_shots` (or None), `sample_count` and `seed` are non-negative
+    ints: a float, a bool or None would otherwise reach numpy mid-run, and
+    a negative seed numpy's generator, in errors that name no field."""
+    with pytest.raises(ValueError, match=name):
+        RunConfig(**{name: value})
 
 
 @pytest.mark.parametrize("strategy", ["hamming", "local-flip"])

@@ -1,5 +1,6 @@
-"""Weight-order enumeration, ranking, the visit order and its membership,
-the two-run test order `SplitOrder`, and the reference visited set."""
+"""Weight-order enumeration, ranking, the visit order (its reads, its one
+count and its membership), the two-run test order `SplitOrder`, and the
+reference visited set."""
 
 import random
 from itertools import combinations, islice
@@ -18,13 +19,11 @@ from qecbound.errorspace import (
     precedes,
     rank_table,
     str_to_bits,
-    unrank_in_weight_class,
-    unrank_position,
     weight,
     words_of,
 )
 
-from conftest import kept_case
+from conftest import kept_case, random_model
 from reference import (
     ReferenceVisitedSet,
     SplitOrder,
@@ -34,6 +33,8 @@ from reference import (
     position_of,
     rank_in_weight_class,
     run_cursors,
+    unrank_in_weight_class,
+    unrank_position,
 )
 
 
@@ -71,10 +72,15 @@ def brute_force_order(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_order_matches_brute_force(n):
+    """The reference ranking and unranking, and the order's block read and
+    single reads, against the sorted strings."""
     order = brute_force_order(n)
+    visits = VisitOrder(n)
+    assert [_mask(row, n) for row in visits.read(1 << n)] == order
     for pos, m in enumerate(order):
         assert position_of(m, n) == pos
         assert unrank_position(pos, n) == m
+        assert visits.string_at(pos) == m
 
 
 def test_rank_unrank_within_weight_class():
@@ -99,6 +105,10 @@ def test_millionth_string_weight_for_n20():
     # 1026876, so the string at 0-based position 999999 has weight 14
     m = unrank_position(10**6 - 1, 20)
     assert weight(m) == 14
+    order = VisitOrder(20)
+    order.advance(10**6 - 1)
+    assert [_mask(row, 20) for row in order.read(1)] == [order.string_at(10**6 - 1)] == [m]
+    assert order.lowest_unvisited_weight() == 14
 
 
 def test_cursor_enumerates_everything_once():
@@ -135,7 +145,7 @@ def test_split_high_block_starts_at_expected_weight():
     cursors = run_cursors(n, 4)
     first_high = cursors[1].next()
     assert weight(first_high) == 3  # floor(4/2) + 1
-    assert _mask(SplitOrder(n, 4).take(2)[1], n) == first_high
+    assert _mask(SplitOrder(n, 4).read(2)[1], n) == first_high
 
 
 def test_split_alternates_low_and_high_strings():
@@ -150,7 +160,9 @@ def test_split_alternates_low_and_high_strings():
     visits = SplitOrder(n, 3)
     got = []
     for m in (1, 2, 3, 1, 4, 7, 100):
-        got += [_mask(row, n) for row in visits.take(m)]
+        rows = visits.read(m)
+        visits.advance(len(rows))
+        got += [_mask(row, n) for row in rows]
     assert got == expect
 
 
@@ -244,12 +256,11 @@ def test_frozen_membership_and_lowest_unvisited_weight(seed, n):
     assert vs.contains_rows(words_of(range(size), 1)).tolist() == [m in vs for m in range(size)]
     assert repr(vs) == before
     # A visit order in any state (the library's or a `SplitOrder` of a
-    # random distance, a random take and hold, random extras past its
-    # prefix) answers a block of every string as the reference layout of
-    # its positions does.
+    # random distance, a random count, random extras past its prefix)
+    # answers a block of every string as the reference layout of its
+    # positions does.
     order = VisitOrder(n) if rng.random() < 0.5 else SplitOrder(n, int(rng.integers(0, 2 * n + 3)))
-    order.take(int(rng.integers(0, size + 1)))
-    order.hold(int(rng.integers(0, order.taken + 1)))
+    order.advance(int(rng.integers(0, size + 1)))
     layout = _layout_of(order)
     order.extras.update(m for m in range(size) if m not in layout and rng.random() < 0.3)
     layout.extras = set(order.extras)
@@ -268,7 +279,7 @@ def _layout_of(order) -> ReferenceVisitedSet:
     if isinstance(order, SplitOrder):
         low, high = order.visited_ends()
         return ReferenceVisitedSet(order.n, low, high=(order.start, max(order.start, high)))
-    return ReferenceVisitedSet(order.n, order.taken - order.held)
+    return ReferenceVisitedSet(order.n, order.prefix)
 
 
 def _assert_visited(order, n, visited):
@@ -290,43 +301,42 @@ ORDER_PLANS = [(s, None) for s in ("hamming", "local-flip", "local-both")] + [
 @pytest.mark.parametrize("strategy,distance", ORDER_PLANS,
                          ids=[f"{s}-{d}" if d is not None else s for s, d in ORDER_PLANS])
 def test_order_membership_matches_taken_strings(strategy, distance):
-    """The order is the visited set: the strings `take` returned, less the
-    last `held` of them, plus the extras.  Takes of random size (0 too),
-    random holds (the local walk's; `split` never holds) and random extras
-    for `local-flip`, which lie past the in-order prefix and leave it once
-    the prefix reaches them, as the walk's do; membership of every string,
-    the count and the lowest unvisited weight are asked after each `take`
-    and each `hold`, so an end kept from before either would fail."""
+    """The order is the visited set: its first `prefix` strings plus the
+    extras.  Reads of random size (0 too, and past the end) start at the
+    prefix and mark nothing; each is followed by an `advance` of a random
+    part of it (all of it for `split`, whose runs never stop inside a
+    read), and for `local-flip` by random extras, which lie past the
+    prefix and leave it once the prefix reaches them, as the walk's do.
+    Membership of every string, the count and the lowest unvisited weight
+    are asked after each read and each advance, so a read that marked
+    strings, or an end kept from before an advance, would fail."""
     strategy, variant = kept_case(strategy, 1)
     for seed in range(10 * variant - 10, 10 * variant):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
         d = 2 * n + 2 if distance == "2n+2" else distance
         order = VisitOrder(n) if d is None else SplitOrder(n, d)
-        taken: list[int] = []
-        held = 0
-        while len(taken) < 1 << n:
-            rows = order.take(int(rng.integers(0, 2 + (1 << n) // 6)))
-            taken += [_mask(row, n) for row in rows]
-            order.extras -= set(taken[:len(taken) - held])
-            _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)
-            if strategy == "split":
-                continue
-            held = int(rng.integers(0, len(rows) + 1))
-            order.hold(held)
+        given: list[int] = []  # the order's strings, as reads gave them
+        while order.prefix < 1 << n:
+            rows = [_mask(row, n) for row in order.read(int(rng.integers(0, 2 + (1 << n) // 6)))]
+            assert rows[:len(given) - order.prefix] == given[order.prefix:order.prefix + len(rows)]
+            given[order.prefix:order.prefix + len(rows)] = rows
+            _assert_visited(order, n, set(given[:order.prefix]) | order.extras)
+            order.advance(len(rows) if strategy == "split" else int(rng.integers(0, len(rows) + 1)))
+            order.extras -= set(given[:order.prefix])
             if strategy == "local-flip":
                 order.extras.clear()
                 order.extras.update(int(m) for m in np.flatnonzero(rng.random(1 << n) < 0.1))
-                order.extras -= set(taken[:len(taken) - held])
-            _assert_visited(order, n, set(taken[:len(taken) - held]) | order.extras)
-        assert sorted(taken) == list(range(1 << n))
+                order.extras -= set(given[:order.prefix])
+            _assert_visited(order, n, set(given[:order.prefix]) | order.extras)
+        assert sorted(given) == list(range(1 << n))
 
 
 @pytest.mark.parametrize("n", [66, 70])
 @pytest.mark.parametrize("distance", [None, 3, 5])
 def test_two_word_membership_matches_the_reference(n, distance):
     """Rows of two words.  The order (the library's, or the test order
-    `SplitOrder` for a distance) is held back so that a visited end is a
+    `SplitOrder` for a distance) is advanced so that a visited end is a
     string with a channel in the second word (each run's, for
     `SplitOrder`), and a block is asked of random rows of weight <= 3, the
     strings next to each end and the strings that equal an end in its
@@ -335,18 +345,17 @@ def test_two_word_membership_matches_the_reference(n, distance):
     extras past the prefix when the order has no high run, as the walk
     leaves them."""
     rng = np.random.default_rng(n + (distance or 0))
-    order = VisitOrder(n) if distance is None else SplitOrder(n, distance)
-    order.take(5000)
-    start = 1 << n if distance is None else order.start
+    start = 1 << n if distance is None else SplitOrder(n, distance).start
     second_word = 0
     for t in (1 << 65, 1 | 1 << 64, 1 | 1 << 65, 0b11 | 1 << 65, 0b110 | 1 << 64):
         pos = position_of(t, n)
         # visited count k whose low (or high) end is t; `SplitOrder` needs
         # the runs to alternate up to k, that is ceil(k/2) <= start
         k = pos if distance is None else 2 * pos if pos < start else 2 * (pos - start) + 1
-        if k > order.taken or distance is not None and (k + 1) // 2 > start:
+        if distance is not None and (k + 1) // 2 > start:
             continue
-        order.hold(order.taken - k)
+        order = VisitOrder(n) if distance is None else SplitOrder(n, distance)
+        order.advance(k)
         layout = _layout_of(order)
         low_end, high_end = layout.prefix, max(start, layout.high[1])
         assert pos in (low_end, high_end)
@@ -368,64 +377,62 @@ def test_two_word_membership_matches_the_reference(n, distance):
 
 @pytest.mark.parametrize("distance", [0, 1, 3, 5, "2n+2"])
 def test_split_holds_match_taken_strings(distance):
-    """Holds on the test order `SplitOrder`: the held rows of a take may
-    come from both runs.  After a hold, each run's visited part is what it
-    gave less its share of the held rows; after a take, the last hold's
-    count carries over, so the visited strings are the first
-    `len(taken) - count` in order of `take`.  Membership of every string,
-    the count and the lowest unvisited weight are asked after each `take`
-    and each `hold` of random size (0 too)."""
+    """Advances that stop inside a read of the test order `SplitOrder`:
+    the rows past the new prefix may come from both runs, and the next
+    read gives them again.  After each advance, the visited strings are
+    the order's first `prefix`, each run's share of them up to its own
+    visited end.  Membership of every string, the count and
+    the lowest unvisited weight are asked after each read and each
+    advance of random size (0 too)."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
         d = 2 * n + 2 if distance == "2n+2" else distance
-        w = d // 2 + 1
         order = SplitOrder(n, d)
-        given: tuple[list[int], list[int]] = ([], [])  # by the low and the high run
-        taken: list[int] = []
-        count = 0
-        while len(given[0]) + len(given[1]) < 1 << n:
-            rows = [_mask(row, n) for row in order.take(int(rng.integers(0, 2 + (1 << n) // 6)))]
-            taken += rows
-            for m in rows:
-                given[weight(m) >= w].append(m)
-            _assert_visited(order, n, set(taken[:len(taken) - count]))
-            for _ in range(2):  # after each of two holds
-                count = int(rng.integers(0, len(rows) + 1))
-                order.hold(count)
-                high = sum(weight(m) >= w for m in rows[len(rows) - count:]) if count else 0
-                held = (count - high, high)
-                _assert_visited(order, n, {m for run, h in zip(given, held)
-                                           for m in run[:len(run) - h]})
-        assert sorted(given[0] + given[1]) == list(range(1 << n))
+        visited: list[int] = []
+        while order.prefix < 1 << n:
+            rows = [_mask(row, n) for row in order.read(int(rng.integers(0, 2 + (1 << n) // 6)))]
+            _assert_visited(order, n, set(visited))
+            done = 0  # rows advanced over
+            for _ in range(2):  # two advances inside one read
+                k = int(rng.integers(0, len(rows) - done + 1))
+                visited += rows[done:done + k]
+                order.advance(k)
+                done += k
+                assert [_mask(row, n) for row in order.read(len(rows) - done)] == rows[done:]
+                _assert_visited(order, n, set(visited))
+        assert sorted(visited) == list(range(1 << n))
 
 
 @pytest.mark.parametrize("n", range(13))
 def test_weight_runs_are_the_combinations(n):
-    """The visit order, read in takes of random size (0 too, and past its
-    end), gives the rows of `itertools.combinations`, weight class by
-    weight class, each padded with n to the width of its take."""
+    """The visit order, read and advanced in steps of random size (0 too,
+    and past its end), gives the rows of `itertools.combinations`, weight
+    class by weight class, each padded with n to the width of its read."""
     rng = np.random.default_rng(n)
     expect = [c for k in range(n + 1) for c in combinations(range(n), k)]
     for _ in range(3):
         order = VisitOrder(n)
         got = []
-        while order.taken < 1 << n:
-            rows = order.take(int(rng.integers(0, 2 + len(expect) // 4)))
+        while order.prefix < 1 << n:
+            rows = order.read(int(rng.integers(0, 2 + len(expect) // 4)))
+            order.advance(len(rows))
             for row in rows.tolist():
                 k = sum(c < n for c in row)
                 assert row[k:] == [n] * (len(row) - k)
                 got.append(tuple(row[:k]))
         assert got == expect
-        assert order.taken == 1 << n
-        assert order.take(3).shape[0] == 0
+        assert order.prefix == 1 << n
+        assert order.read(3).shape[0] == 0
 
 
 def test_unranking_is_exact_past_int64():
     """The rank tables switch to Python ints once C(n, m) passes 2^63: the
     weight classes at n = 213 (weight 12) and n = 70 (weight 40) start
     with the combinations, and the first and last ranks of classes on
-    either side of the switch unrank as `unrank_in_weight_class` does."""
+    either side of the switch unrank as the reference comb loop
+    `unrank_in_weight_class` does, read by the order as a block and one
+    string at a time."""
     for n, w in [(213, 12), (70, 40)]:
         rows = combination_rows(rank_table(n, w), 0, 100)
         assert [tuple(row) for row in rows.tolist()] == list(islice(combinations(range(n), w), 100))
@@ -434,6 +441,146 @@ def test_unranking_is_exact_past_int64():
         table = rank_table(n, k)
         size = comb(n, k)
         for first in (0, max(0, size - 4)):
+            expect = [unrank_in_weight_class(first + i, n, k) for i in range(min(4, size))]
             rows = combination_rows(table, first, min(4, size))
-            assert [sum(1 << c for c in row) for row in rows.tolist()] == [
-                unrank_in_weight_class(first + i, n, k) for i in range(len(rows))]
+            assert [sum(1 << c for c in row) for row in rows.tolist()] == expect
+            order = VisitOrder(n)
+            order.advance(first_position_of_weight(k, n) + first)
+            assert [_mask(row, n) for row in order.read(len(expect))] == expect
+            assert [order.string_at(order.prefix + i) for i in range(len(expect))] == expect
+
+
+def _positions(n, rng, boundaries=True):
+    """Positions of the weight order of n channels to read at: the first
+    and last, the two on each side of every class boundary (unless not
+    asked for), and random ones (uniform, so mostly of middle weight, and
+    of random weight)."""
+    size = 1 << n
+    bounds = [first_position_of_weight(w, n) + d for w in range(n + 2) for d in (-2, -1, 0, 1)
+              if boundaries]
+    picks = [rng.randrange(size) for _ in range(20)]
+    for _ in range(20):
+        w = rng.randrange(n + 1)
+        picks.append(first_position_of_weight(w, n) + rng.randrange(comb(n, w)))
+    return sorted({p for p in [0, size - 1, *bounds, *picks] if 0 <= p < size})
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 64, 66, 70])
+def test_read_matches_the_reference_unranking(n):
+    """`read` at random prefix lengths, at class boundaries (a read there
+    spans two classes) and at the last position, against the reference
+    comb loop; a read that runs past the end gives the rows left."""
+    rng = random.Random(n)
+    for pos in _positions(n, rng):
+        order = VisitOrder(n)
+        order.advance(pos)
+        m = rng.choice([1, 3, 7])
+        rows = order.read(m)
+        assert len(rows) == min(m, (1 << n) - pos)
+        assert [_mask(row, n) for row in rows] == [
+            unrank_position(p, n) for p in range(pos, pos + len(rows))]
+        assert order.prefix == pos  # the read marked nothing
+    order = VisitOrder(n)
+    order.advance(1 << n)
+    assert order.read(5).shape[0] == 0
+
+
+@pytest.mark.parametrize("n", [12, 213])
+def test_single_read_matches_the_reference_unranking(n):
+    """`string_at` (the prefix end that `contains_rows` compares with, and
+    the extras scan of `lowest_unvisited_weight`) at every class boundary
+    of n = 12 and at random positions of n = 213, against the reference
+    comb loop."""
+    rng = random.Random(n)
+    order = VisitOrder(n)
+    for pos in _positions(n, rng, boundaries=n == 12):
+        assert order.string_at(pos) == unrank_position(pos, n)
+
+
+@pytest.mark.parametrize("extras", [False, True])
+def test_lowest_unvisited_weight_matches_brute_force(extras):
+    """At every prefix length of n = 6, with no extras (the class of the
+    prefix end) and with random extras past the prefix, against the
+    lowest weight of the strings left; n + 1 once all 2^n are visited."""
+    n = 6
+    rng = np.random.default_rng(6)
+    order_list = brute_force_order(n)
+    order = VisitOrder(n)
+    for prefix in range(1 << n):
+        if extras:  # a run of extras at the prefix end, and some beyond
+            run = int(rng.integers(0, 4))
+            order.extras = {m for i, m in enumerate(order_list[prefix:], start=prefix)
+                            if i < prefix + run or rng.random() < 0.2}
+        visited = set(order_list[:prefix]) | order.extras
+        assert order.lowest_unvisited_weight() == min(
+            (weight(m) for m in order_list if m not in visited), default=n + 1)
+        order.advance(1)
+        order.extras.clear()
+    assert order.lowest_unvisited_weight() == n + 1
+
+
+def test_one_count_is_the_whole_state():
+    """Two orders brought to one count by different sequences of reads and
+    advances, with the same extras, answer alike: `len`, membership, the
+    lowest unvisited weight and the next read."""
+    n = 9
+    rng = np.random.default_rng(9)
+    every = words_of(range(1 << n), 1)
+    for count in (0, 1, 10, 46, 47, 200, 511, 512):
+        direct, stepped = VisitOrder(n), VisitOrder(n)
+        direct.advance(count)
+        while stepped.prefix < count:
+            rows = stepped.read(int(rng.integers(0, 40)))
+            stepped.contains_rows(every[:3])  # a query between a read and an advance
+            stepped.advance(min(int(rng.integers(0, len(rows) + 1)), count - stepped.prefix))
+        extras = {int(m) for m in rng.integers(0, 1 << n, 6) if position_of(int(m), n) >= count}
+        for order in (direct, stepped):
+            order.extras = set(extras)
+        assert len(direct) == len(stepped) == count + len(extras)
+        assert direct.contains_rows(every).tolist() == stepped.contains_rows(every).tolist()
+        assert direct.lowest_unvisited_weight() == stepped.lowest_unvisited_weight()
+        assert direct.read(20).tolist() == stepped.read(20).tolist()
+
+
+@pytest.mark.parametrize("strategy", ["hamming", "local-flip"])
+def test_runs_read_the_order_in_tiles(strategy, monkeypatch):
+    """In a run, each read starts at the visited prefix's end, where the
+    last read ended: the reads tile [0, R) with no position read twice,
+    R <= max_shots, and R = max_shots for `hamming`, which visits only
+    in-order rows."""
+    import qecbound.driver as driver
+    from qecbound.decoders import build_greedy_decoder
+
+    monkeypatch.setattr(driver, "BLOCK_ROWS", 37)
+    model = random_model(np.random.default_rng(11), n_channels=10, n_det=4, n_obs=2)
+    reads = []
+    read = VisitOrder.read
+
+    def spy(order, m):
+        rows = read(order, m)
+        reads.append((order.prefix, len(rows)))
+        return rows
+
+    monkeypatch.setattr(VisitOrder, "read", spy)
+    for max_shots in (300, 1 << 10):
+        reads.clear()
+        driver.run_accuracy(model, build_greedy_decoder(model), model.concrete_probabilities(),
+                            driver.RunConfig(strategy=strategy, max_shots=max_shots))
+        end = 0
+        for start, size in reads:
+            assert start == end
+            end += size
+        assert end <= max_shots
+        if strategy == "hamming":
+            assert end == max_shots
+
+
+def test_advance_refuses_a_negative_count_and_a_count_past_the_end():
+    order = VisitOrder(3)
+    order.advance(5)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="cannot advance"):
+            order.advance(k)
+        assert order.prefix == 5
+    order.advance(3)
+    assert order.prefix == 8 and len(order) == 8

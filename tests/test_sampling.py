@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from qecbound.errorspace import (
     VisitOrder,
     ints_of,
-    unrank_position,
     weight,
     words_of,
 )
@@ -35,6 +34,7 @@ from reference import (
     first_position_of_weight,
     sample_unseen,
     sample_unseen_draw_by_draw,
+    unrank_position,
 )
 
 
@@ -153,16 +153,15 @@ def test_visited_layouts_give_identical_draws():
 
 def test_order_draws_like_its_reference_layout():
     """A run hands the sampler its visit order: mid-way through the
-    two-run test order `SplitOrder`, and through a held-back local walk
-    with extras, it gives the same members, lowest unvisited weight and
+    two-run test order `SplitOrder`, and through a local walk with
+    extras, it gives the same members, lowest unvisited weight and
     draws as the reference layout of the same positions."""
     n = 6
     v = (0.3, 0.15, 0.45, 0.2, 0.35, 0.25)
     split = SplitOrder(n, 3)
-    split.take(10)  # positions 0-4 of the low run, 7-11 of the high run
+    split.advance(10)  # positions 0-4 of the low run, 7-11 of the high run
     walk = VisitOrder(n)
-    walk.take(30)
-    walk.hold(6)  # positions 0-23 visited in order
+    walk.advance(24)  # positions 0-23 visited in order
     walk.extras.update(unrank_position(p, n) for p in (26, 45))
     for order, layout in [(split, ReferenceVisitedSet(n, 5, high=(7, 12))),
                           (walk, ReferenceVisitedSet(n, 24, {unrank_position(p, n)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qecbound.driver as driver
 from qecbound import RunConfig, build_greedy_decoder, compile_to_dem, parse_program
-from qecbound.errorspace import n_words, unrank_position, words_of
+from qecbound.errorspace import n_words, words_of
 from qecbound.polynomial import (
     NEG,
     POS,
@@ -25,7 +25,7 @@ from qecbound.polynomial import (
 )
 
 from conftest import kept_order
-from reference import DenseSignPass
+from reference import DenseSignPass, unrank_position
 from test_compiler import repetition_memory_text
 from test_optimizer_rounds import seeded_model
 
