@@ -1,12 +1,18 @@
 """Compilation of QEC programs to detector error models.
 
 Three stages: well-definedness checking via symbolic tableau simulation,
-decomposition of mixture channels into Bernoulli channels, and Pauli-frame
-propagation to find which declared parities each channel flips.  All
-frames move in one pass, as per-qubit bit planes over the channels, under
-the same gate rules (`tableau.GATES`) that drive the tableau.  Also reads
-and writes the textual DEM format (a compatible subset of the Stim
-detector-error-model surface syntax):
+decomposition of channel statements into Bernoulli channels, and
+Pauli-frame propagation to find which declared parities each channel
+flips.  A statement gives one independent channel per Pauli term of its
+kind in `frontend.CHANNELS`, at its strength over the number of terms:
+`DEPOLARIZE1(p)` gives X, Y, Z flips at p/3, `DEPOLARIZE2(p)` fifteen at
+p/15.  Stim's channel of that name applies exactly one non-identity Pauli
+with probability p, so the two agree only to first order in p (7.1e-4
+relative on the fixed d = 3 repetition memory at p = 1e-3); sound records
+bound the compiled model.  All frames move in one pass, as per-qubit bit
+planes over the channels, under the same gate rules (`tableau.GATES`)
+that drive the tableau.  Also reads and writes the textual DEM format (a
+compatible subset of the Stim detector-error-model surface syntax):
 
     dem <n_detectors> <n_observables>        # optional header
     error(<float>) D0 D1 L0
@@ -20,6 +26,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .frontend import (
+    CHANNELS,
     Declaration,
     ErrorChannel,
     Gate,
@@ -70,7 +77,6 @@ Probability = float | SymbolicProb
 
 @dataclass(frozen=True)
 class BernoulliChannel:
-    index: int
     probability: Probability
     pauli: PauliString
     source: int  # originating statement index
@@ -143,51 +149,21 @@ def check_well_defined(program: QecProgram) -> WellDefinedReport:
     return WellDefinedReport(all(r.deterministic for r in reports), tuple(reports))
 
 
-_PAULI_ORDER = ("X", "Y", "Z")
-_TWO_QUBIT_PAULIS = [
-    (a, b)
-    for a in ("I", "X", "Y", "Z")
-    for b in ("I", "X", "Y", "Z")
-    if (a, b) != ("I", "I")
-]
-
-
-def _scaled(strength: float | str, scale: float) -> Probability:
-    if isinstance(strength, str):
-        return SymbolicProb(strength, scale)
-    return strength * scale
-
-
 def decompose_channels(program: QecProgram) -> list[BernoulliChannel]:
     """Split every channel statement into Bernoulli channels, in statement
-    order then fixed Pauli order (X, Y, Z; lexicographic pairs for 2-qubit)."""
+    order then the order of its kind's terms in `CHANNELS`."""
     channels: list[BernoulliChannel] = []
     for idx, stmt in enumerate(program.statements):
         if not isinstance(stmt, ErrorChannel):
             continue
-        if stmt.kind in ("XERR", "YERR", "ZERR"):
-            pauli = PauliString.from_dict({stmt.qubits[0]: stmt.kind[0]})
-            channels.append(
-                BernoulliChannel(len(channels), _scaled(stmt.strength, 1.0), pauli, idx)
-            )
-        elif stmt.kind == "DEPOLARIZE1":
-            for p in _PAULI_ORDER:
-                pauli = PauliString.from_dict({stmt.qubits[0]: p})
-                channels.append(
-                    BernoulliChannel(len(channels), _scaled(stmt.strength, 1 / 3), pauli, idx)
-                )
-        else:  # DEPOLARIZE2
-            q1, q2 = stmt.qubits
-            for a, b in _TWO_QUBIT_PAULIS:
-                d = {}
-                if a != "I":
-                    d[q1] = a
-                if b != "I":
-                    d[q2] = b
-                pauli = PauliString.from_dict(d)
-                channels.append(
-                    BernoulliChannel(len(channels), _scaled(stmt.strength, 1 / 15), pauli, idx)
-                )
+        terms = CHANNELS[stmt.kind]
+        scale = 1.0 / len(terms)
+        prob = (SymbolicProb(stmt.strength, scale) if stmt.is_symbolic
+                else stmt.strength * scale)
+        for term in terms:
+            pauli = PauliString.from_dict(
+                {q: p for q, p in zip(stmt.qubits, term) if p != "I"})
+            channels.append(BernoulliChannel(prob, pauli, idx))
     return channels
 
 

@@ -37,6 +37,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -88,12 +89,15 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
-        for name in ("max_shots", "sample_count", "seed"):
+        limits = ("max_shots", "time_limit")  # None: no limit
+        for name, kind in (("max_shots", int), ("time_limit", Real), ("sample_count", int),
+                           ("seed", int), ("alpha", Real)):
             value = getattr(self, name)
-            if ((value is not None or name != "max_shots")  # max_shots None: no limit
-                    and (isinstance(value, bool) or not isinstance(value, int))):
-                raise ValueError(f"{name} must be an integer")
-        for name in ("max_shots", "time_limit", "sample_count", "seed"):
+            if ((value is not None or name not in limits)
+                    and (isinstance(value, bool) or not isinstance(value, kind))):
+                what = "an integer" if kind is int else "a real number"
+                raise ValueError(f"{name} must be {what}")
+        for name in limits + ("sample_count", "seed"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN too
                 raise ValueError(f"{name} must be >= 0")
@@ -338,7 +342,7 @@ def run_accuracy(model: DetectorErrorModel, decoder: Decoder, v,
     if config.mode != "accuracy":
         raise ValueError(f"run_accuracy needs mode 'accuracy', not {config.mode!r}")
     v = tuple(float(x) for x in v)
-    evaluator = MintermEvaluator(v)  # validates v in (0,1)^n
+    evaluator = MintermEvaluator(v)  # validates v in [0,1)^n
     core = _BlockCore(model, decoder, config, evaluator)
     acc = BoundAccumulators()
     # Made only when sampling: the generator costs megabytes of RSS.

@@ -152,18 +152,19 @@ class Hyperrectangle:
 
 
 class MintermEvaluator:
-    """Evaluates minterms at a fixed point v in (0,1)^n.
+    """Evaluates minterms at a fixed point v in [0,1)^n.
 
     Uses the factored form base * prod_{e_i=1} v_i/(1-v_i) with the
     all-zeros base precomputed once, so a single evaluation costs
-    O(weight(e)).
+    O(weight(e)).  A rate of 0 has ratio 0, so every string that holds
+    its channel has minterm exactly 0.
     """
 
     def __init__(self, v) -> None:
         self.v = tuple(float(x) for x in v)
         for x in self.v:
-            if not 0.0 < x < 1.0:
-                raise ValueError(f"error rate {x} outside (0, 1)")
+            if not 0.0 <= x < 1.0:  # NaN too
+                raise ValueError(f"error rate {x} outside [0, 1)")
         b = 1.0
         for x in self.v:
             b *= 1.0 - x

@@ -48,11 +48,14 @@ def _draw_batch(v: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarr
 
 def _tail_table(v: np.ndarray, c: int) -> np.ndarray:
     """[n + 1, c + 1] table of log P(at least k of channels i..n-1 are set)
-    at row i, column k.  Logs keep the deep tail from underflowing."""
+    at row i, column k.  Logs keep the deep tail from underflowing; a rate
+    of 0 has log -inf."""
     n = v.size
     lg = np.full((n + 1, c + 1), -np.inf)
     lg[:, 0] = 0.0
-    lv, lq = np.log(v), np.log1p(-v)
+    with np.errstate(divide="ignore"):
+        lv = np.log(v)
+    lq = np.log1p(-v)
     for i in range(n - 1, -1, -1):
         lg[i, 1:] = np.logaddexp(lv[i] + lg[i + 1, :-1], lq[i] + lg[i + 1, 1:])
     return lg
@@ -63,10 +66,12 @@ def _set_probabilities(v: np.ndarray, c: int) -> np.ndarray:
     v_i g[i+1, need-1] / g[i, need] that channel i is set in a row that
     still needs `need` more set bits, from the tail table g of weight c.
     The cells with need > n - i are -inf - -inf; no row reaches them, since
-    a row with need = n - i sets channel i with probability exactly 1."""
+    a row with need = n - i sets channel i with probability exactly 1.  A
+    channel of rate 0 has probability 0 or NaN in every cell, and a uniform
+    draw is below neither, so it is never set."""
     lg = _tail_table(v, c)
     before = np.maximum(np.arange(c + 1) - 1, 0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return np.exp(np.log(v)[:, None] + lg[1:, before] - lg[:-1])
 
 
@@ -111,11 +116,12 @@ def sample_unseen_batch(tail: TailSampler, visited, rng, count: int,
     (a `time.monotonic()` value) has passed, no further batch is drawn and
     the samples accepted so far, possibly none, are returned.  Raises
     RejectionGuardExceeded after `guard` consecutive rejections, or at
-    once when every string is visited."""
+    once when the tail has no mass: when c exceeds the number of channels
+    of positive rate, every string of positive mass is visited."""
     rng = _as_rng(rng)
     c = visited.lowest_unvisited_weight()
-    if c > tail.v.size:
-        raise RejectionGuardExceeded("every bitstring is visited")
+    if c > np.count_nonzero(tail.v):
+        raise RejectionGuardExceeded("every bitstring of positive mass is visited")
     accepted = [np.zeros((0, n_words(tail.v.size)), dtype=np.uint64)]
     got = 0
     rejects = 0  # consecutive rejections since the last acceptance

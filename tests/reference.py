@@ -296,8 +296,8 @@ def sample_unseen_draw_by_draw(v, visited, rng, count: int, guard: int = REJECTI
     rejection in draw order."""
     varr = np.asarray(v, dtype=float)
     c = visited.lowest_unvisited_weight()
-    if c > varr.size:
-        raise RejectionGuardExceeded("every bitstring is visited")
+    if c > np.count_nonzero(varr):
+        raise RejectionGuardExceeded("every bitstring of positive mass is visited")
     lg = _tail_table(varr, c)
     accepted: list[int] = []
     rejects = 0

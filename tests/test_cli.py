@@ -2,13 +2,17 @@
 
 import io
 import json
+import math
 import sys
 
 import pytest
 
 from qecbound.cli import load_model, main
+from qecbound.decoders import build_greedy_decoder
+from qecbound.errorspace import observable_of, syndrome_of
 
 from conftest import REPETITION_PROGRAM
+from reference import minterm_eval
 
 ILL_DEFINED = "R 0\nH 0\nM a <- 0\nOBSERVABLE a\n"
 
@@ -165,6 +169,44 @@ def test_robustness_nan_box_scale_is_an_error(tmp_path, scale, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "box scale" in err
     assert "Traceback" not in err
+
+
+ZERO_RATE_DEM = "dem 2 1\nerror(0.01) D0 L0\nerror(0) D0 D1\nerror(0.02) D1\n"
+
+
+def _final(argv, tmp_path, name) -> dict:
+    """The final summary of an accuracy run that must exit 0."""
+    trace = tmp_path / f"{name}.jsonl"
+    assert main(["accuracy", *argv, "--trace", str(trace)]) == 0
+    return json.loads(trace.read_text().strip().splitlines()[-1])["final"]
+
+
+def test_accuracy_keeps_a_channel_of_rate_0(tmp_path):
+    """A DEM keeps channels of rate 0 (box rows and symbolic names follow
+    channel indices), and accuracy runs on it: such a channel never fires,
+    so every string that holds it has mass 0.  ML's exhausted final is
+    bit for bit that of the model without the channel, and greedy's is
+    the exact sum over the strings it gets wrong."""
+    dem = tmp_path / "zero.dem"
+    dem.write_text(ZERO_RATE_DEM)
+    without = tmp_path / "without.dem"
+    without.write_text("dem 2 1\nerror(0.01) D0 L0\nerror(0.02) D1\n")
+    ml = _final([str(dem), "--decoder", "ml"], tmp_path, "ml")
+    ml_without = _final([str(without), "--decoder", "ml"], tmp_path, "ml_without")
+    assert ml["exhausted"] and ml_without["exhausted"]
+    assert (ml["lower"], ml["upper"]) == (ml_without["lower"], ml_without["upper"])
+
+    model = load_model(str(dem))
+    decoder = build_greedy_decoder(model)
+    v = model.concrete_probabilities()
+    wrong = [minterm_eval(e, v) for e in range(1 << model.n_channels)
+             if decoder.decode(syndrome_of(model, e)) != observable_of(model, e)]
+    want = math.fsum(wrong)
+    assert want > 0.0
+    greedy = _final([str(dem), "--decoder", "greedy"], tmp_path, "greedy")
+    assert greedy["exhausted"] and greedy["lower"] == greedy["upper"] == want
+    sampled = _final([str(dem), "--decoder", "greedy", "--samples", "10"], tmp_path, "sampled")
+    assert sampled["exhausted"] and sampled["lower"] == sampled["upper"] == want
 
 
 def test_negative_max_shots_is_an_error(program_file, capsys):

@@ -78,19 +78,43 @@ def test_compile_rejects_ill_defined_program():
 
 
 def test_depolarize_decomposition_order_and_scales():
+    """Each statement gives one channel per term of its kind, in statement
+    order and then term order (X, Y, Z; lexicographic pairs over IXYZ for
+    DEPOLARIZE2, the first letter on the first operand), each at the
+    statement's strength times 1/len(terms): scales 1, 1/3 and 1/15, for
+    concrete and symbolic strengths alike."""
     prog = parse_program(
-        "R 0\nR 1\nDEPOLARIZE1(0.3) 0\nDEPOLARIZE2(0.15) 0 1\n"
-        "M a <- 0\nOBSERVABLE a\n"
+        "R 0\nR 1\nXERR(0.3) 1\nYERR(0.2) 0\nZERR(0.1) 1\nDEPOLARIZE1(0.3) 0\n"
+        "DEPOLARIZE2(0.15) 0 1\nDEPOLARIZE2(0.15) 1 0\nM a <- 0\nOBSERVABLE a\n"
     )
     chans = decompose_channels(prog)
-    assert len(chans) == 18
-    assert all(abs(c.probability - 0.1) < 1e-15 for c in chans[:3])
-    assert [c.pauli.paulis for c in chans[:3]] == [((0, "X"),), ((0, "Y"),), ((0, "Z"),)]
-    assert all(abs(c.probability - 0.01) < 1e-15 for c in chans[3:])
+    assert len(chans) == 3 + 3 + 15 + 15
+    assert [(c.probability, c.pauli.paulis, c.source) for c in chans[:3]] == [
+        (0.3, ((1, "X"),), 2), (0.2, ((0, "Y"),), 3), (0.1, ((1, "Z"),), 4)]
+    assert all(c.probability == 0.3 * (1 / 3) and c.source == 5 for c in chans[3:6])
+    assert [c.pauli.paulis for c in chans[3:6]] == [((0, "X"),), ((0, "Y"),), ((0, "Z"),)]
+    assert all(c.probability == 0.15 * (1 / 15) for c in chans[6:])
+    pairs = [a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
+    for start, qubits in ((6, (0, 1)), (21, (1, 0))):
+        # Paulis sorted by qubit, whichever operand comes first
+        assert [c.pauli.paulis for c in chans[start:start + 15]] == [
+            tuple(sorted((q, p) for q, p in zip(qubits, t) if p != "I")) for t in pairs]
     # lexicographic pair order starts IX, IY, IZ, XI, XX, ...
-    assert chans[3].pauli.paulis == ((1, "X"),)
-    assert chans[6].pauli.paulis == ((0, "X"),)
-    assert chans[7].pauli.paulis == ((0, "X"), (1, "X"))
+    assert chans[6].pauli.paulis == ((1, "X"),)
+    assert chans[9].pauli.paulis == ((0, "X"),)
+    assert chans[10].pauli.paulis == ((0, "X"), (1, "X"))
+    assert chans[21].pauli.paulis == ((0, "X"),)
+    assert chans[26].pauli.paulis == ((0, "Y"), (1, "X"))
+
+    prog = parse_symbolic_program(
+        "R 0\nR 1\nXERR(x1) 0\nDEPOLARIZE1(x2) 0\nDEPOLARIZE2(x3) 1 0\n"
+        "M a <- 0\nM b <- 1\nDETECTOR a\nOBSERVABLE b\n"
+    )
+    assert [c.probability for c in decompose_channels(prog)] == (
+        [SymbolicProb("x1")] + [SymbolicProb("x2", 1 / 3)] * 3 + [SymbolicProb("x3", 1 / 15)] * 15)
+    text = write_symbolic_dem(compile_to_dem(prog))
+    rates = [line.split()[0] for line in text.splitlines() if line.startswith("error(")]
+    assert rates == ["error(x1)"] + ["error(x2/3)"] * 3 + ["error(x3/15)"] * 15
 
 
 def test_zero_probability_channels_dropped():

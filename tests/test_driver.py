@@ -177,6 +177,29 @@ def test_tail_sampler_stops_at_the_time_limit():
     assert trace.final["shots"] == trace.records[-1].shots
 
 
+def test_sampling_stops_at_a_tail_of_mass_0(monkeypatch):
+    """Three channels, the middle one at rate 0: after 7 of the 8 strings the
+    only unvisited one holds it, so the tail weight >= 3 has mass 0 and the
+    sampler stops at once instead of drawing toward the rejection guard.
+    Every probabilistic record nests in the sound record before it."""
+    import qecbound.sampling as sampling
+
+    drawn = []
+    draw = sampling.TailSampler.draw
+    monkeypatch.setattr(sampling.TailSampler, "draw",
+                        lambda self, c, rng, count: drawn.append(count) or draw(self, c, rng, count))
+    model = parse_dem("dem 2 1\nerror(0.01) D0 L0\nerror(0) D0 D1\nerror(0.02) D1\n")
+    v = model.concrete_probabilities()
+    trace = run_accuracy(model, build_greedy_decoder(model, v), v,
+                         RunConfig(sample_count=10, max_shots=7, seed=1))
+    assert sum(drawn) < 1000
+    assert [r.shots for r in trace.records if r.sound][-1] == 7 + 30  # 3 sampled checkpoints
+    assert trace.records[-1].sound and not trace.final["exhausted"]
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        if not rec.sound:
+            assert prev.sound and prev.lower <= rec.lower and rec.upper <= prev.upper
+
+
 def test_sampling_shots_counted(repetition_model):
     v = repetition_model.concrete_probabilities()
     dec = build_ml_decoder(repetition_model, v)
@@ -496,10 +519,11 @@ def test_config_validation():
         RunConfig(strategy="local_flip")
     with pytest.raises(ValueError, match="sample_count"):
         RunConfig(sample_count=-2)
-    for alpha in (0.0, 1.0, -0.5, 1.5, float("nan")):
+    for alpha in (0.0, 1.0, -0.5, 1.5, float("nan"), "0.1"):
         with pytest.raises(ValueError, match="alpha"):
             RunConfig(sample_count=10, alpha=alpha)
     RunConfig(alpha=0.0)  # alpha is unused without sampling
+    RunConfig(time_limit=2, alpha=np.float64(0.05), sample_count=10)  # any real but a bool
     for name in ("max_shots", "time_limit"):
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: -1})
@@ -513,11 +537,16 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name,value", [
     ("max_shots", 2.5), ("max_shots", True), ("sample_count", True), ("sample_count", 3.0),
-    ("sample_count", None), ("seed", -3), ("seed", 1.5), ("seed", False), ("seed", None)])
+    ("sample_count", None), ("seed", -3), ("seed", 1.5), ("seed", False), ("seed", None),
+    ("time_limit", True), ("time_limit", "1"), ("alpha", True), ("alpha", "0.1"),
+    ("alpha", None)])
 def test_config_rejects_counts_that_are_not_integers(name, value):
     """`max_shots` (or None), `sample_count` and `seed` are non-negative
     ints: a float, a bool or None would otherwise reach numpy mid-run, and
-    a negative seed numpy's generator, in errors that name no field."""
+    a negative seed numpy's generator, in errors that name no field.
+    `time_limit` (or None) and `alpha` are real numbers that are not bools:
+    True is no limit of 1 s, and a string would fail a comparison with a
+    TypeError."""
     with pytest.raises(ValueError, match=name):
         RunConfig(**{name: value})
 

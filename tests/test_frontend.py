@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qecbound.frontend import (
+    CHANNELS,
     Declaration,
     ErrorChannel,
     Gate,
@@ -96,8 +97,43 @@ def test_probability_out_of_range_rejected():
 
 
 def test_two_qubit_gate_needs_distinct_qubits():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="CX requires distinct qubits"):
         parse_program("R 0\nCX 0 0\nM a <- 0\nOBSERVABLE a\n")
+    with pytest.raises(ParseError, match=r"CX takes 2 qubit\(s\)"):
+        parse_program("R 0\nCX 0\nM a <- 0\nOBSERVABLE a\n")
+
+
+def test_channel_table():
+    """One letter per qubit in each term; DEPOLARIZE2's terms are the
+    fifteen pairs over IXYZ in lexicographic order, without II."""
+    assert CHANNELS["DEPOLARIZE1"] == ("X", "Y", "Z")
+    pairs = CHANNELS["DEPOLARIZE2"]
+    assert len(set(pairs)) == len(pairs) == 15
+    assert list(pairs) == sorted(pairs, key=lambda t: ["IXYZ".index(a) for a in t])
+    assert "II" not in pairs and all(len(t) == 2 and set(t) <= set("IXYZ") for t in pairs)
+    for terms in CHANNELS.values():
+        assert len({len(t) for t in terms}) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(CHANNELS))
+@pytest.mark.parametrize("case", [str.upper, str.lower], ids=["upper", "lower"])
+def test_channel_arity_comes_from_its_terms(kind, case):
+    """Every channel kind, in either case, takes as many distinct qubits as
+    its terms have letters."""
+    k = len(CHANNELS[kind][0])
+
+    def program(qubits):
+        head = f"{case(kind)}(0.1) " + " ".join(map(str, qubits))
+        return f"R 0\nR 1\nR 2\n{head}\nM a <- 0\nOBSERVABLE a\n"
+
+    stmt = parse_program(program(range(k))).statements[3]
+    assert stmt == ErrorChannel(kind, 0.1, tuple(range(k)))
+    for count in {0, k - 1, k + 1} - {k}:
+        with pytest.raises(ParseError, match=rf"^line 4: {kind} takes {k} qubit\(s\)$"):
+            parse_program(program(range(count)))
+    if k > 1:
+        with pytest.raises(ParseError, match=f"^line 4: {kind} requires distinct qubits$"):
+            parse_program(program([1] * k))
 
 
 def test_symbolic_strengths():

@@ -39,10 +39,15 @@ def test_minterm_eval_basics():
 
 
 def test_minterm_evaluator_rejects_boundary():
-    with pytest.raises(ValueError):
-        MintermEvaluator((0.0, 0.5))
-    with pytest.raises(ValueError):
-        MintermEvaluator((0.5, 1.0))
+    """Rates lie in [0, 1): a rate of 0 is a channel that never fires, so
+    every string that holds it has minterm exactly 0; below 0, from 1 on,
+    and NaN are refused."""
+    for bad in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            MintermEvaluator((bad, 0.5))
+    ev = MintermEvaluator((0.0, 0.5))
+    assert ev(0b01) == ev(0b11) == 0.0
+    assert ev(0b10) == ev(0b00) == 0.5
 
 
 @given(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=10))

@@ -311,6 +311,23 @@ def test_sampler_draws_the_last_unvisited_string():
     assert _sample(v, visited, rng, 10, guard=50_000) == [0b111] * 10
 
 
+def test_channel_of_rate_0_is_never_drawn():
+    """A rate of 0 has log -inf, with no warning, and its channel is never
+    set; once every string of positive mass is visited the sampler raises
+    at once, not after `guard` rejections."""
+    v = (0.3, 0.0, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1, 2):
+            visited = ReferenceVisitedSet(3, first_position_of_weight(c, 3))
+            samples = _sample(v, visited, np.random.default_rng(c), 200)
+            assert all(weight(e) >= c and not e & 0b010 for e in samples)
+        assert set(samples) == {0b101}
+        visited = ReferenceVisitedSet(3, first_position_of_weight(3, 3))
+        with pytest.raises(RejectionGuardExceeded, match="positive mass"):
+            _sample(v, visited, np.random.default_rng(3), 10, guard=1)
+
+
 def test_rejection_guard_trips_when_tail_nearly_visited():
     # Positions 0-2 are the prefix and the weight-2 strings extras, so only
     # 0b100 and 0b111 are unvisited: about 7e-10 of the tail weight >= 1.
